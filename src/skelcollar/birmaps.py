@@ -86,9 +86,6 @@ class RationalMap:
             if len(degrees) > 1:
                 raise ValueError(f"components have mixed degrees {degrees} in {group}")
 
-    def indeterminacy_description(self) -> str:
-        return "all components of some target factor vanish"
-
     def apply(self, point: Point) -> Point:
         if len(point) != len(self.source_dims):
             raise ValueError("point has wrong number of factors")

@@ -63,14 +63,6 @@ class SurfaceChartPair:
     def __post_init__(self) -> None:
         _check_n(self.n)
 
-    @property
-    def u_variables(self) -> tuple[str, str]:
-        return (U_BASE, U_FIBER)
-
-    @property
-    def v_variables(self) -> tuple[str, str]:
-        return (V_BASE, V_FIBER)
-
     def to_u_side(self, p: LaurentPoly) -> LaurentPoly:
         """Rewrite a (xi, v) expression in (z, u) coordinates."""
         if not set(p.variables) <= {V_BASE, V_FIBER}:
@@ -564,8 +556,10 @@ def phi_transform(n: int, j: int) -> PhiTransform:
         collar_class=j % n,
     )
     # the end state must carry the same residue and no net twist
-    assert result.splitting_after % n == result.collar_class
-    assert stages[-1].chern == 0
+    if result.splitting_after % n != result.collar_class:
+        raise AssertionError("the transform must keep the collar residue class")
+    if stages[-1].chern != 0:
+        raise AssertionError("the transform must end with no net twist")
     return result
 
 

@@ -12,13 +12,12 @@ tau = 0 and drops to splitting type j at tau = 1 when p is generic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .bundles import BundleTransition, splitting_type
-from .exact import LaurentPoly, RatMatrix, Scalar, as_fraction
+from .exact import LaurentPoly, Scalar, as_fraction
 
 U_BASE = "z"
 U_FIBER = "u"
@@ -49,37 +48,20 @@ def _auto_cutoff(n: int, j: int) -> int:
     return max(3, (2 * j - 2) // n)
 
 
-@lru_cache(maxsize=None)
 def _basis_window(n: int, j: int, cutoff: int) -> tuple[LaurentPoly, ...]:
-    """Non-pivot monomials of the coboundary span inside the window, sorted
+    """Monomials z^a u^b with 0 <= b <= cutoff and n*b - 2j < a < 0, sorted
     by fiber exponent then base exponent.
 
-    The transition twist is homogeneous in the fiber variable, so the span
-    never mixes fiber levels and each level reduces on its own block.
+    The transition twist is homogeneous in the fiber variable, so the
+    coboundary span splits by fiber level.  At level b the U side covers
+    the z-exponents a >= 0 and the V side, after the twist by z^(-2j),
+    covers a <= n*b - 2j; the exponents strictly between are the basis.
     """
-    z_lo = -2 * j - n * cutoff
-    z_hi = 2 * j + n * cutoff
-    width = z_hi - z_lo + 1
-    out: list[LaurentPoly] = []
-    for b in range(cutoff + 1):
-        generators = set(range(0, z_hi + 1))
-        generators.update(range(z_lo, min(-2 * j + n * b, z_hi) + 1))
-        rows = []
-        for a in sorted(generators):
-            row = [Fraction(0)] * width
-            row[a - z_lo] = Fraction(1)
-            rows.append(row)
-        if rows:
-            _, pivots = RatMatrix._echelon(RatMatrix.from_rows(rows)._int_rows())
-            covered = set(pivots)
-        else:
-            covered = set()
-        out.extend(
-            LaurentPoly.monomial({U_BASE: a, U_FIBER: b})
-            for a in range(z_lo, z_hi + 1)
-            if a - z_lo not in covered
-        )
-    return tuple(out)
+    return tuple(
+        LaurentPoly.monomial({U_BASE: a, U_FIBER: b})
+        for b in range(cutoff + 1)
+        for a in range(n * b - 2 * j + 1, 0)
+    )
 
 
 def ext1_basis(n: int, j: int, cutoff: int | None = None) -> tuple[LaurentPoly, ...]:
@@ -183,7 +165,9 @@ class DeformationFamily:
     """The family [[z^(j+s), tau * p], [0, z^(-j-s)]] over the parameter tau.
 
     The parameter is named tau to keep clear of the torus-flow parameter
-    used by the group actions elsewhere in this package.
+    used by the group actions elsewhere in this package.  ``endpoints``
+    holds the splitting types the builder observed and checked at tau = 0
+    and tau = 1.
     """
 
     n: int
@@ -193,6 +177,7 @@ class DeformationFamily:
     entry: LaurentPoly
     source: Optional[ExtClass]
     included: Optional[ExtClass]
+    endpoints: Optional[tuple[int, int]] = None
 
     @property
     def top_exponent(self) -> int:
@@ -235,7 +220,8 @@ def deformation_family(source: ExtClass, s: int) -> DeformationFamily:
         included=included,
     )
     top = family.top_exponent
-    if family.splitting_at(0) != (top, -top):
+    at_zero = family.splitting_at(0)
+    if at_zero != (top, -top):
         raise AssertionError("the tau = 0 member must be split")
     observed = family.splitting_at(1)
     expected = (top, -top) if source.is_zero else (source.j, -source.j)
@@ -244,7 +230,7 @@ def deformation_family(source: ExtClass, s: int) -> DeformationFamily:
             f"class for (n={source.n}, j={source.j}) deforms to splitting "
             f"{observed[0]} at tau = 1, not {expected[0]}"
         )
-    return family
+    return replace(family, endpoints=(at_zero[0], observed[0]))
 
 
 def index_step_family(n: int, j: int, s: int = 1) -> DeformationFamily:
@@ -269,11 +255,13 @@ def index_step_family(n: int, j: int, s: int = 1) -> DeformationFamily:
         source=None,
         included=None,
     )
-    if family.splitting_at(0) != (s, -s):
+    at_zero = family.splitting_at(0)
+    if at_zero != (s, -s):
         raise AssertionError("the tau = 0 member must be split")
-    if family.splitting_at(1) != (0, 0):
+    at_one = family.splitting_at(1)
+    if at_one != (0, 0):
         raise AssertionError("the constant entry must trivialise at tau = 1")
-    return family
+    return replace(family, endpoints=(at_zero[0], at_one[0]))
 
 
 def family_splitting_profile(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .birmaps import IndexOutOfRange, Verdict, bir_step, verify_birational
-from .deform import family_splitting_profile, index_step_family
+from .deform import index_step_family
 from .skeleton import (
     AffineFiber,
     SkeletonComponent,
@@ -117,7 +117,7 @@ def square_check(
     lower_pair = dual_of_lagrangian(n, j)
     upper_pair = dual_of_lagrangian(n, j + 1)
     family = index_step_family(n, j, step)
-    def_endpoints = tuple(family_splitting_profile(family, (0, 1)))
+    def_endpoints = family.endpoints
     def_pair = ((j + step) % n, (-(j + step)) % n)
 
     failure: Optional[str] = None

@@ -51,9 +51,6 @@ def as_fraction(value: Scalar | str) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-_as_fraction = as_fraction
-
-
 class LaurentPoly:
     """Sparse Laurent polynomial with Fraction coefficients.
 
@@ -75,7 +72,7 @@ class LaurentPoly:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != len(vars_in):
                     raise ValueError("exponent tuple length does not match variables")
-                c = _as_fraction(coeff)
+                c = as_fraction(coeff)
                 if c:
                     acc = raw.get(exps, _ZERO) + c
                     if acc:
@@ -106,7 +103,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "LaurentPoly":
-        return cls((), {(): _as_fraction(value)})
+        return cls((), {(): as_fraction(value)})
 
     @classmethod
     def var(cls, name: str) -> "LaurentPoly":
@@ -115,7 +112,7 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, exponents: Mapping[str, int], coeff: Scalar = 1) -> "LaurentPoly":
         names = tuple(exponents)
-        return cls(names, {tuple(exponents[v] for v in names): _as_fraction(coeff)})
+        return cls(names, {tuple(exponents[v] for v in names): as_fraction(coeff)})
 
     # -- predicates --------------------------------------------------------
 
@@ -280,7 +277,7 @@ class LaurentPoly:
                     continue
                 if v not in values:
                     raise ValueError(f"no value supplied for variable {v}")
-                x = _as_fraction(values[v])
+                x = as_fraction(values[v])
                 if not x:
                     if e < 0:
                         raise ZeroIntoNegativePower(
@@ -331,6 +328,9 @@ class LaurentPoly:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
+        # a constant equals its Fraction value, so it must hash like it
+        if not self.variables:
+            return hash(self.terms.get((), _ZERO))
         return hash(self._key())
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -386,8 +386,15 @@ class LaurentPoly:
         variables = tuple(data["vars"])
         terms: dict[tuple[int, ...], Fraction] = {}
         for item in data["terms"]:
-            exps = tuple(int(e) for e in item["exp"])
-            terms[exps] = Fraction(int(item["num"]), int(item["den"]))
+            exps = tuple(item["exp"])
+            if not all(type(e) is int for e in exps):
+                raise ValueError(f"exponents must be integers, got {item['exp']!r}")
+            if exps in terms:
+                raise ValueError(f"duplicate exponent entry {list(exps)}")
+            den = int(item["den"])
+            if den == 0:
+                raise ValueError(f"zero denominator in the term at {list(exps)}")
+            terms[exps] = Fraction(int(item["num"]), den)
         return cls(variables, terms)
 
     def to_json(self) -> str:
@@ -472,7 +479,7 @@ class RatMatrix:
             raise ValueError("entry count does not match shape")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(_as_fraction(x) for x in entries))
+        object.__setattr__(self, "entries", tuple(as_fraction(x) for x in entries))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RatMatrix is immutable")
@@ -588,7 +595,7 @@ class RatMatrix:
         """One exact solution of ``self @ x = rhs`` (free variables set to 0)."""
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        b = [_as_fraction(x) for x in rhs]
+        b = [as_fraction(x) for x in rhs]
         rows, pivots = self._echelon(self._int_rows(augment=b))
         aug_col = self.cols
         for r, pc in enumerate(pivots):
@@ -638,7 +645,7 @@ class RatMatrix:
     def mul_vec(self, vec: Sequence[Scalar]) -> tuple[Fraction, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        xs = [_as_fraction(x) for x in vec]
+        xs = [as_fraction(x) for x in vec]
         return tuple(
             sum((self.entry(i, j) * xs[j] for j in range(self.cols)), _ZERO)
             for i in range(self.rows)

@@ -53,14 +53,6 @@ class ChartInfo:
     def slots(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.n + 1) if k != self.index)
 
-    @property
-    def base_vars(self) -> tuple[str, ...]:
-        return tuple(base_name(k) for k in self.slots)
-
-    @property
-    def fiber_vars(self) -> tuple[str, ...]:
-        return tuple(fiber_name(k) for k in self.slots)
-
 
 class CotangentAtlas:
     """Charts and transition matrices of the cotangent bundle of P^n."""

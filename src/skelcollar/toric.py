@@ -81,14 +81,6 @@ class QuotientSingularity:
         if gcd(self.a, self.n) != 1:
             raise InvalidInput(f"weight {self.a} not coprime to order {self.n}")
 
-    @property
-    def group_generator(self) -> tuple[int, int]:
-        """Exponents of the diagonal pair (r^1, r^a)."""
-        return (1 % self.n, self.a % self.n)
-
-    def is_dual_type_pair(self, other: "QuotientSingularity") -> bool:
-        return self.n == other.n and (self.a + other.a) % self.n == 0
-
 
 @dataclass(frozen=True)
 class Cone2D:

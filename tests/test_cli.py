@@ -191,6 +191,33 @@ def test_splitting_rejects_malformed_file(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"vars": ["z"], "terms": [{"exp": [1], "num": "1", "den": "0"}]},
+        {"vars": ["z"], "terms": [{"exp": [False], "num": "1", "den": "1"}]},
+        {"vars": ["z"], "terms": [{"exp": [0.5], "num": "1", "den": "1"}]},
+        {
+            "vars": ["z"],
+            "terms": [
+                {"exp": [-1], "num": "1", "den": "1"},
+                {"exp": [-1], "num": "2", "den": "1"},
+            ],
+        },
+    ],
+)
+def test_splitting_rejects_malformed_entry_without_traceback(capsys, tmp_path, entry):
+    one = LaurentPoly.const(1).to_json_dict()
+    zero = LaurentPoly.zero().to_json_dict()
+    path = tmp_path / "bad_entry.json"
+    path.write_text(json.dumps({"n": 2, "matrix": [[one, entry], [zero, one]]}))
+    code, out, err = run(capsys, ["splitting", "--matrix", str(path)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_deform_profile_lines(capsys):
     code, out, _ = run(capsys, ["deform", "--n", "2", "--j", "1", "--taus", "0,1,1/3"])
     assert code == EXIT_OK

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelcollar.deform import (
     ClassNotGeneric,
     DeformationFamily,
     WindowUnstable,
+    _auto_cutoff,
     deformation_family,
     ext1_basis,
     ext_class,
@@ -16,6 +19,7 @@ from skelcollar.deform import (
     index_step_family,
 )
 from skelcollar.exact import LaurentPoly as LP
+from skelcollar.exact import RatMatrix
 
 
 def mono(a, b=0, coeff=1):
@@ -34,8 +38,69 @@ def gap_count(n, j):
     return total
 
 
+def eliminated_window(n, j, cutoff):
+    # reference route: at each fiber level, echelon the coboundary
+    # generators (U side a >= 0, twisted V side a <= n*b - 2j) inside the
+    # window and keep the non-pivot monomials, b ascending then a ascending;
+    # the generator rows are integral unit vectors, so they go to the
+    # integer elimination directly
+    z_lo = -2 * j - n * cutoff
+    z_hi = 2 * j + n * cutoff
+    width = z_hi - z_lo + 1
+    out = []
+    for b in range(cutoff + 1):
+        generators = set(range(0, z_hi + 1))
+        generators.update(range(z_lo, min(-2 * j + n * b, z_hi) + 1))
+        rows = []
+        for a in sorted(generators):
+            row = [0] * width
+            row[a - z_lo] = 1
+            rows.append(row)
+        _, pivots = RatMatrix._echelon(rows)
+        covered = set(pivots)
+        out.extend(
+            mono(a, b) for a in range(z_lo, z_hi + 1) if a - z_lo not in covered
+        )
+    return tuple(out)
+
+
+def eliminated_basis(n, j, cutoff):
+    # ext1_basis through the reference route: None where doubling the
+    # window changes the answer, which ext1_basis must report loudly
+    base = eliminated_window(n, j, cutoff)
+    if base != eliminated_window(n, j, 2 * cutoff if cutoff else 1):
+        return None
+    return base
+
+
+def assert_matches_elimination(n, j, cutoff):
+    expected = eliminated_basis(n, j, cutoff)
+    if expected is None:
+        with pytest.raises(WindowUnstable):
+            ext1_basis(n, j, cutoff)
+    else:
+        assert ext1_basis(n, j, cutoff) == expected
+
+
 # ---------------------------------------------------------------------------
 # basis
+
+
+def test_closed_form_matches_elimination_grid():
+    for n in range(1, 7):
+        for j in range(0, 7):
+            for cutoff in range(0, 2 * _auto_cutoff(n, j) + 1):
+                assert_matches_elimination(n, j, cutoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=9),
+    j=st.integers(min_value=0, max_value=9),
+    cutoff=st.integers(min_value=0, max_value=8),
+)
+def test_closed_form_matches_elimination_property(n, j, cutoff):
+    assert_matches_elimination(n, j, cutoff)
 
 
 def test_dimension_matches_monomial_gap_count():
@@ -269,6 +334,18 @@ def test_induction_chain_over_basis_elements():
                         with pytest.raises(ClassNotGeneric):
                             deformation_family(cls, s)
                 assert generic_seen >= 1
+
+
+def test_builders_record_checked_endpoints():
+    # the builders keep the endpoint splittings they checked; the record
+    # must agree with a fresh computation of the same profile
+    for n in range(2, 8):
+        for j in range(n - 1):
+            fam = index_step_family(n, j)
+            assert fam.endpoints == (j + 1, j)
+            assert fam.endpoints == family_splitting_profile(fam, (0, 1))
+    fam = deformation_family(ext_class(2, 1, LP.zero()), 1)
+    assert fam.endpoints == (2, 2) == family_splitting_profile(fam, (0, 1))
 
 
 def test_family_record_shape():

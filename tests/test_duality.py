@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from skelcollar import deform
 from skelcollar.birmaps import IndexOutOfRange
 from skelcollar.bundles import line_bundle_normal_form
 from skelcollar.duality import (
@@ -113,6 +114,24 @@ def test_wrong_step_flips_the_verdict():
     assert report.def_endpoints == (2, 0)
     ok = square_check(6, 0, step=1)
     assert ok.verdict
+
+
+def test_square_checks_family_endpoints_once(monkeypatch):
+    # the family builder already computes and checks both endpoint
+    # splittings; the square reads them back instead of recomputing
+    calls = []
+    real = deform.splitting_type
+
+    def counted(trans):
+        calls.append(trans)
+        return real(trans)
+
+    monkeypatch.setattr(deform, "splitting_type", counted)
+    for n, j, step in ((2, 0, 1), (4, 1, 1), (5, 3, 1), (6, 2, 2)):
+        del calls[:]
+        report = square_check(n, j, samples=5, step=step)
+        assert len(calls) == 2
+        assert report.def_endpoints == (j + step, j)
 
 
 def test_square_index_range():

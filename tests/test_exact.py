@@ -138,6 +138,30 @@ def test_json_round_trip():
     assert LP.from_json(third.to_json()) == third
 
 
+def test_constants_hash_like_their_value():
+    assert {LP.const(1): "one"}.get(1) == "one"
+    assert {LP.const(Fraction(-2, 3)): 0}.get(Fraction(-2, 3)) == 0
+    assert {LP.zero(): 0}.get(0) == 0
+    for value in (0, 1, -5, Fraction(7, 4)):
+        assert LP.const(value) == value
+        assert hash(LP.const(value)) == hash(value)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [{"exp": [1], "num": "1", "den": "0"}],
+        [{"exp": [True], "num": "1", "den": "1"}],
+        [{"exp": [1.0], "num": "1", "den": "1"}],
+        [{"exp": ["1"], "num": "1", "den": "1"}],
+        [{"exp": [2], "num": "1", "den": "1"}, {"exp": [2], "num": "3", "den": "1"}],
+    ],
+)
+def test_json_reader_rejects_malformed_terms(terms):
+    with pytest.raises(ValueError):
+        LP.from_json_dict({"vars": ["z"], "terms": terms})
+
+
 def test_str_is_readable():
     x, y = LP.var("x"), LP.var("y")
     assert str(x**2 - y) in ("x^2 - y", "-y + x^2")
