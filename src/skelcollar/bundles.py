@@ -18,8 +18,10 @@ from typing import Optional, Sequence
 
 from .exact import (
     LaurentPoly,
-    RatMatrix,
+    SparseRow,
+    echelon,
     iter_exponent_boxes,
+    null_space,
     poly_mat_det,
     poly_mat_mul,
 )
@@ -360,21 +362,12 @@ class BundleTransition:
 _Column = dict[tuple[int, int, int], Fraction]
 
 
-def _kernel_vectors(columns: Sequence[_Column]) -> list[tuple[Fraction, ...]]:
-    keys = sorted({k for col in columns for k in col})
-    if not columns:
-        return []
-    if not keys:
-        return [
-            tuple(Fraction(1 if i == c else 0) for i in range(len(columns)))
-            for c in range(len(columns))
-        ]
-    index = {k: i for i, k in enumerate(keys)}
-    rows = [[Fraction(0)] * len(columns) for _ in keys]
+def _kernel_vectors(columns: Sequence[_Column]) -> list[SparseRow]:
+    rows: dict[tuple[int, int, int], SparseRow] = {}
     for c, col in enumerate(columns):
         for k, coeff in col.items():
-            rows[index[k]][c] = coeff
-    return RatMatrix.from_rows(rows).kernel()
+            rows.setdefault(k, {})[c] = coeff
+    return null_space(echelon(rows), len(columns))
 
 
 def _add_poly(col: _Column, row: int, p: LaurentPoly, sign: int) -> None:
@@ -422,31 +415,7 @@ def _section_count(trans: BundleTransition, twist: int, u_cutoff: int, window: i
                         row[col_id] = value
                     else:
                         row.pop(col_id, None)
-    return rank * width - _sparse_rank(rows)
-
-
-def _sparse_rank(rows: dict[tuple[int, int, int], dict[int, Fraction]]) -> int:
-    """Rank by elimination on sparse rows, always pivoting on the smallest
-    unknown so banded systems stay banded."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    count = 0
-    for key in sorted(rows):
-        row = {cid: v for cid, v in rows[key].items() if v}
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                count += 1
-                break
-            factor = row[lead] / pivot[lead]
-            for cid, value in pivot.items():
-                updated = row.get(cid, _F0) - factor * value
-                if updated:
-                    row[cid] = updated
-                else:
-                    row.pop(cid, None)
-    return count
+    return rank * width - len(echelon(rows))
 
 
 def h0_twist(
@@ -689,12 +658,12 @@ def _search_certificate(
     if not vectors:
         return None
 
-    def assemble(vec: Sequence[Fraction]) -> Optional[CollarIsoCertificate]:
+    def assemble(vec: SparseRow) -> Optional[CollarIsoCertificate]:
         v_rows = [[LaurentPoly.zero() for _ in range(rank)] for _ in range(rank)]
         u_rows = [[LaurentPoly.zero() for _ in range(rank)] for _ in range(rank)]
-        for coeff, (side, a, b, basis) in zip(vec, shape):
-            if not coeff:
-                continue
+        for c in sorted(vec):
+            coeff = vec[c]
+            side, a, b, basis = shape[c]
             if side == "v":
                 v_rows[a][b] = v_rows[a][b] + basis * coeff
             else:
@@ -710,12 +679,22 @@ def _search_certificate(
     head = vectors[:pair_cap]
     for a in range(len(head)):
         for b in range(a + 1, len(head)):
-            combined = tuple(x + y for x, y in zip(head[a], head[b]))
-            cert = assemble(combined)
+            cert = assemble(_vector_sum((head[a], head[b])))
             if cert is not None:
                 return cert
-    total = tuple(sum(col) for col in zip(*vectors))
-    return assemble(total)
+    return assemble(_vector_sum(vectors))
+
+
+def _vector_sum(vectors: Sequence[SparseRow]) -> SparseRow:
+    total: SparseRow = {}
+    for vec in vectors:
+        for c, x in vec.items():
+            s = total.get(c, _F0) + x
+            if s:
+                total[c] = s
+            else:
+                del total[c]
+    return total
 
 
 def collar_iso_certificate(

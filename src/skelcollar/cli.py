@@ -518,10 +518,12 @@ def _run_splitting(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
         data = json.load(handle)
     if not isinstance(data, dict) or "n" not in data or "matrix" not in data:
         raise ValueError('matrix file must be a JSON object {"n": ..., "matrix": [[...]]}')
+    if type(data["n"]) is not int:
+        raise ValueError(f'"n" must be a JSON integer, got {data["n"]!r}')
     rows = [
         [LaurentPoly.from_json_dict(entry) for entry in row] for row in data["matrix"]
     ]
-    trans = BundleTransition.from_rows(int(data["n"]), rows)
+    trans = BundleTransition.from_rows(data["n"], rows)
     pair = splitting_type(trans)
     lines = [f"splitting type: {pair}"]
     payload = {"n": trans.n, "splitting": list(pair)}

@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: rationals, Laurent polynomials, matrices.
 
-Everything downstream is built from three carriers.
+Everything downstream is built from these pieces.
 
 * Rational numbers are ``fractions.Fraction`` from the standard library,
   which already guarantees reduced form and a positive denominator.
@@ -10,10 +10,11 @@ Everything downstream is built from three carriers.
   exponents refer to.  Construction canonicalizes: variables are sorted,
   zero coefficients are dropped, and variables that appear in no term are
   pruned, so ``==`` is structural equality of mathematical objects.
-* ``RatMatrix`` is a dense matrix over the rationals whose elimination is
-  fraction-free: rows are scaled to integers up front and every update
-  divides by the row gcd, so no rational arithmetic happens in the inner
-  loop and entries stay small.
+* Linear algebra has one elimination kernel: ``echelon`` reduces sparse
+  rows ``{column: Fraction}``, always pivoting on a row's smallest column,
+  and ``null_space`` back-substitutes its pivot rows into a reduced kernel
+  basis.  ``RatMatrix``, a small dense matrix over the rationals, runs
+  its rank, kernel and determinant through the same kernel.
 
 No floating point is used anywhere.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -32,10 +32,6 @@ class ZeroIntoNegativePower(ValueError):
 
 class NotInvertible(ValueError):
     """Raised when inverting a Laurent polynomial that is not a single term."""
-
-
-class InconsistentSystem(ValueError):
-    """Raised by RatMatrix.solve when the system has no solution."""
 
 
 Scalar = int | Fraction
@@ -457,20 +453,67 @@ def poly_mat_det(a: PolyMatrix) -> LaurentPoly:
     return total
 
 
-# -- exact rational matrices ---------------------------------------------------
+# -- sparse exact elimination ---------------------------------------------------
+
+# a row or vector as {column: nonzero value}
+SparseRow = dict[int, Fraction]
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+def echelon(rows: Mapping[object, Mapping[int, Fraction]]) -> dict[int, SparseRow]:
+    """Forward elimination on sparse rows, taken in sorted key order.
+
+    Each row is reduced at its smallest column by the pivot found there so
+    far, so banded systems stay banded; a row that survives becomes the
+    pivot of its smallest column.  Returns the pivot rows keyed by their
+    lead column, in the order the rows were taken.  The lead columns are
+    the leftmost independent columns, whatever the row order.
+    """
+    pivots: dict[int, SparseRow] = {}
+    for key in sorted(rows):
+        row = {cid: v for cid, v in rows[key].items() if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            factor = row[lead] / pivot[lead]
+            for cid, value in pivot.items():
+                updated = row.get(cid, _ZERO) - factor * value
+                if updated:
+                    row[cid] = updated
+                else:
+                    row.pop(cid, None)
+    return pivots
+
+
+def null_space(pivots: Mapping[int, SparseRow], cols: int) -> list[SparseRow]:
+    """Reduced basis of the right null space of ``echelon``'s pivot rows.
+
+    One vector per free column f, ascending: 1 at f, 0 at every other free
+    column, and the pivot columns solved by back-substitution.  Pivot
+    columns right of f stay 0, so only the pivots left of f are visited.
+    """
+    leads = sorted(pivots, reverse=True)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        vec = {f: _ONE}
+        for lead in leads:
+            if lead > f:
+                continue
+            row = pivots[lead]
+            s = sum((x * vec[c] for c, x in row.items() if c in vec), _ZERO)
+            if s:
+                vec[lead] = -s / row[lead]
+        basis.append(vec)
+    return basis
 
 
 class RatMatrix:
-    """Dense matrix over Fraction with exact rank/kernel/solve.
-
-    Elimination works on integer-scaled rows (scaling a row changes neither
-    the rank nor the null space) and divides each updated row by its gcd to
-    keep entries small; rows whose pivot-column entry is zero are skipped.
-    """
+    """Dense matrix over Fraction; rank, kernel and det run the sparse
+    ``echelon`` on its nonzero entries."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -517,126 +560,37 @@ class RatMatrix:
         )
         return f"RatMatrix[{body}]"
 
-    # -- elimination core --------------------------------------------------
+    # -- elimination ---------------------------------------------------------
 
-    def _int_rows(self, augment: Sequence[Fraction] | None = None) -> list[list[int]]:
-        out = []
-        for i in range(self.rows):
-            row = list(self.row(i))
-            if augment is not None:
-                row.append(augment[i])
-            scale = 1
-            for x in row:
-                scale = _lcm(scale, x.denominator)
-            out.append([int(x * scale) for x in row])
-        return out
-
-    @staticmethod
-    def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-        """In-place forward elimination; returns (echelon rows, pivot cols)."""
-        if not rows:
-            return rows, []
-        ncols = len(rows[0])
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            pivot_row = None
-            for i in range(r, len(rows)):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            piv = rows[r][c]
-            for i in range(r + 1, len(rows)):
-                head = rows[i][c]
-                if not head:
-                    continue
-                new_row = [piv * a - head * b for a, b in zip(rows[i], rows[r])]
-                g = 0
-                for x in new_row:
-                    g = gcd(g, x)
-                if g > 1:
-                    new_row = [x // g for x in new_row]
-                rows[i] = new_row
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return rows, pivots
+    def _pivot_rows(self) -> dict[int, SparseRow]:
+        return echelon(
+            {i: {j: x for j, x in enumerate(self.row(i)) if x} for i in range(self.rows)}
+        )
 
     def rank(self) -> int:
-        _, pivots = self._echelon(self._int_rows())
-        return len(pivots)
+        return len(self._pivot_rows())
 
     def kernel(self) -> tuple[tuple[Fraction, ...], ...]:
         """Basis of the right null space, one vector per free column."""
-        rows, pivots = self._echelon(self._int_rows())
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free_cols:
-            vec = [_ZERO] * self.cols
-            vec[f] = _ONE
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                row = rows[r]
-                s = _ZERO
-                for c in range(pc + 1, self.cols):
-                    if row[c] and vec[c]:
-                        s += Fraction(row[c]) * vec[c]
-                if s:
-                    vec[pc] = -s / row[pc]
-            basis.append(tuple(vec))
-        return tuple(basis)
-
-    def solve(self, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        """One exact solution of ``self @ x = rhs`` (free variables set to 0)."""
-        if len(rhs) != self.rows:
-            raise ValueError("right-hand side length mismatch")
-        b = [as_fraction(x) for x in rhs]
-        rows, pivots = self._echelon(self._int_rows(augment=b))
-        aug_col = self.cols
-        for r, pc in enumerate(pivots):
-            if pc == aug_col:
-                raise InconsistentSystem("no solution: pivot in the augmented column")
-        # rows beyond the pivot count are all-zero in the coefficient part
-        for i in range(len(pivots), self.rows):
-            if rows[i][aug_col]:
-                raise InconsistentSystem("no solution: zero row with nonzero rhs")
-        vec = [_ZERO] * self.cols
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            row = rows[r]
-            s = Fraction(row[aug_col])
-            for c in range(pc + 1, self.cols):
-                if row[c] and vec[c]:
-                    s -= Fraction(row[c]) * vec[c]
-            vec[pc] = s / row[pc]
-        return tuple(vec)
+        return tuple(
+            tuple(vec.get(c, _ZERO) for c in range(self.cols))
+            for vec in null_space(self._pivot_rows(), self.cols)
+        )
 
     def det(self) -> Fraction:
+        """Rows are only reduced by earlier pivot rows, so the determinant is
+        the sign of the row-to-lead-column permutation times the pivots."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        k = self.rows
-        work = [list(self.row(i)) for i in range(k)]
-        sign = 1
-        result = _ONE
-        for c in range(k):
-            pivot_row = next((i for i in range(c, k) if work[i][c]), None)
-            if pivot_row is None:
-                return _ZERO
-            if pivot_row != c:
-                work[c], work[pivot_row] = work[pivot_row], work[c]
-                sign = -sign
-            piv = work[c][c]
-            result *= piv
-            for i in range(c + 1, k):
-                factor = work[i][c] / piv
-                if factor:
-                    work[i] = [a - factor * b for a, b in zip(work[i], work[c])]
-        return sign * result
+        pivots = self._pivot_rows()
+        if len(pivots) < self.rows:
+            return _ZERO
+        leads = list(pivots)
+        inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1 :])
+        result = _ONE if inversions % 2 == 0 else -_ONE
+        for lead, row in pivots.items():
+            result *= row[lead]
+        return result
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMatrix":
         flat = [self.entry(i, j) for i in rows for j in cols]

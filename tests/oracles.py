@@ -1,0 +1,76 @@
+"""Reference linear algebra for the tests: a dense fraction-free
+elimination and the cofactor expansion of a determinant.  They share no
+code with the package's sparse kernel and are slow and simple on purpose;
+the package's answers are checked against them."""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+
+def int_rows(rows):
+    """Scale each rational row to integers; neither the rank nor the null
+    space changes."""
+    out = []
+    for row in rows:
+        scale = lcm(1, *(Fraction(x).denominator for x in row))
+        out.append([int(Fraction(x) * scale) for x in row])
+    return out
+
+
+def dense_echelon(rows):
+    """In-place forward elimination of integer rows, column by column, with
+    the first nonzero row as pivot and every updated row divided by its
+    gcd; returns (echelon rows, pivot columns)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            head = rows[i][c]
+            if not head:
+                continue
+            new_row = [piv * a - head * b for a, b in zip(rows[i], rows[r])]
+            g = gcd(*new_row)
+            if g > 1:
+                new_row = [x // g for x in new_row]
+            rows[i] = new_row
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def dense_kernel(rows, ncols):
+    """(pivot columns, reduced null-space basis as dense Fraction tuples),
+    one basis vector per free column."""
+    echelon, pivots = dense_echelon(int_rows(rows))
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            s = sum((echelon[r][c] * vec[c] for c in range(pc + 1, ncols)), Fraction(0))
+            vec[pc] = -s / echelon[r][pc]
+        basis.append(tuple(vec))
+    return tuple(pivots), tuple(basis)
+
+
+def cofactor_det(rows):
+    """Laplace expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, head in enumerate(rows[0]):
+        if head:
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            total += (-1) ** j * Fraction(head) * cofactor_det(minor)
+    return total

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from skelcollar.bundles import (
     picard_group,
     splitting_type,
 )
-from skelcollar.exact import LaurentPoly, ZeroIntoNegativePower, poly_mat_mul
+from skelcollar.exact import LaurentPoly, RatMatrix, ZeroIntoNegativePower, poly_mat_mul
 
 LP = LaurentPoly
 
@@ -411,6 +413,50 @@ def test_certificate_respects_bound():
     m2 = BundleTransition.line_class(2, 4)
     assert collar_iso_certificate(m1, m2, bound=1) is None
     assert collar_iso_certificate(m1, m2, bound=2) is not None
+
+
+# the benchmark's 13 kernel-search shapes at seed 1 (rank-2 pairs with the
+# default or a tight bound, exhaustive line pairs) and the frames recorded
+# from the dense-elimination search; null marks the two isomorphic pairs
+# it finds no certificate for
+GOLDEN_CERTIFICATES = json.loads(
+    (Path(__file__).parent / "golden" / "certificates.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CERTIFICATES)
+def test_certificate_search_matches_golden(case):
+    def transition(rows):
+        return BundleTransition.from_rows(
+            case["n"], [[LP.from_json_dict(p) for p in row] for row in rows]
+        )
+
+    cert = collar_iso_certificate(
+        transition(case["m1"]),
+        transition(case["m2"]),
+        bound=case["bound"],
+        exhaustive=case["exhaustive"],
+    )
+    found = None
+    if cert is not None:
+        found = {
+            key: [[p.to_json_dict() for p in row] for row in getattr(cert, key)]
+            for key in ("u_frame", "v_frame")
+        }
+    assert found == case["certificate"]
+
+
+def test_certificate_search_never_builds_a_dense_matrix(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the certificate search built a RatMatrix")
+
+    monkeypatch.setattr(RatMatrix, "__init__", refuse)
+    m1 = BundleTransition.canonical(2, 1, LP.monomial({"z": -1}))
+    m2 = BundleTransition.canonical(2, 1, LP.monomial({"z": -1}, 3))
+    assert collar_iso_certificate(m1, m2) is not None
+    line1, line2 = BundleTransition.line_class(2, 0), BundleTransition.line_class(2, 2)
+    assert collar_iso_certificate(line1, line2, bound=1, exhaustive=True) is not None
+    assert collar_iso_certificate(line1, line2, bound=0, exhaustive=True) is None
 
 
 def test_certificate_needs_matching_shape():

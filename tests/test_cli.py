@@ -218,6 +218,21 @@ def test_splitting_rejects_malformed_entry_without_traceback(capsys, tmp_path, e
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n_text", ["1e999", "2.7", "true", '"3"'])
+def test_splitting_rejects_non_integer_n_without_traceback(capsys, tmp_path, n_text):
+    one = json.dumps(LaurentPoly.const(1).to_json_dict())
+    zero = json.dumps(LaurentPoly.zero().to_json_dict())
+    path = tmp_path / "bad_n.json"
+    # written as raw text: 1e999 has no json.dumps spelling
+    path.write_text(f'{{"n": {n_text}, "matrix": [[{one}, {zero}], [{zero}, {one}]]}}')
+    code, out, err = run(capsys, ["splitting", "--matrix", str(path)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "must be a JSON integer" in err
+    assert "Traceback" not in err
+
+
 def test_deform_profile_lines(capsys):
     code, out, _ = run(capsys, ["deform", "--n", "2", "--j", "1", "--taus", "0,1,1/3"])
     assert code == EXIT_OK

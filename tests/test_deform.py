@@ -19,7 +19,8 @@ from skelcollar.deform import (
     index_step_family,
 )
 from skelcollar.exact import LaurentPoly as LP
-from skelcollar.exact import RatMatrix
+
+from oracles import dense_echelon
 
 
 def mono(a, b=0, coeff=1):
@@ -43,7 +44,7 @@ def eliminated_window(n, j, cutoff):
     # generators (U side a >= 0, twisted V side a <= n*b - 2j) inside the
     # window and keep the non-pivot monomials, b ascending then a ascending;
     # the generator rows are integral unit vectors, so they go to the
-    # integer elimination directly
+    # dense integer elimination of the test oracle directly
     z_lo = -2 * j - n * cutoff
     z_hi = 2 * j + n * cutoff
     width = z_hi - z_lo + 1
@@ -56,7 +57,7 @@ def eliminated_window(n, j, cutoff):
             row = [0] * width
             row[a - z_lo] = 1
             rows.append(row)
-        _, pivots = RatMatrix._echelon(rows)
+        _, pivots = dense_echelon(rows)
         covered = set(pivots)
         out.extend(
             mono(a, b) for a in range(z_lo, z_hi + 1) if a - z_lo not in covered

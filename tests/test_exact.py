@@ -4,20 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skelcollar.exact import (
-    InconsistentSystem,
     LaurentPoly,
     NotInvertible,
     RatMatrix,
     ZeroIntoNegativePower,
+    echelon,
     iter_exponent_boxes,
+    null_space,
     poly_mat,
     poly_mat_det,
     poly_mat_identity,
     poly_mat_mul,
     poly_mat_substitute,
 )
+
+from oracles import cofactor_det, dense_kernel
 
 LP = LaurentPoly
 
@@ -178,29 +183,6 @@ def test_immutable():
 # -- RatMatrix -----------------------------------------------------------------
 
 
-def test_solve_small_system():
-    m = RatMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.solve([5, 11]) == (Fraction(1), Fraction(2))
-
-
-def test_solve_rational_entries():
-    m = RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [1, 1]])
-    x = m.solve([1, Fraction(5, 2)])
-    assert m.mul_vec(x) == (Fraction(1), Fraction(5, 2))
-
-
-def test_solve_inconsistent():
-    m = RatMatrix.from_rows([[1, 1], [2, 2]])
-    with pytest.raises(InconsistentSystem):
-        m.solve([1, 3])
-
-
-def test_solve_underdetermined_returns_particular_solution():
-    m = RatMatrix.from_rows([[1, 1, 1]])
-    x = m.solve([6])
-    assert m.mul_vec(x) == (Fraction(6),)
-
-
 def test_rank_and_kernel_dimensions():
     rng = random.Random(99)
     for _ in range(30):
@@ -225,6 +207,83 @@ def test_kernel_of_known_matrix():
 def test_identity_and_rank_full():
     assert RatMatrix.identity(4).rank() == 4
     assert RatMatrix.identity(4).kernel() == ()
+    assert RatMatrix.identity(4).det() == 1
+
+
+def test_degenerate_shapes():
+    zero = RatMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
+    assert zero.rank() == 0
+    assert zero.kernel() == tuple(RatMatrix.identity(3).row(i) for i in range(3))
+    empty = RatMatrix.from_rows([])
+    assert (empty.rank(), empty.kernel(), empty.det()) == (0, (), 1)
+    assert null_space({}, 0) == []
+    with pytest.raises(ValueError):
+        zero.det()
+
+
+def test_det_tracks_row_swaps():
+    assert RatMatrix.from_rows([[0, 2], [3, 0]]).det() == -6
+    assert RatMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]]).det() == 1
+    assert RatMatrix.from_rows([[Fraction(1, 2), 1], [1, 2]]).det() == 0
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Small rational matrices, sparse or dense, with some rows made as
+    combinations of others so that rank deficiency is common."""
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    density = draw(st.sampled_from((2, 5, 10)))  # nonzero cells per 10
+    independent = draw(st.integers(0, 5))
+    combined = draw(st.integers(0, 2)) if independent else 0
+    cols = independent + combined if square else draw(st.integers(0, 6))
+    rows = [
+        [draw(entry) if draw(st.integers(0, 9)) < density else Fraction(0) for _ in range(cols)]
+        for _ in range(independent)
+    ]
+    for _ in range(combined):
+        weights = [draw(entry) for _ in rows]
+        rows.append([sum((w * row[c] for w, row in zip(weights, rows)), Fraction(0))
+                     for c in range(cols)])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], cols
+
+
+def sparse(rows):
+    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
+
+
+@given(rational_matrices())
+def test_kernel_matches_dense_oracle(case):
+    rows, cols = case
+    pivots = echelon(sparse(rows))
+    expected_pivots, expected_kernel = dense_kernel(rows, cols)
+    assert tuple(sorted(pivots)) == expected_pivots
+    m = RatMatrix(len(rows), cols, [x for row in rows for x in row])
+    kernel = m.kernel()
+    assert kernel == expected_kernel
+    assert m.rank() + len(kernel) == cols
+    for vec in kernel:
+        assert m.mul_vec(vec) == (Fraction(0),) * len(rows)
+    for vec in null_space(pivots, cols):
+        assert all(vec.values())
+
+
+@given(rational_matrices(), st.data())
+def test_pivot_columns_do_not_depend_on_row_order(case, data):
+    # the lead columns are the leftmost independent set and the reduced
+    # kernel basis is fixed by them, whatever order the rows come in
+    rows, cols = case
+    order = data.draw(st.permutations(range(len(rows))))
+    first = echelon(sparse(rows))
+    second = echelon(sparse([rows[i] for i in order]))
+    assert sorted(first) == sorted(second)
+    assert null_space(first, cols) == null_space(second, cols)
+
+
+@given(rational_matrices(square=True))
+def test_det_matches_cofactor_expansion(case):
+    rows, _ = case
+    assert RatMatrix.from_rows(rows).det() == cofactor_det(rows)
 
 
 # -- polynomial matrices --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source-level checks that hold for every module of the package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import skelcollar
@@ -21,4 +22,24 @@ def test_no_assert_statements_in_package():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         )
+    assert found == []
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    # the package has no runtime dependencies and no native backends
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found.extend(
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            )
     assert found == []
