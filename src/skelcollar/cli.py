@@ -229,6 +229,8 @@ def validate_config(config: RunConfig) -> None:
         raise ValueError(f"--samples must be positive, got {config.samples}")
     if config.s is not None and config.s < 1:
         raise ValueError(f"--s must be positive, got {config.s}")
+    if config.bound is not None and config.bound < 0:
+        raise ValueError(f"--bound must be nonnegative, got {config.bound}")
     if config.cutoff is not None and config.cutoff < 0:
         raise ValueError(f"--cutoff must be nonnegative, got {config.cutoff}")
     if config.weights is not None and config.n is not None and len(config.weights) != config.n:
@@ -513,8 +515,8 @@ def _run_collar(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
-def _run_splitting(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
-    with open(config.matrix_path, "r", encoding="utf-8") as handle:
+def _read_matrix_file(path: str) -> tuple[int, list[list[LaurentPoly]]]:
+    with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict) or "n" not in data or "matrix" not in data:
         raise ValueError('matrix file must be a JSON object {"n": ..., "matrix": [[...]]}')
@@ -523,7 +525,16 @@ def _run_splitting(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
     rows = [
         [LaurentPoly.from_json_dict(entry) for entry in row] for row in data["matrix"]
     ]
-    trans = BundleTransition.from_rows(data["n"], rows)
+    return data["n"], rows
+
+
+def _run_splitting(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+    try:
+        n, rows = _read_matrix_file(config.matrix_path)
+    except RecursionError:
+        # parsing or printing deeply nested arrays exhausts the stack
+        raise ValueError("matrix file is nested too deeply") from None
+    trans = BundleTransition.from_rows(n, rows)
     pair = splitting_type(trans)
     lines = [f"splitting type: {pair}"]
     payload = {"n": trans.n, "splitting": list(pair)}
@@ -620,16 +631,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if env_seed is not None:
             config = replace(config, seed=int(env_seed))
         code, rendered = dispatch(config)
+        if config.output is not None:
+            with open(config.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
     except (BoundTooSmall, WindowUnstable, ClassNotGeneric, DegenerateSampler, IndeterminacyHit) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if config.output is not None:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
+    if config.output is None:
         sys.stdout.write(rendered)
     return code
 

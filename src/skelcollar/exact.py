@@ -10,6 +10,12 @@ Everything downstream is built from these pieces.
   exponents refer to.  Construction canonicalizes: variables are sorted,
   zero coefficients are dropped, and variables that appear in no term are
   pruned, so ``==`` is structural equality of mathematical objects.
+  The public constructor validates and canonicalizes whatever it is
+  given, since it is the entry point for outside data (JSON, ``toric``,
+  user code).  Results of the arithmetic (``+``, ``-``, ``*``,
+  ``inverse``, ``diff``, ``monomial``) are canonical by construction and
+  go through the private ``_from_canonical``, which skips that
+  re-validation and only prunes variables that cancelled away.
 * Linear algebra has one elimination kernel: ``echelon`` reduces sparse
   rows ``{column: Fraction}``, always pivoting on a row's smallest column,
   and ``null_space`` back-substitutes its pivot rows into a reduced kernel
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -88,6 +95,27 @@ class LaurentPoly:
             canon[key] = c
         object.__setattr__(self, "terms", canon)
 
+    @classmethod
+    def _from_canonical(
+        cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]
+    ) -> "LaurentPoly":
+        """Wrap an arithmetic result without re-validating it.
+
+        The caller guarantees sorted, distinct ``variables``, ``int``
+        exponent tuples of matching length and nonzero ``Fraction``
+        coefficients; ``terms`` is owned by the result from here on.  Only
+        variables that no term uses are pruned (z * z^-1 = 1 loses z).
+        """
+        if variables:
+            used = [i for i, column in enumerate(zip(*terms)) if any(column)]
+            if len(used) < len(variables):
+                variables = tuple(variables[i] for i in used)
+                terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        self = object.__new__(cls)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPoly is immutable")
 
@@ -95,20 +123,27 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls((), {})
+        return cls._from_canonical((), {})
 
     @classmethod
     def const(cls, value: Scalar) -> "LaurentPoly":
-        return cls((), {(): as_fraction(value)})
+        c = as_fraction(value)
+        return cls._from_canonical((), {(): c} if c else {})
 
     @classmethod
     def var(cls, name: str) -> "LaurentPoly":
-        return cls((name,), {(1,): _ONE})
+        return cls._from_canonical((name,), {(1,): _ONE})
 
     @classmethod
     def monomial(cls, exponents: Mapping[str, int], coeff: Scalar = 1) -> "LaurentPoly":
-        names = tuple(exponents)
-        return cls(names, {tuple(exponents[v] for v in names): as_fraction(coeff)})
+        c = as_fraction(coeff)
+        if not all(type(e) is int for e in exponents.values()):
+            names = tuple(exponents)
+            return cls(names, {tuple(exponents[v] for v in names): c})
+        names = tuple(sorted(v for v, e in exponents.items() if e))
+        return cls._from_canonical(
+            names, {tuple(exponents[v] for v in names): c} if c else {}
+        )
 
     # -- predicates --------------------------------------------------------
 
@@ -153,7 +188,7 @@ class LaurentPoly:
         self, other: "LaurentPoly"
     ) -> tuple[tuple[str, ...], dict[tuple[int, ...], Fraction], dict[tuple[int, ...], Fraction]]:
         if self.variables == other.variables:
-            return self.variables, dict(self.terms), dict(other.terms)
+            return self.variables, self.terms, other.terms
         joint = tuple(sorted(set(self.variables) | set(other.variables)))
 
         def lift(p: LaurentPoly) -> dict[tuple[int, ...], Fraction]:
@@ -168,14 +203,21 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         other = self._coerce(other)
         joint, a, b = self._aligned(other)
+        out = dict(a)
         for exps, c in b.items():
-            a[exps] = a.get(exps, _ZERO) + c
-        return LaurentPoly(joint, a)
+            acc = out.get(exps, _ZERO) + c
+            if acc:
+                out[exps] = acc
+            else:
+                out.pop(exps, None)
+        return LaurentPoly._from_canonical(joint, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._from_canonical(
+            self.variables, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -191,13 +233,13 @@ class LaurentPoly:
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 acc = out.get(key, _ZERO) + ca * cb
                 if acc:
                     out[key] = acc
                 else:
                     out.pop(key, None)
-        return LaurentPoly(joint, out)
+        return LaurentPoly._from_canonical(joint, out)
 
     __rmul__ = __mul__
 
@@ -205,7 +247,9 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise NotInvertible(f"not a unit monomial: {self}")
         ((exps, coeff),) = self.terms.items()
-        return LaurentPoly(self.variables, {tuple(-e for e in exps): _ONE / coeff})
+        return LaurentPoly._from_canonical(
+            self.variables, {tuple(-e for e in exps): _ONE / coeff}
+        )
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if not isinstance(k, int):
@@ -232,9 +276,10 @@ class LaurentPoly:
             e = exps[i]
             if e == 0:
                 continue
-            key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            out[key] = out.get(key, _ZERO) + c * e
-        return LaurentPoly(self.variables, out)
+            # exps -> key is injective and c * e is nonzero, so no term
+            # merges or cancels
+            out[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
+        return LaurentPoly._from_canonical(self.variables, out)
 
     def substitute(self, bindings: Mapping[str, "LaurentPoly | Scalar"]) -> "LaurentPoly":
         """Substitute polynomials for variables, exactly.
@@ -260,7 +305,7 @@ class LaurentPoly:
                         break
                     acc = acc * repl**e
                 else:
-                    acc = acc * LaurentPoly((v,), {(e,): _ONE})
+                    acc = acc * LaurentPoly._from_canonical((v,), {(e,): _ONE})
             total = total + acc
         return total
 
@@ -273,7 +318,9 @@ class LaurentPoly:
                     continue
                 if v not in values:
                     raise ValueError(f"no value supplied for variable {v}")
-                x = as_fraction(values[v])
+                x = values[v]
+                if type(x) is not Fraction:
+                    x = as_fraction(x)
                 if not x:
                     if e < 0:
                         raise ZeroIntoNegativePower(
@@ -281,7 +328,7 @@ class LaurentPoly:
                         )
                     term = _ZERO
                     break
-                term = term * x**e
+                term = term * x if e == 1 else term * x**e
             total += term
         return total
 
@@ -387,10 +434,10 @@ class LaurentPoly:
                 raise ValueError(f"exponents must be integers, got {item['exp']!r}")
             if exps in terms:
                 raise ValueError(f"duplicate exponent entry {list(exps)}")
-            den = int(item["den"])
+            num, den = (_json_integer(item, key) for key in ("num", "den"))
             if den == 0:
                 raise ValueError(f"zero denominator in the term at {list(exps)}")
-            terms[exps] = Fraction(int(item["num"]), den)
+            terms[exps] = Fraction(num, den)
         return cls(variables, terms)
 
     def to_json(self) -> str:
@@ -399,6 +446,20 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, text: str) -> "LaurentPoly":
         return cls.from_json_dict(json.loads(text))
+
+
+def _json_integer(item: Mapping, key: str) -> int:
+    """A coefficient field: a JSON integer (not a bool) or a string of one;
+    a float would be silently truncated by ``int``."""
+    value = item[key]
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f'"{key}" must be an integer or a string of one, got {value!r}')
 
 
 # -- matrices of Laurent polynomials ------------------------------------------

@@ -311,3 +311,50 @@ def test_duality_text_table(capsys):
     assert "collar parameter n = 4" in out
     assert "all squares verified: yes" in out
     assert out.count("-> ") >= 3
+
+
+def _unwritable_output(tmp_path):
+    return ["skeleton", "--n", "2", "--output", str(tmp_path / "missing" / "report.txt")]
+
+
+def _deeply_nested_matrix(tmp_path):
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"n": 2, "matrix": ' + "[" * depth + "]" * depth + "}")
+    return ["splitting", "--matrix", str(path)]
+
+
+def _negative_bound(tmp_path):
+    return ["collar", "iso", "--n", "2", "--j1", "0", "--j2", "2", "--bound", "-1"]
+
+
+@pytest.mark.parametrize(
+    "make_argv", [_unwritable_output, _deeply_nested_matrix, _negative_bound]
+)
+def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, make_argv):
+    code, out, err = run(capsys, make_argv(tmp_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["num", "den"])
+@pytest.mark.parametrize("value_text", ["2.5", "true", "1e999"])
+def test_splitting_rejects_non_integer_coefficient_without_traceback(
+    capsys, tmp_path, field, value_text
+):
+    term = {"exp": [-1], "num": "1", "den": "1"}
+    term[field] = "VALUE"
+    entry = json.dumps({"vars": ["z"], "terms": [term]}).replace('"VALUE"', value_text)
+    one = json.dumps(LaurentPoly.const(1).to_json_dict())
+    zero = json.dumps(LaurentPoly.zero().to_json_dict())
+    path = tmp_path / "bad_coefficient.json"
+    # written as raw text: 1e999 has no json.dumps spelling
+    path.write_text(f'{{"n": 2, "matrix": [[{one}, {entry}], [{zero}, {one}]]}}')
+    code, out, err = run(capsys, ["splitting", "--matrix", str(path)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+    assert f'"{field}" must be an integer' in err
+    assert "Traceback" not in err

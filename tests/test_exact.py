@@ -1,12 +1,16 @@
 """Core arithmetic: Laurent polynomials and exact linear algebra."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skelcollar.bundles import BundleTransition, collar_iso_certificate, splitting_type
+from skelcollar.duality import duality_report
 from skelcollar.exact import (
     LaurentPoly,
     NotInvertible,
@@ -160,11 +164,25 @@ def test_constants_hash_like_their_value():
         [{"exp": [1.0], "num": "1", "den": "1"}],
         [{"exp": ["1"], "num": "1", "den": "1"}],
         [{"exp": [2], "num": "1", "den": "1"}, {"exp": [2], "num": "3", "den": "1"}],
+        # int() would truncate 2.5 to 2, read true as 1 and overflow on 1e999
+        [{"exp": [1], "num": 2.5, "den": "1"}],
+        [{"exp": [1], "num": True, "den": "1"}],
+        [{"exp": [1], "num": float("inf"), "den": "1"}],
+        [{"exp": [1], "num": "1", "den": 2.5}],
+        [{"exp": [1], "num": "1", "den": True}],
+        [{"exp": [1], "num": "1", "den": float("inf")}],
+        [{"exp": [1], "num": "2.5", "den": "1"}],
     ],
 )
 def test_json_reader_rejects_malformed_terms(terms):
     with pytest.raises(ValueError):
         LP.from_json_dict({"vars": ["z"], "terms": terms})
+
+
+def test_json_reader_takes_integers_and_integer_strings():
+    terms = [{"exp": [1], "num": -3, "den": 2}, {"exp": [-1], "num": "5", "den": "-4"}]
+    p = LP.from_json_dict({"vars": ["z"], "terms": terms})
+    assert p == LP(("z",), {(1,): Fraction(-3, 2), (-1,): Fraction(-5, 4)})
 
 
 def test_str_is_readable():
@@ -178,6 +196,127 @@ def test_immutable():
     p = LP.var("x")
     with pytest.raises(AttributeError):
         p.variables = ("y",)
+
+
+# -- properties of the arithmetic ------------------------------------------------
+
+# few exponents and coefficients, so sums and products often cancel terms
+# and whole variables; a 0 coefficient exercises the public constructor
+_COEFFS = st.sampled_from([Fraction(c) for c in (-2, -1, 0, 1, 2)] + [Fraction(1, 2)])
+
+
+@st.composite
+def laurent_polys(draw):
+    names = draw(st.sampled_from([("z", "u"), ("u", "z"), ("z",), ("u",), ()]))
+    exps = st.tuples(*[st.integers(-2, 2)] * len(names))
+    return LP(names, draw(st.dictionaries(exps, _COEFFS, max_size=4)))
+
+
+def assert_identical(result, expected):
+    """Field for field, term order included, with int exponents and
+    Fraction coefficients."""
+    assert result.variables == expected.variables
+    assert list(result.terms.items()) == list(expected.terms.items())
+    assert all(type(e) is int for exps in result.terms for e in exps)
+    assert all(type(c) is Fraction for c in result.terms.values())
+
+
+@given(laurent_polys(), laurent_polys(), laurent_polys())
+def test_ring_axioms_hold(a, b, c):
+    zero, one = LP.zero(), LP.const(1)
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + (-a) == zero
+    assert a - a == zero
+    assert a + zero == a
+    assert a * one == a
+    assert a * zero == zero
+
+
+@given(
+    laurent_polys(),
+    laurent_polys(),
+    st.sampled_from(["z", "u", "w"]),
+    st.dictionaries(st.sampled_from(["z", "u", "w"]), st.integers(-2, 2)),
+    _COEFFS,
+)
+def test_arithmetic_results_are_canonical(a, b, var, exponents, coeff):
+    results = [a + b, a - b, a * b, -a, a + 2, 3 * a, 1 - a, a.diff(var)]
+    results.append(LP.monomial(exponents, coeff))
+    if a.is_monomial():
+        results.append(a.inverse())
+    for r in results:
+        assert_identical(r, LP(r.variables, r.terms))
+
+
+@given(laurent_polys())
+def test_json_round_trip_property(p):
+    assert LP.from_json_dict(p.to_json_dict()) == p
+    assert LP.from_json(p.to_json()) == p
+
+
+# -- trusted construction on the pipeline's own inputs ------------------------------
+
+
+@pytest.fixture
+def checked_canonical(monkeypatch):
+    """Every trusted construction also runs the validating constructor on
+    the same input and must give the identical polynomial."""
+    trusted = LP._from_canonical.__func__
+    calls = []
+
+    def checked(cls, variables, terms):
+        expected = LP(variables, terms)
+        result = trusted(cls, variables, terms)
+        assert_identical(result, expected)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(LP, "_from_canonical", classmethod(checked))
+    return calls
+
+
+def test_trusted_construction_in_duality_report(checked_canonical):
+    report = duality_report(4)
+    assert report.all_ok
+    assert checked_canonical
+
+
+@pytest.mark.parametrize(
+    "j, off",
+    [
+        (1, None),
+        (2, None),
+        (2, LP.monomial({"z": 1, "u": 1})),
+        (2, LP.monomial({"z": 1})),
+    ],
+)
+def test_trusted_construction_in_splitting_type(checked_canonical, j, off):
+    splitting_type(BundleTransition.canonical(2, j, off=off))
+    assert checked_canonical
+
+
+GOLDEN_CERTIFICATES = json.loads(
+    (Path(__file__).parent / "golden" / "certificates.json").read_text(encoding="utf-8")
+)
+
+
+def test_trusted_construction_in_golden_certificate_searches(checked_canonical):
+    for case in GOLDEN_CERTIFICATES:
+        m1, m2 = (
+            BundleTransition.from_rows(
+                case["n"], [[LP.from_json_dict(p) for p in row] for row in case[key]]
+            )
+            for key in ("m1", "m2")
+        )
+        found = collar_iso_certificate(
+            m1, m2, bound=case["bound"], exhaustive=case["exhaustive"]
+        )
+        assert (found is None) == (case["certificate"] is None)
+    assert checked_canonical
 
 
 # -- RatMatrix -----------------------------------------------------------------

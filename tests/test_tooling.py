@@ -43,3 +43,23 @@ def test_package_imports_only_itself_and_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             )
     assert found == []
+
+
+def test_trusted_constructor_is_private_to_exact():
+    # LaurentPoly._from_canonical skips validation, so the invariant it
+    # trusts must be auditable in the one module that calls it
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "_from_canonical")
+            or (isinstance(node, ast.Name) and node.id == "_from_canonical")
+            or (isinstance(node, ast.Constant) and node.value == "_from_canonical")
+        )
+    assert found == []
+    exact = (PACKAGE_DIR / "exact.py").read_text(encoding="utf-8")
+    assert "_from_canonical" in exact
