@@ -13,18 +13,30 @@ backward walks a projectivized skeleton component to the next one.
 Birationality is certified numerically: exact rational sample points are
 pushed around the loop and compared projectively.  The sampler is a fixed
 linear congruential generator over small fractions, so every run of every
-machine draws the same points.
+machine draws the same points.  Each factor of a drawn point is scaled by
+the lcm of its denominators before it enters the loop; the integer
+homogeneous coordinates name the same projective point, so the same points
+are checked or skipped, and the whole round trip runs on Python integers.
+Each map compiles its components once into an evaluation plan over the
+positions of the flattened source point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .exact import LaurentPoly
+from .exact import LaurentPoly, ZeroIntoNegativePower
 
-Point = tuple[tuple[Fraction, ...], ...]
+# exact homogeneous coordinates, one tuple per factor
+Point = tuple[tuple[int | Fraction, ...], ...]
+
+# one term of a compiled component: the coefficient (an int when integral)
+# and its (position in the flattened source point, nonzero exponent) factors
+# in the order of the polynomial's variables
+Term = tuple[int | Fraction, tuple[tuple[int, int], ...]]
 
 
 class IndeterminacyHit(ValueError):
@@ -43,6 +55,46 @@ def _factor_vars(prefix: str, dim: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(dim + 1))
 
 
+def _term_plan(poly: LaurentPoly, positions: dict[str, int]) -> tuple[Term, ...]:
+    """Compile ``poly`` against the positions of its variables."""
+    missing = set(poly.variables) - positions.keys()
+    if missing:
+        raise ValueError(f"component {poly} uses {sorted(missing)}, not source variables")
+    return tuple(
+        (
+            coeff.numerator if coeff.denominator == 1 else coeff,
+            tuple((positions[v], e) for v, e in zip(poly.variables, exps) if e),
+        )
+        for exps, coeff in poly.terms.items()
+    )
+
+
+def _run_terms(terms: tuple[Term, ...], coords: Sequence[int | Fraction]) -> int | Fraction:
+    """Value of a compiled component at ``coords``: what
+    ``LaurentPoly.evaluate`` gives at the same point, raising
+    ZeroIntoNegativePower in the same cases.  It is an int when every input
+    is one and no exponent is negative."""
+    total = 0
+    for value, factors in terms:
+        for pos, e in factors:
+            x = coords[pos]
+            if not x:
+                if e < 0:
+                    raise ZeroIntoNegativePower(
+                        f"0 given at position {pos} which occurs with exponent {e}"
+                    )
+                break
+            if e == 1:
+                value *= x
+            elif e > 0:
+                value *= x**e
+            else:
+                value = Fraction(value, x**-e)
+        else:
+            total += value
+    return total
+
+
 @dataclass(frozen=True)
 class RationalMap:
     """Map between products of projective spaces, one homogeneous
@@ -57,6 +109,9 @@ class RationalMap:
     source_vars: tuple[tuple[str, ...], ...]
     components: tuple[tuple[LaurentPoly, ...], ...]
     label: str = ""
+    _plan: tuple[tuple[tuple[Term, ...], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.source_vars) != len(self.source_dims):
@@ -72,6 +127,13 @@ class RationalMap:
             if all(c.is_zero for c in comps):
                 raise ValueError("a target factor has identically zero components")
             self._check_multidegree(comps)
+        # a name bound twice takes the later factor's value, as a bindings
+        # dict filled factor by factor would
+        positions = {v: i for i, v in enumerate(v for vs in self.source_vars for v in vs)}
+        plan = tuple(
+            tuple(_term_plan(c, positions) for c in comps) for comps in self.components
+        )
+        object.__setattr__(self, "_plan", plan)
 
     def _check_multidegree(self, comps: tuple[LaurentPoly, ...]) -> None:
         for group in self.source_vars:
@@ -89,14 +151,14 @@ class RationalMap:
     def apply(self, point: Point) -> Point:
         if len(point) != len(self.source_dims):
             raise ValueError("point has wrong number of factors")
-        bindings: dict[str, Fraction] = {}
+        coords: list[int | Fraction] = []
         for vs, vals in zip(self.source_vars, point):
             if len(vals) != len(vs):
                 raise ValueError("point factor has wrong length")
-            bindings.update(zip(vs, vals))
+            coords.extend(vals)
         image = []
-        for comps in self.components:
-            vals = tuple(c.evaluate(bindings) for c in comps)
+        for factor in self._plan:
+            vals = tuple(_run_terms(terms, coords) for terms in factor)
             if not any(vals):
                 raise IndeterminacyHit(
                     f"{self.label or 'map'}: sample on the indeterminacy locus"
@@ -294,6 +356,12 @@ def projectively_equal(p: Point, q: Point) -> bool:
     return True
 
 
+def point_text(point: Point) -> str:
+    """``(1 : -1/2) x (3 : 0 : 1)``, one tuple of homogeneous coordinates
+    per factor."""
+    return " x ".join("(" + " : ".join(str(c) for c in factor) + ")" for factor in point)
+
+
 @dataclass(frozen=True)
 class Verdict:
     passed: bool
@@ -302,12 +370,30 @@ class Verdict:
     failures: tuple[tuple[Point, Point], ...] = ()
 
 
+def _integral_point(point: Point) -> Point:
+    """The same projective point with each factor scaled by the lcm of its
+    denominators, so every coordinate is an integer."""
+    scaled = []
+    for factor in point:
+        scale = lcm(*(c.denominator for c in factor))
+        scaled.append(tuple(c.numerator * (scale // c.denominator) for c in factor))
+    return tuple(scaled)
+
+
 def verify_birational(
     pair: MapPair, samples: int = 100, seed: int = 1, retries: int = 10
 ) -> Verdict:
     """Push exact sample points through forward then inverse and compare
     projectively; indeterminacy hits are retried with fresh points and
-    counted as skipped only if every retry hits."""
+    counted as skipped only if every retry hits.
+
+    Each drawn point travels as its integer homogeneous coordinates
+    (``_integral_point``); a failure records the drawn point and the image
+    the round trip gave."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if retries < 1:
+        raise ValueError(f"retries must be at least 1, got {retries}")
     sampler = RationalSampler(seed)
     checked = 0
     skipped = 0
@@ -316,13 +402,14 @@ def verify_birational(
         resolved = False
         for _ in range(retries):
             point = sampler.point(pair.forward.source_dims)
+            scaled = _integral_point(point)
             try:
-                back = pair.inverse.apply(pair.forward.apply(point))
+                back = pair.inverse.apply(pair.forward.apply(scaled))
             except IndeterminacyHit:
                 continue
             resolved = True
             checked += 1
-            if not projectively_equal(point, back):
+            if not projectively_equal(scaled, back):
                 failures.append((point, back))
             break
         if not resolved:

@@ -22,6 +22,7 @@ from .birmaps import (
     DegenerateSampler,
     IndeterminacyHit,
     bir_step,
+    point_text,
     product_to_projective,
     verify_birational,
 )
@@ -452,14 +453,20 @@ def _verdict_result(verdict, source: str) -> tuple[int, dict, str, Optional[str]
         f"{source}: round trip {status}",
         f"samples checked: {verdict.checked}, skipped: {verdict.skipped}",
     ]
-    if verdict.failures:
-        lines.append(f"failures: {len(verdict.failures)}")
     payload = {
         "passed": verdict.passed,
         "checked": verdict.checked,
         "skipped": verdict.skipped,
         "failures": len(verdict.failures),
     }
+    if verdict.failures:
+        point, image = verdict.failures[0]
+        lines.append(f"failures: {len(verdict.failures)}")
+        lines.append(f"first failure: {point_text(point)} comes back as {point_text(image)}")
+        payload["first_failure"] = {
+            "point": [[str(c) for c in factor] for factor in point],
+            "image": [[str(c) for c in factor] for factor in image],
+        }
     return code, payload, "\n".join(lines), None
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .birmaps import IndexOutOfRange, Verdict, bir_step, verify_birational
+from .birmaps import IndexOutOfRange, Verdict, bir_step, point_text, verify_birational
 from .deform import index_step_family
 from .skeleton import (
     AffineFiber,
@@ -122,9 +122,11 @@ def square_check(
 
     failure: Optional[str] = None
     if not bir_verdict.passed:
+        point, image = bir_verdict.failures[0]
         failure = (
             f"step map round trip failed on {len(bir_verdict.failures)} of "
-            f"{bir_verdict.checked} samples"
+            f"{bir_verdict.checked} samples, first at {point_text(point)}, "
+            f"which comes back as {point_text(image)}"
         )
     elif def_endpoints != (j + step, j):
         failure = (

@@ -1,10 +1,27 @@
-"""Reference linear algebra for the tests: a dense fraction-free
-elimination and the cofactor expansion of a determinant.  They share no
-code with the package's sparse kernel and are slow and simple on purpose;
-the package's answers are checked against them."""
+"""Reference routes for the tests: a dense fraction-free elimination, the
+cofactor expansion of a determinant, and the birational round trip on
+Fraction points through ``LaurentPoly.evaluate``.  They share no code with
+the package's sparse kernel or its compiled map evaluation and are slow and
+simple on purpose; the package's answers are checked against them.
+``broken_pair`` is a map pair whose claimed inverse is wrong, for the
+failure paths."""
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from skelcollar.birmaps import (
+    ComposedMap,
+    DegenerateSampler,
+    IndeterminacyHit,
+    MapPair,
+    RationalMap,
+    RationalSampler,
+    Verdict,
+    linear_projection,
+    projectively_equal,
+    segre,
+)
+from skelcollar.exact import LaurentPoly
 
 
 def int_rows(rows):
@@ -74,3 +91,55 @@ def cofactor_det(rows):
             minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
             total += (-1) ** j * Fraction(head) * cofactor_det(minor)
     return total
+
+
+def apply_map(rational_map, point):
+    """Image of ``point`` under a RationalMap or ComposedMap, stage by
+    stage, each component evaluated over a name-to-value bindings dict."""
+    stages = rational_map.stages if isinstance(rational_map, ComposedMap) else (rational_map,)
+    for stage in stages:
+        bindings = {}
+        for names, values in zip(stage.source_vars, point):
+            bindings.update(zip(names, values))
+        image = []
+        for comps in stage.components:
+            values = tuple(c.evaluate(bindings) for c in comps)
+            if not any(values):
+                raise IndeterminacyHit("sample on the indeterminacy locus")
+            image.append(values)
+        point = tuple(image)
+    return point
+
+
+def verify_birational(pair, samples=100, seed=1, retries=10):
+    """The round trip on the drawn Fraction points themselves."""
+    sampler = RationalSampler(seed)
+    checked = 0
+    skipped = 0
+    failures = []
+    for _ in range(samples):
+        for _ in range(retries):
+            point = sampler.point(pair.forward.source_dims)
+            try:
+                back = apply_map(pair.inverse, apply_map(pair.forward, point))
+            except IndeterminacyHit:
+                continue
+            checked += 1
+            if not projectively_equal(point, back):
+                failures.append((point, back))
+            break
+        else:
+            skipped += 1
+    if checked == 0:
+        raise DegenerateSampler(f"all {samples} samples hit indeterminacy loci")
+    return Verdict(not failures, checked, skipped, tuple(failures))
+
+
+def broken_pair():
+    """Forgetting both mixed products of the (1, 1) Segre image leaves no
+    way back; the claimed inverse fixes the second factor at a constant."""
+    forward = ComposedMap((segre(1, 1), linear_projection(3, (0, 2))))
+    one = LaurentPoly.const(1)
+    w0, w1 = LaurentPoly.var("w0"), LaurentPoly.var("w1")
+    inverse = RationalMap((1,), (1, 1), (("w0", "w1"),), ((w0, w1), (one, one)))
+    return MapPair(forward, inverse)

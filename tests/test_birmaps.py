@@ -3,23 +3,29 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oracles
 from skelcollar.birmaps import (
-    ComposedMap,
     DegenerateSampler,
     IndeterminacyHit,
     IndexOutOfRange,
     MapPair,
     RationalMap,
     RationalSampler,
+    _integral_point,
+    _run_terms,
+    _term_plan,
     bir_step,
     linear_projection,
+    point_text,
     product_to_projective,
     projectively_equal,
     segre,
     verify_birational,
 )
-from skelcollar.exact import LaurentPoly
+from skelcollar.exact import LaurentPoly, ZeroIntoNegativePower
 
 LP = LaurentPoly
 F = Fraction
@@ -168,13 +174,7 @@ def test_bir_step_round_trips():
 
 
 def test_verify_detects_non_invertible_map():
-    # forgetting both mixed products leaves no way back: the claimed
-    # inverse fixes the second factor at a constant
-    fwd = ComposedMap((segre(1, 1), linear_projection(3, (0, 2))))
-    one = LP.const(1)
-    w0, w1 = LP.var("w0"), LP.var("w1")
-    bad_inverse = RationalMap((1,), (1, 1), (("w0", "w1"),), ((w0, w1), (one, one)))
-    verdict = verify_birational(MapPair(fwd, bad_inverse), samples=30)
+    verdict = verify_birational(oracles.broken_pair(), samples=30)
     assert not verdict.passed
     assert verdict.failures
 
@@ -204,7 +204,138 @@ def test_sampler_is_deterministic():
     assert [a.fraction() for _ in range(5)] != [c.fraction() for _ in range(5)]
 
 
+def test_point_text_lists_homogeneous_coordinates_per_factor():
+    assert point_text(((F(1), F(-1, 2)), (3, 0, 1))) == "(1 : -1/2) x (3 : 0 : 1)"
+
+
 def test_projective_equality():
     assert projectively_equal(((F(1), F(2)),), ((F(2), F(4)),))
     assert not projectively_equal(((F(1), F(2)),), ((F(2), F(5)),))
     assert not projectively_equal(((F(0), F(0)),), ((F(0), F(0)),))
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -3}, {"retries": 0}])
+def test_verify_rejects_nonpositive_counts(kwargs):
+    with pytest.raises(ValueError, match="at least 1") as info:
+        verify_birational(product_to_projective(1, 1), **kwargs)
+    assert not isinstance(info.value, DegenerateSampler)
+
+
+# -- the compiled evaluation against the bindings-dict oracle ---------------------
+
+
+def assert_same_verdict(verdict, expected):
+    assert (verdict.checked, verdict.skipped, verdict.passed) == (
+        expected.checked,
+        expected.skipped,
+        expected.passed,
+    )
+    assert len(verdict.failures) == len(expected.failures)
+    for (point, image), (point0, image0) in zip(verdict.failures, expected.failures):
+        assert point == point0
+        assert all(type(c) is Fraction for factor in point for c in factor)
+        assert projectively_equal(image, image0)
+
+
+ORACLE_PAIRS = (
+    [(f"bir_step({n},{j})", n, j) for n in range(2, 9) for j in range(n - 1)]
+    + [(f"ptp({a},{b})", a, b) for a in range(7) for b in range(7) if 1 <= a + b <= 6]
+)
+
+
+@pytest.mark.parametrize("name,x,y", ORACLE_PAIRS, ids=[c[0] for c in ORACLE_PAIRS])
+def test_verdict_matches_fraction_oracle(name, x, y):
+    pair = bir_step(x, y) if name.startswith("bir_step") else product_to_projective(x, y)
+    for seed in (1, 2, 3):
+        expected = oracles.verify_birational(pair, samples=40, seed=seed)
+        assert_same_verdict(verify_birational(pair, samples=40, seed=seed), expected)
+
+
+def test_broken_inverse_verdict_matches_fraction_oracle():
+    for seed in (1, 2, 3):
+        pair = oracles.broken_pair()
+        expected = oracles.verify_birational(pair, samples=30, seed=seed)
+        assert expected.failures
+        assert_same_verdict(verify_birational(pair, samples=30, seed=seed), expected)
+
+
+def test_apply_matches_oracle_on_fraction_and_integer_points():
+    sampler = RationalSampler(5)
+    for n, j in [(4, 1), (6, 2), (7, 0)]:
+        pair = bir_step(n, j)
+        for m in (pair.forward, pair.inverse):
+            for _ in range(10):
+                point = sampler.point(m.source_dims)
+                try:
+                    expected = oracles.apply_map(m, point)
+                except IndeterminacyHit:
+                    continue
+                assert m.apply(point) == expected
+                assert projectively_equal(m.apply(_integral_point(point)), expected)
+
+
+def test_integral_point_scales_each_factor_by_its_denominators():
+    point = ((F(1, 2), F(-2, 3), F(0)), (F(5, 4), F(3)))
+    assert _integral_point(point) == ((3, -4, 0), (5, 12))
+    assert all(type(c) is int for factor in _integral_point(point) for c in factor)
+    assert projectively_equal(_integral_point(point), point)
+
+
+def test_plan_stays_out_of_equality_hash_and_repr():
+    m = segre(1, 2)
+    twin = RationalMap(m.source_dims, m.target_dims, m.source_vars, m.components, m.label)
+    assert m == twin and hash(m) == hash(twin)
+    assert "_plan" not in repr(m)
+
+
+def test_name_shared_by_two_factors_takes_the_later_value():
+    x1 = LP.var("x1")
+    m = RationalMap((1, 1), (1,), (("x0", "x1"), ("x1", "x2")), ((x1, 2 * x1),))
+    point = ((F(2), F(3)), (F(5), F(7)))
+    assert m.apply(point) == oracles.apply_map(m, point) == ((F(5), F(10)),)
+
+
+def test_component_outside_source_variables_rejected():
+    x = LP.var("x")
+    with pytest.raises(ValueError, match="not source variables"):
+        RationalMap((1,), (1,), (("y0", "y1"),), ((x, x),))
+
+
+_POINT_VALUES = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 7)])
+
+
+@st.composite
+def laurent_cases(draw):
+    """A Laurent polynomial in up to four of x0..x3 with mixed-sign
+    exponents and non-integer coefficients, a layout of the variables in
+    the flattened point that need not follow their sorted order, and a
+    point with frequent zeros."""
+    names = draw(st.lists(st.sampled_from(["x0", "x1", "x2", "x3"]), unique=True, max_size=4))
+    exps = st.tuples(*[st.integers(-3, 3)] * len(names))
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    poly = LP(names, draw(st.dictionaries(exps, coeffs, max_size=5)))
+    layout = draw(st.permutations(["x0", "x1", "x2", "x3"]))
+    point = draw(st.tuples(*[_POINT_VALUES] * 4))
+    return poly, layout, point
+
+
+def evaluation(fn):
+    try:
+        return fn()
+    except ZeroIntoNegativePower:
+        return ZeroIntoNegativePower
+
+
+@given(laurent_cases())
+# evaluate meets x0 before x1: the 0 under x0^1 ends the term before the 0
+# under x1^-1 can raise, wherever the layout puts the two
+@example((LP(("x0", "x1"), {(1, -1): 1}), ("x1", "x0", "x2", "x3"), (F(0),) * 4))
+def test_plan_matches_laurent_evaluate(case):
+    poly, layout, point = case
+    terms = _term_plan(poly, {v: i for i, v in enumerate(layout)})
+    expected = evaluation(lambda: poly.evaluate(dict(zip(layout, point))))
+    assert evaluation(lambda: _run_terms(terms, point)) == expected
+    # integer points, as verify_birational feeds the maps
+    ints = tuple(c.numerator for c in point)
+    expected = evaluation(lambda: poly.evaluate(dict(zip(layout, ints))))
+    assert evaluation(lambda: _run_terms(terms, ints)) == expected

@@ -5,12 +5,22 @@ pin the wiring: argument handling, exit codes, report formats, and the
 round trip between emitted JSON and the library's own readers.
 """
 
+import argparse
+import contextlib
+import io
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from skelcollar import cli, duality
+from skelcollar.birmaps import point_text, projectively_equal
 from skelcollar.bundles import BundleTransition, splitting_type
-from skelcollar.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from skelcollar.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from skelcollar.deform import ext1_basis
 from skelcollar.exact import LaurentPoly
 from skelcollar.toric import QuotientSingularity, dual_cone, quotient_cone
@@ -358,3 +368,177 @@ def test_splitting_rejects_non_integer_coefficient_without_traceback(
     assert err.startswith("error: ")
     assert f'"{field}" must be an integer' in err
     assert "Traceback" not in err
+
+
+# -- golden reports ---------------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).parent / "golden" / "reports"
+
+
+def golden_argv(name):
+    """``birstep_n4_j1_seed7`` -> the argv whose JSON report the file holds."""
+    subcommand, *params = name.split("_")
+    argv = [subcommand]
+    for param in params:
+        key = param.rstrip("0123456789")
+        argv += [f"--{key}", param[len(key):]]
+    return argv + ["--format", "json"]
+
+
+GOLDEN_NAMES = sorted(path.stem for path in GOLDEN_DIR.glob("*.json"))
+
+
+def test_golden_set_is_complete():
+    duality_cases = [f"duality_n{n}_seed{s}" for n in range(2, 8) for s in (1, 2)]
+    birmap_cases = [f"birmap_a{a}_b{b}" for a in range(6) for b in range(6) if 1 <= a + b <= 5]
+    birstep_cases = [
+        f"birstep_n{n}_j{j}_seed{s}" for n in range(2, 7) for j in range(n - 1) for s in (1, 7)
+    ]
+    assert sorted(duality_cases + birmap_cases + birstep_cases) == GOLDEN_NAMES
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_report_matches_golden(capsys, monkeypatch, name):
+    # captured from the commit before sample points went through the maps
+    # as integer homogeneous coordinates
+    monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
+    code, out, err = run(capsys, golden_argv(name))
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
+# -- the first failing witness ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["birmap", "--a", "1", "--b", "1", "--samples", "12", "--seed", "3"], "product_to_projective"),
+        (["birstep", "--n", "3", "--j", "0", "--samples", "12", "--seed", "3"], "bir_step"),
+    ],
+)
+def test_failed_round_trip_names_its_first_witness(capsys, monkeypatch, argv, target):
+    monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
+    monkeypatch.setattr(cli, target, lambda *args: oracles.broken_pair())
+    expected = oracles.verify_birational(oracles.broken_pair(), samples=12, seed=3)
+    point, image = expected.failures[0]
+
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_VERIFY
+    assert "round trip FAILED" in out
+    assert f"failures: {len(expected.failures)}" in out
+    first = [line for line in out.splitlines() if line.startswith("first failure: ")]
+    assert len(first) == 1
+    drawn, _, back = first[0].removeprefix("first failure: ").partition(" comes back as ")
+    assert drawn == point_text(point)
+    assert back.count(" x ") == 1
+
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == EXIT_VERIFY
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    assert doc["failures"] == len(expected.failures)
+    assert doc["first_failure"]["point"] == [[str(c) for c in factor] for factor in point]
+    back = [[Fraction(c) for c in factor] for factor in doc["first_failure"]["image"]]
+    assert projectively_equal(back, image)
+
+
+def test_successful_round_trip_has_no_witness_key(capsys):
+    code, out, _ = run(capsys, ["birmap", "--a", "1", "--b", "1", "--samples", "5", "--format", "json"])
+    assert code == EXIT_OK
+    assert "first_failure" not in json.loads(out)
+
+
+def test_failed_duality_square_names_its_first_witness(capsys, monkeypatch):
+    monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
+    monkeypatch.setattr(duality, "bir_step", lambda n, j: oracles.broken_pair())
+    expected = oracles.verify_birational(oracles.broken_pair(), samples=10, seed=4)
+    drawn = point_text(expected.failures[0][0])
+
+    code, out, _ = run(capsys, ["duality", "--n", "3", "--samples", "10", "--seed", "4"])
+    assert code == EXIT_VERIFY
+    assert f"first at {drawn}, which comes back as (" in out
+    code, out, _ = run(
+        capsys, ["duality", "--n", "3", "--samples", "10", "--seed", "4", "--format", "json"]
+    )
+    assert code == EXIT_VERIFY
+    failures = [square["failure"] for square in json.loads(out)["squares"]]
+    assert all(f"first at {drawn}, which comes back as (" in f for f in failures)
+
+
+# -- every argv exits 0, 2 or 3 -------------------------------------------------------
+
+
+def _subcommands(parser, prefix=()):
+    """(subcommand path, options) for every leaf parser; an option is its
+    flag and the argparse action behind it."""
+    nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not nested:
+        options = [(a.option_strings[-1], a) for a in parser._actions if a.dest != "help"]
+        return [(prefix, options)]
+    return [
+        leaf
+        for name, sub in nested[0].choices.items()
+        for leaf in _subcommands(sub, prefix + (name,))
+    ]
+
+
+_LEAVES = _subcommands(build_parser())
+
+# small sizes keep every run quick; one value in six is odd, to exercise
+# argparse, the config checks and the library's own input checks
+_ODD = st.sampled_from(
+    ["", "-", "abc", "-1", "-6", "0", "1/2", "1,2", "0,1/3", "1/0", "nan", "1e3", "--n", " 3"]
+)
+
+
+def _mostly(one_in):
+    """True except about once in ``one_in`` draws, shrinking towards True."""
+    return st.sampled_from([True] * (one_in - 1) + [False])
+
+
+def _value(draw, flag, action, tmp_dir):
+    if not draw(_mostly(6)):
+        return draw(_ODD)
+    if flag == "--output":
+        return draw(st.sampled_from(["", str(tmp_dir), str(tmp_dir / "report")]))
+    if flag == "--matrix":
+        return draw(st.sampled_from([str(tmp_dir / "missing.json"), str(tmp_dir / "matrix.json")]))
+    if action.choices:
+        return draw(st.sampled_from(sorted(action.choices)))
+    if flag == "--samples":
+        return str(draw(st.integers(1, 5)))
+    if flag in ("--weights", "--taus"):
+        return ",".join(map(str, draw(st.lists(st.integers(-1, 6), max_size=6))))
+    return str(draw(st.integers(0, 6)))
+
+
+@st.composite
+def _argvs(draw, tmp_dir):
+    path, options = draw(st.sampled_from(_LEAVES))
+    argv = list(path)
+    for flag, action in draw(st.permutations(options)):
+        # optional flags are often left out, required ones rarely
+        if not draw(_mostly(16 if action.required else 2)):
+            continue
+        argv.append(flag)
+        if action.nargs != 0 and draw(_mostly(16)):  # a few values are missing
+            argv.append(_value(draw, flag, action, tmp_dir))
+    return argv
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_exits_0_2_or_3_without_traceback(tmp_path, monkeypatch, data):
+    monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)  # an odd value after --output names a file here
+    one, zero = LaurentPoly.const(1).to_json_dict(), LaurentPoly.zero().to_json_dict()
+    twist = LaurentPoly.monomial({"z": 2}).to_json_dict()
+    matrix = {"n": 2, "matrix": [[twist, one], [zero, LaurentPoly.monomial({"z": -2}).to_json_dict()]]}
+    (tmp_path / "matrix.json").write_text(json.dumps(matrix))
+    argv = data.draw(_argvs(tmp_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

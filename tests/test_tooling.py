@@ -1,6 +1,8 @@
 """Source-level checks that hold for every module of the package."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,3 +65,22 @@ def test_trusted_constructor_is_private_to_exact():
     assert found == []
     exact = (PACKAGE_DIR / "exact.py").read_text(encoding="utf-8")
     assert "_from_canonical" in exact
+
+
+def test_optimized_interpreter_reproduces_the_golden_report():
+    # python -O drops assert statements and __debug__ blocks; the report must
+    # not depend on either
+    env = {k: v for k, v in os.environ.items() if k != "SKELCOLLAR_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE_DIR.parent)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "skelcollar.cli", "duality", "--n", "4", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    golden = Path(__file__).parent / "golden" / "reports" / "duality_n4_seed1.json"
+    assert result.stdout == golden.read_text(encoding="utf-8")
