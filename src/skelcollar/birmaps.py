@@ -70,10 +70,11 @@ def _term_plan(poly: LaurentPoly, positions: dict[str, int]) -> tuple[Term, ...]
 
 
 def _run_terms(terms: tuple[Term, ...], coords: Sequence[int | Fraction]) -> int | Fraction:
-    """Value of a compiled component at ``coords``: what
-    ``LaurentPoly.evaluate`` gives at the same point, raising
-    ZeroIntoNegativePower in the same cases.  It is an int when every input
-    is one and no exponent is negative."""
+    """Value of a compiled component at ``coords``: the polynomial's value
+    at the same point, term by term.  A term stops at its first zero
+    factor in variable order, so a 0 under a negative power raises
+    ZeroIntoNegativePower only if no earlier factor is 0.  It is an int
+    when every input is one and no exponent is negative."""
     total = 0
     for value, factors in terms:
         for pos, e in factors:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .exact import (
     LaurentPoly,
     SparseRow,
     echelon,
-    iter_exponent_boxes,
     null_space,
     poly_mat_det,
     poly_mat_mul,
@@ -284,8 +284,6 @@ class BundleTransition:
 
     n: int
     entries: tuple[tuple[LaurentPoly, ...], ...]
-    declared_splitting: Optional[int] = None
-    chern: Optional[int] = None
 
     def __post_init__(self) -> None:
         _check_n(self.n)
@@ -322,22 +320,16 @@ class BundleTransition:
         rows = tuple(
             tuple(p.substitute({U_FIBER: 0}) for p in row) for row in self.entries
         )
-        return BundleTransition(self.n, rows, self.declared_splitting, self.chern)
+        return BundleTransition(self.n, rows)
 
     @classmethod
-    def from_rows(
-        cls,
-        n: int,
-        rows: Sequence[Sequence[LaurentPoly]],
-        declared_splitting: Optional[int] = None,
-        chern: Optional[int] = None,
-    ) -> "BundleTransition":
-        return cls(n, tuple(tuple(row) for row in rows), declared_splitting, chern)
+    def from_rows(cls, n: int, rows: Sequence[Sequence[LaurentPoly]]) -> "BundleTransition":
+        return cls(n, tuple(tuple(row) for row in rows))
 
     @classmethod
     def line_class(cls, n: int, j: int) -> "BundleTransition":
         """The degree-j line bundle: single entry z^(-j)."""
-        return cls(n, ((_z_power(-j),),), declared_splitting=None, chern=j)
+        return cls(n, ((_z_power(-j),),))
 
     @classmethod
     def diagonal(cls, n: int, e1: int, e2: int) -> "BundleTransition":
@@ -351,7 +343,7 @@ class BundleTransition:
             raise ValueError("canonical shape requires a nonnegative exponent")
         p = LaurentPoly.zero() if off is None else off
         rows = ((_z_power(j), p), (LaurentPoly.zero(), _z_power(-j)))
-        return cls(n, rows, declared_splitting=j, chern=0)
+        return cls(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +389,7 @@ def _section_count(trans: BundleTransition, twist: int, u_cutoff: int, window: i
     width = (window + 1) * (u_cutoff + 1)
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
     for c in range(rank):
-        for k, b in iter_exponent_boxes((0, window), (0, u_cutoff)):
+        for k, b in product(range(window + 1), range(u_cutoff + 1)):
             col_id = (k * (u_cutoff + 1) + b) * rank + c
             basis = LaurentPoly.monomial({U_BASE: k, U_FIBER: b})
             for r in range(rank):
@@ -450,7 +442,7 @@ def h0_twist(
     return first
 
 
-def splitting_type(trans: BundleTransition, window: int | None = None) -> tuple[int, int]:
+def splitting_type(trans: BundleTransition) -> tuple[int, int]:
     """Splitting (j, -j) of a rank-2 transition with trivial determinant
     over the zero section, read off from the section-count profile."""
     if trans.rank != 2:
@@ -464,7 +456,7 @@ def splitting_type(trans: BundleTransition, window: int | None = None) -> tuple[
 
     def count(m: int) -> int:
         if m not in cache:
-            cache[m] = h0_twist(restricted, m, window=window)
+            cache[m] = h0_twist(restricted, m)
         return cache[m]
 
     if count(-cap) > 0:
@@ -625,13 +617,17 @@ def _monomial_line_certificate(
     return _certificate_from_frames(n, v_rows, u_rows, m1, m2)
 
 
+# kernel vectors whose pairwise sums the search tries as frames
+_PAIR_CAP = 24
+
+
 def _search_certificate(
-    m1: BundleTransition, m2: BundleTransition, bound: int, pair_cap: int = 24
+    m1: BundleTransition, m2: BundleTransition, bound: int
 ) -> Optional[CollarIsoCertificate]:
     """Kernel search over bounded frame entries for m2 * B = A * m1."""
     n = m1.n
     rank = m1.rank
-    monomials = list(iter_exponent_boxes((0, bound), (-bound, bound)))
+    monomials = list(product(range(bound + 1), range(-bound, bound + 1)))
     columns: list[_Column] = []
     shape: list[tuple[str, int, int, LaurentPoly]] = []
     for i in range(rank):
@@ -676,7 +672,7 @@ def _search_certificate(
             return cert
     # single kernel vectors rarely have invertible frames for rank 2; try
     # small sums before giving up
-    head = vectors[:pair_cap]
+    head = vectors[:_PAIR_CAP]
     for a in range(len(head)):
         for b in range(a + 1, len(head)):
             cert = assemble(_vector_sum((head[a], head[b])))

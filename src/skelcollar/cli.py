@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .birmaps import (
@@ -308,6 +309,8 @@ def _zero_set(forced: frozenset[str]) -> str:
 # SVG emission
 
 _SVG_UNIT = 40
+# the background grid has (2*extent - 1)^2 points, one element each
+SVG_MAX_GRID_POINTS = 100_000
 
 
 def _svg_rays(
@@ -317,6 +320,12 @@ def _svg_rays(
 ) -> str:
     points = list(solid) + list(dashed) + [(1, 1)]
     extent = max(max(abs(x), abs(y)) for x, y in points) + 1
+    side = 2 * extent - 1
+    if side * side > SVG_MAX_GRID_POINTS:
+        raise ValueError(
+            f"the figure needs a {side} x {side} grid ({side * side} points), "
+            f"over the cap of {SVG_MAX_GRID_POINTS} grid points; use --format text or json"
+        )
     half = _SVG_UNIT * extent
     size = 2 * half
 
@@ -358,12 +367,14 @@ def _svg_rays(
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (exit code, json payload, text body, optional svg)
+# handlers: each returns (exit code, json payload, text body, optional svg
+# builder); the figure is only built under --format svg
 
-Handler = Callable[[RunConfig], tuple[int, dict, str, Optional[str]]]
+Figure = Optional[Callable[[], str]]
+Handler = Callable[[RunConfig], tuple[int, dict, str, Figure]]
 
 
-def _run_skeleton(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+def _run_skeleton(config: RunConfig) -> tuple[int, dict, str, Figure]:
     components = skeleton(config.n, config.weights)
     lines = []
     payload = []
@@ -383,7 +394,7 @@ def _run_skeleton(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
     return EXIT_OK, {"components": payload}, "\n".join(lines), None
 
 
-def _run_potential(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+def _run_potential(config: RunConfig) -> tuple[int, dict, str, Figure]:
     weights = config.weights if config.weights is not None else tuple(range(1, config.n + 1))
     field = action_vector_field(weights)
     omega = SymplecticStructure(config.n)
@@ -406,7 +417,7 @@ def _run_potential(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
     return code, payload, "\n".join(lines), None
 
 
-def _run_resolve(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+def _run_resolve(config: RunConfig) -> tuple[int, dict, str, Figure]:
     chain = minimal_resolution(QuotientSingularity(config.n, config.a))
     cone = chain.cone
     matrix = chain.intersection_matrix
@@ -421,7 +432,8 @@ def _run_resolve(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
         "self_intersections": list(chain.self_intersections),
         "intersection_matrix": [list(row) for row in matrix],
     }
-    svg = _svg_rays(
+    svg = partial(
+        _svg_rays,
         cone.rays,
         chain.rays,
         f"resolved quotient cone n={config.n} a={config.a}",
@@ -429,7 +441,7 @@ def _run_resolve(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
     return EXIT_OK, payload, "\n".join(lines), svg
 
 
-def _run_fan(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+def _run_fan(config: RunConfig) -> tuple[int, dict, str, Figure]:
     cone = quotient_cone(QuotientSingularity(config.n, config.a))
     dual = cone.dual()
     lines = [
@@ -442,11 +454,11 @@ def _run_fan(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
     }
     shown = dual if config.dual else cone
     which = "dual cone" if config.dual else "cone"
-    svg = _svg_rays(shown.rays, (), f"{which} n={config.n} a={config.a}")
+    svg = partial(_svg_rays, shown.rays, (), f"{which} n={config.n} a={config.a}")
     return EXIT_OK, payload, "\n".join(lines), svg
 
 
-def _verdict_result(verdict, source: str) -> tuple[int, dict, str, Optional[str]]:
+def _verdict_result(verdict, source: str) -> tuple[int, dict, str, Figure]:
     code = EXIT_OK if verdict.passed else EXIT_VERIFY
     status = "passed" if verdict.passed else "FAILED"
     lines = [
@@ -470,13 +482,13 @@ def _verdict_result(verdict, source: str) -> tuple[int, dict, str, Optional[str]
     return code, payload, "\n".join(lines), None
 
 
-def _run_birmap(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+def _run_birmap(config: RunConfig) -> tuple[int, dict, str, Figure]:
     pair = product_to_projective(config.a, config.b)
     verdict = verify_birational(pair, samples=config.samples, seed=config.seed)
     return _verdict_result(verdict, f"collapse of the ({config.a}, {config.b}) product")
 
 
-def _run_birstep(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+def _run_birstep(config: RunConfig) -> tuple[int, dict, str, Figure]:
     pair = bir_step(config.n, config.j)
     verdict = verify_birational(pair, samples=config.samples, seed=config.seed)
     return _verdict_result(
@@ -484,7 +496,7 @@ def _run_birstep(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
     )
 
 
-def _run_collar(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+def _run_collar(config: RunConfig) -> tuple[int, dict, str, Figure]:
     if config.collar_action == "pic":
         group = picard_group(config.n)
         lines = [f"residue classes mod {config.n}: {list(group.classes)}"]
@@ -535,7 +547,7 @@ def _read_matrix_file(path: str) -> tuple[int, list[list[LaurentPoly]]]:
     return data["n"], rows
 
 
-def _run_splitting(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+def _run_splitting(config: RunConfig) -> tuple[int, dict, str, Figure]:
     try:
         n, rows = _read_matrix_file(config.matrix_path)
     except RecursionError:
@@ -548,7 +560,7 @@ def _run_splitting(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
-def _run_moduli(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+def _run_moduli(config: RunConfig) -> tuple[int, dict, str, Figure]:
     result = moduli_dimension(config.n, config.j)
     if result.dimension is None:
         lines = [f"empty: {result.note}"]
@@ -558,7 +570,7 @@ def _run_moduli(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
-def _run_ext1(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+def _run_ext1(config: RunConfig) -> tuple[int, dict, str, Figure]:
     basis = ext1_basis(config.n, config.j, config.cutoff)
     lines = [f"dimension: {len(basis)}"]
     if basis:
@@ -571,7 +583,7 @@ def _run_ext1(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
-def _run_deform(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+def _run_deform(config: RunConfig) -> tuple[int, dict, str, Figure]:
     family = index_step_family(config.n, config.j, config.s if config.s is not None else 1)
     taus = config.taus if config.taus is not None else (Fraction(0), Fraction(1))
     profile = family_splitting_profile(family, taus)
@@ -587,7 +599,7 @@ def _run_deform(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
-def _run_duality(config: RunConfig) -> tuple[int, dict, str, Optional[str]]:
+def _run_duality(config: RunConfig) -> tuple[int, dict, str, Figure]:
     report = duality_report(config.n, samples=config.samples, seed=config.seed)
     code = EXIT_OK if report.all_ok else EXIT_VERIFY
     return code, report.to_json_dict(), report.to_text(), None
@@ -620,7 +632,7 @@ def dispatch(config: RunConfig) -> tuple[int, str]:
     elif config.format == "svg":
         if svg is None:
             raise ValueError(f"no figure output for {config.subcommand}")
-        rendered = svg
+        rendered = svg()
     else:
         rendered = _header(config) + "\n" + text_body + "\n"
     return code, rendered

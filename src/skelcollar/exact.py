@@ -1,4 +1,5 @@
-"""Exact arithmetic substrate: rationals, Laurent polynomials, matrices.
+"""Exact arithmetic substrate: rationals, Laurent polynomials, polynomial
+matrices, and one sparse elimination kernel.
 
 Everything downstream is built from these pieces.
 
@@ -16,11 +17,13 @@ Everything downstream is built from these pieces.
   ``inverse``, ``diff``, ``monomial``) are canonical by construction and
   go through the private ``_from_canonical``, which skips that
   re-validation and only prunes variables that cancelled away.
-* Linear algebra has one elimination kernel: ``echelon`` reduces sparse
-  rows ``{column: Fraction}``, always pivoting on a row's smallest column,
-  and ``null_space`` back-substitutes its pivot rows into a reduced kernel
-  basis.  ``RatMatrix``, a small dense matrix over the rationals, runs
-  its rank, kernel and determinant through the same kernel.
+* Matrices of Laurent polynomials are tuples of rows (``PolyMatrix``)
+  with product, substitution and cofactor determinant.
+* Linear algebra over the rationals has one elimination kernel:
+  ``echelon`` reduces sparse rows ``{column: Fraction}``, always pivoting
+  on a row's smallest column, and ``null_space`` back-substitutes its
+  pivot rows into a reduced kernel basis.  Section counts and certificate
+  searches are its only callers; there is no dense rational matrix.
 
 No floating point is used anywhere.
 """
@@ -30,7 +33,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class ZeroIntoNegativePower(ValueError):
@@ -265,7 +268,7 @@ class LaurentPoly:
             k >>= 1
         return result
 
-    # -- calculus and evaluation -------------------------------------------
+    # -- calculus ----------------------------------------------------------
 
     def diff(self, var: str) -> "LaurentPoly":
         if var not in self.variables:
@@ -307,29 +310,6 @@ class LaurentPoly:
                 else:
                     acc = acc * LaurentPoly._from_canonical((v,), {(e,): _ONE})
             total = total + acc
-        return total
-
-    def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
-        total = _ZERO
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(self.variables, exps):
-                if e == 0:
-                    continue
-                if v not in values:
-                    raise ValueError(f"no value supplied for variable {v}")
-                x = values[v]
-                if type(x) is not Fraction:
-                    x = as_fraction(x)
-                if not x:
-                    if e < 0:
-                        raise ZeroIntoNegativePower(
-                            f"0 given for {v} which occurs with exponent {e}"
-                        )
-                    term = _ZERO
-                    break
-                term = term * x if e == 1 else term * x**e
-            total += term
         return total
 
     # -- degree bookkeeping --------------------------------------------------
@@ -570,109 +550,3 @@ def null_space(pivots: Mapping[int, SparseRow], cols: int) -> list[SparseRow]:
                 vec[lead] = -s / row[lead]
         basis.append(vec)
     return basis
-
-
-class RatMatrix:
-    """Dense matrix over Fraction; rank, kernel and det run the sparse
-    ``echelon`` on its nonzero entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[Scalar]) -> None:
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(as_fraction(x) for x in entries))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RatMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "RatMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        flat = [x for row in rows for x in row]
-        return cls(r, c, flat)
-
-    @classmethod
-    def identity(cls, k: int) -> "RatMatrix":
-        return cls(k, k, [1 if i == j else 0 for i in range(k) for j in range(k)])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(str(self.entry(i, j)) for j in range(self.cols)) for i in range(self.rows)
-        )
-        return f"RatMatrix[{body}]"
-
-    # -- elimination ---------------------------------------------------------
-
-    def _pivot_rows(self) -> dict[int, SparseRow]:
-        return echelon(
-            {i: {j: x for j, x in enumerate(self.row(i)) if x} for i in range(self.rows)}
-        )
-
-    def rank(self) -> int:
-        return len(self._pivot_rows())
-
-    def kernel(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Basis of the right null space, one vector per free column."""
-        return tuple(
-            tuple(vec.get(c, _ZERO) for c in range(self.cols))
-            for vec in null_space(self._pivot_rows(), self.cols)
-        )
-
-    def det(self) -> Fraction:
-        """Rows are only reduced by earlier pivot rows, so the determinant is
-        the sign of the row-to-lead-column permutation times the pivots."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        pivots = self._pivot_rows()
-        if len(pivots) < self.rows:
-            return _ZERO
-        leads = list(pivots)
-        inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1 :])
-        result = _ONE if inversions % 2 == 0 else -_ONE
-        for lead, row in pivots.items():
-            result *= row[lead]
-        return result
-
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMatrix":
-        flat = [self.entry(i, j) for i in rows for j in cols]
-        return RatMatrix(len(rows), len(cols), flat)
-
-    def mul_vec(self, vec: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        xs = [as_fraction(x) for x in vec]
-        return tuple(
-            sum((self.entry(i, j) * xs[j] for j in range(self.cols)), _ZERO)
-            for i in range(self.rows)
-        )
-
-
-def iter_exponent_boxes(*ranges: tuple[int, int]) -> Iterator[tuple[int, ...]]:
-    """All integer tuples in the box [lo1, hi1] x ... (inclusive bounds)."""
-    if not ranges:
-        yield ()
-        return
-    (lo, hi), rest = ranges[0], ranges[1:]
-    for head in range(lo, hi + 1):
-        for tail in iter_exponent_boxes(*rest):
-            yield (head,) + tail

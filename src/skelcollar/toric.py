@@ -6,7 +6,9 @@ root of unity.  Each such singularity is toric: it is cut out by a single
 two-dimensional lattice cone, and blowing up along the extra rays of the
 Hirzebruch-Jung subdivision produces the minimal resolution, a chain of
 rational curves whose self-intersection numbers are the negatives of the
-continued-fraction coefficients of n over a.
+continued-fraction coefficients of n over a.  The chain's intersection
+form is tridiagonal, so its leading minors are the continuants of that
+continued fraction and the Sylvester test needs no matrix elimination.
 
 Two conventions fixed here and relied on elsewhere:
 
@@ -22,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
-from .exact import LaurentPoly, RatMatrix
+from .exact import LaurentPoly
 
 Vec = tuple[int, int]
 
@@ -288,17 +291,27 @@ def dynkin_dual_graph(chain: ResolutionChain) -> DynkinGraph:
     return DynkinGraph(tuple(range(k)), edges)
 
 
-def leading_principal_minors(matrix: tuple[tuple[int, ...], ...]) -> list[Fraction]:
-    m = RatMatrix.from_rows([list(row) for row in matrix]) if matrix else None
-    out = []
-    for k in range(1, len(matrix) + 1):
-        out.append(m.submatrix(range(k), range(k)).det())
-    return out
+def leading_principal_minors(self_intersections: Sequence[int]) -> list[int]:
+    """Leading principal minors D_1..D_r of a chain's intersection matrix,
+    given its ``self_intersections`` s_1..s_r.
+
+    The matrix is tridiagonal with s_k on the diagonal and 1 beside it, so
+    expanding along the last row gives the continuants
+    D_k = s_k*D_(k-1) - D_(k-2) from D_0 = 1, D_(-1) = 0.  For a minimal
+    resolution s_k = -b_k and D_r = (-1)^r * n.
+    """
+    minors = []
+    before, current = 0, 1
+    for s in self_intersections:
+        before, current = current, s * current - before
+        minors.append(current)
+    return minors
 
 
-def is_negative_definite(matrix: tuple[tuple[int, ...], ...]) -> bool:
-    """Sylvester test: k-th leading principal minor has sign (-1)^k."""
-    for k, minor in enumerate(leading_principal_minors(matrix), start=1):
+def is_negative_definite(self_intersections: Sequence[int]) -> bool:
+    """Sylvester test on a chain's intersection form: the k-th leading
+    principal minor has sign (-1)^k."""
+    for k, minor in enumerate(leading_principal_minors(self_intersections), start=1):
         if (minor > 0) != (k % 2 == 0) or minor == 0:
             return False
     return True

@@ -1,12 +1,14 @@
 """Reference routes for the tests: a dense fraction-free elimination, the
-cofactor expansion of a determinant, and the birational round trip on
-Fraction points through ``LaurentPoly.evaluate``.  They share no code with
-the package's sparse kernel or its compiled map evaluation and are slow and
+cofactor expansion of a determinant, term-by-term evaluation of a Laurent
+polynomial at a point, and the birational round trip on Fraction points
+through that evaluation.  They share no code with the package's sparse
+kernel, its continuants or its compiled map evaluation and are slow and
 simple on purpose; the package's answers are checked against them.
 ``broken_pair`` is a map pair whose claimed inverse is wrong, for the
 failure paths."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from skelcollar.birmaps import (
@@ -21,7 +23,7 @@ from skelcollar.birmaps import (
     projectively_equal,
     segre,
 )
-from skelcollar.exact import LaurentPoly
+from skelcollar.exact import LaurentPoly, ZeroIntoNegativePower
 
 
 def int_rows(rows):
@@ -82,14 +84,46 @@ def dense_kernel(rows, ncols):
 
 
 def cofactor_det(rows):
-    """Laplace expansion along the first row."""
+    """Laplace expansion along the first row.  Minors repeat across the
+    expansion and across calls, so each distinct one is expanded once; that
+    keeps a 40 x 40 tridiagonal matrix polynomial instead of Fibonacci-many
+    calls."""
+    return _expand(tuple(tuple(Fraction(x) for x in row) for row in rows))
+
+
+@lru_cache(maxsize=1 << 16)
+def _expand(rows):
     if not rows:
         return Fraction(1)
     total = Fraction(0)
     for j, head in enumerate(rows[0]):
         if head:
-            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-            total += (-1) ** j * Fraction(head) * cofactor_det(minor)
+            minor = tuple(row[:j] + row[j + 1 :] for row in rows[1:])
+            total += (-1) ** j * head * _expand(minor)
+    return total
+
+
+def evaluate(poly, values):
+    """Value of ``poly`` at the name-to-number mapping ``values``, as a
+    Fraction.  A term stops at its first zero value under a positive
+    power, in the polynomial's variable order; a zero under a negative
+    power raises ZeroIntoNegativePower."""
+    total = Fraction(0)
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for v, e in zip(poly.variables, exps):
+            if e == 0:
+                continue
+            if v not in values:
+                raise ValueError(f"no value supplied for variable {v}")
+            x = Fraction(values[v])
+            if not x:
+                if e < 0:
+                    raise ZeroIntoNegativePower(f"0 given for {v} which occurs with exponent {e}")
+                term = Fraction(0)
+                break
+            term *= x**e
+        total += term
     return total
 
 
@@ -103,7 +137,7 @@ def apply_map(rational_map, point):
             bindings.update(zip(names, values))
         image = []
         for comps in stage.components:
-            values = tuple(c.evaluate(bindings) for c in comps)
+            values = tuple(evaluate(c, bindings) for c in comps)
             if not any(values):
                 raise IndeterminacyHit("sample on the indeterminacy locus")
             image.append(values)

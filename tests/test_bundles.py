@@ -20,7 +20,8 @@ from skelcollar.bundles import (
     picard_group,
     splitting_type,
 )
-from skelcollar.exact import LaurentPoly, RatMatrix, ZeroIntoNegativePower, poly_mat_mul
+from skelcollar import bundles
+from skelcollar.exact import LaurentPoly, ZeroIntoNegativePower, echelon, null_space, poly_mat_mul
 
 LP = LaurentPoly
 
@@ -447,16 +448,33 @@ def test_certificate_search_matches_golden(case):
 
 
 def test_certificate_search_never_builds_a_dense_matrix(monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("the certificate search built a RatMatrix")
+    # each search hands sparse rows, no zero stored, to the one elimination
+    # kernel, and every null-space vector it gets back solves them
+    systems = []
 
-    monkeypatch.setattr(RatMatrix, "__init__", refuse)
+    def recording_echelon(rows):
+        systems.append([rows, None])
+        return echelon(rows)
+
+    def recording_null_space(pivots, cols):
+        systems[-1][1] = null_space(pivots, cols)
+        return systems[-1][1]
+
+    monkeypatch.setattr(bundles, "echelon", recording_echelon)
+    monkeypatch.setattr(bundles, "null_space", recording_null_space)
     m1 = BundleTransition.canonical(2, 1, LP.monomial({"z": -1}))
     m2 = BundleTransition.canonical(2, 1, LP.monomial({"z": -1}, 3))
     assert collar_iso_certificate(m1, m2) is not None
     line1, line2 = BundleTransition.line_class(2, 0), BundleTransition.line_class(2, 2)
     assert collar_iso_certificate(line1, line2, bound=1, exhaustive=True) is not None
     assert collar_iso_certificate(line1, line2, bound=0, exhaustive=True) is None
+
+    assert [basis is not None for _, basis in systems] == [True] * 3
+    for rows, basis in systems:
+        assert all(x for row in rows.values() for x in row.values())
+        for vec in basis:
+            for row in rows.values():
+                assert sum(x * vec.get(c, 0) for c, x in row.items()) == 0
 
 
 def test_certificate_needs_matching_shape():

@@ -9,7 +9,9 @@ import argparse
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -375,17 +377,19 @@ def test_splitting_rejects_non_integer_coefficient_without_traceback(
 GOLDEN_DIR = Path(__file__).parent / "golden" / "reports"
 
 
-def golden_argv(name):
-    """``birstep_n4_j1_seed7`` -> the argv whose JSON report the file holds."""
+def golden_argv(name, fmt="json"):
+    """``birstep_n4_j1_seed7`` -> the argv whose report the file holds; a
+    part with no digits is a bare flag (``fan_n5_a2_dual``)."""
     subcommand, *params = name.split("_")
     argv = [subcommand]
     for param in params:
         key = param.rstrip("0123456789")
-        argv += [f"--{key}", param[len(key):]]
-    return argv + ["--format", "json"]
+        argv += [f"--{key}", param[len(key):]] if key != param else [f"--{key}"]
+    return argv + ["--format", fmt]
 
 
 GOLDEN_NAMES = sorted(path.stem for path in GOLDEN_DIR.glob("*.json"))
+SVG_GOLDEN_NAMES = sorted(path.stem for path in GOLDEN_DIR.glob("*.svg"))
 
 
 def test_golden_set_is_complete():
@@ -394,17 +398,82 @@ def test_golden_set_is_complete():
     birstep_cases = [
         f"birstep_n{n}_j{j}_seed{s}" for n in range(2, 7) for j in range(n - 1) for s in (1, 7)
     ]
-    assert sorted(duality_cases + birmap_cases + birstep_cases) == GOLDEN_NAMES
+    skeleton_cases = [f"skeleton_n{n}" for n in range(1, 6)]
+    quotients = [(1, 1)] + [(n, a) for n in range(2, 8) for a in range(1, n) if gcd(n, a) == 1]
+    toric_cases = [f"{cmd}_n{n}_a{a}" for cmd in ("resolve", "fan") for n, a in quotients]
+    ext1_cases = [f"ext1_n{n}_j{j}" for n in range(1, 4) for j in range(4)]
+    deform_cases = [f"deform_n{n}_j{j}" for n in range(1, 4) for j in range(3)]
+    assert sorted(
+        duality_cases + birmap_cases + birstep_cases
+        + skeleton_cases + toric_cases + ext1_cases + deform_cases
+    ) == GOLDEN_NAMES
+    assert SVG_GOLDEN_NAMES == sorted([
+        "resolve_n5_a2", "resolve_n6_a5", "resolve_n7_a3",
+        "fan_n5_a2", "fan_n5_a2_dual", "fan_n6_a5_dual",
+    ])
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_report_matches_golden(capsys, monkeypatch, name):
-    # captured from the commit before sample points went through the maps
-    # as integer homogeneous coordinates
+    # duality, birmap and birstep were captured before sample points went
+    # through the maps as integer homogeneous coordinates; the others
+    # before the Sylvester minors became continuants
     monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
     code, out, err = run(capsys, golden_argv(name))
     assert (code, err) == (EXIT_OK, "")
     assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", SVG_GOLDEN_NAMES)
+def test_figure_matches_golden(capsys, name):
+    code, out, err = run(capsys, golden_argv(name, "svg"))
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (GOLDEN_DIR / f"{name}.svg").read_text(encoding="utf-8")
+
+
+# -- large quotients ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("subcommand", ["resolve", "fan"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_large_quotient_reports_build_no_figure(capsys, subcommand, fmt):
+    # the n = 2000 figure would draw a 4001 x 4001 grid; text and JSON
+    # must not build it
+    start = time.perf_counter()
+    code, out, err = run(capsys, [subcommand, "--n", "2000", "--a", "1", "--format", fmt])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (EXIT_OK, "")
+    assert "2000" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "--n", "2000", "--a", "1"],
+        ["fan", "--n", "2000", "--a", "1"],
+        ["fan", "--n", "2000", "--a", "1", "--dual"],
+    ],
+)
+def test_figure_over_the_grid_cap_exits_2(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv + ["--format", "svg"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+    assert f"cap of {cli.SVG_MAX_GRID_POINTS} grid points" in err
+    assert "Traceback" not in err
+
+
+def test_figure_at_the_grid_cap_is_drawn(capsys):
+    # extent 158 gives a 315 x 315 grid, just under the cap
+    assert 315 * 315 <= cli.SVG_MAX_GRID_POINTS < 317 * 317
+    code, out, _ = run(capsys, ["resolve", "--n", "157", "--a", "1", "--format", "svg"])
+    assert code == EXIT_OK
+    assert out.count('fill="#c0c0c0"') == 315 * 315
+    code, _, err = run(capsys, ["resolve", "--n", "158", "--a", "1", "--format", "svg"])
+    assert code == EXIT_USAGE
+    assert "317 x 317" in err
 
 
 # -- the first failing witness ------------------------------------------------------

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from oracles import cofactor_det
 from skelcollar.exact import LaurentPoly
 from skelcollar.toric import (
     Cone2D,
@@ -19,6 +20,7 @@ from skelcollar.toric import (
     hj_expansion,
     invariant_generators,
     is_negative_definite,
+    leading_principal_minors,
     minimal_resolution,
     quotient_cone,
 )
@@ -193,8 +195,33 @@ def test_resolution_subdivision_properties():
 def test_intersection_matrix_negative_definite():
     for n in range(2, 13):
         for a in valid_weights(n):
-            m = minimal_resolution(QS(n, a)).intersection_matrix
-            assert is_negative_definite(m)
+            assert is_negative_definite(minimal_resolution(QS(n, a)).self_intersections)
+
+
+def test_chain_minors_match_cofactor_expansion():
+    # every chain with n <= 40: the continuants are the leading minors of
+    # the intersection matrix, and the last one is (-1)^r * n
+    for n in range(1, 41):
+        for a in valid_weights(n):
+            chain = minimal_resolution(QS(n, a))
+            m = [list(row) for row in chain.intersection_matrix]
+            minors = leading_principal_minors(chain.self_intersections)
+            assert minors == [cofactor_det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+            assert ([1] + minors)[-1] == (-1) ** len(minors) * n  # D_0 = 1 when n = 1
+
+
+def test_sylvester_rule_on_chains_that_are_not_minimal():
+    # a -1 curve next to a -1 curve, a 0 curve or a positive one is not
+    # negative definite; the sign rule must see it
+    assert leading_principal_minors((-2, -2, -2)) == [-2, 3, -4]
+    assert is_negative_definite((-2, -2, -2))
+    assert not is_negative_definite((-1, -1))  # D_2 = 1 - 1 = 0
+    assert not is_negative_definite((-2, 0))
+    assert not is_negative_definite((1,))
+    assert is_negative_definite(())
+    # the matrix itself is refused, not misread as a sequence of numbers
+    with pytest.raises(TypeError):
+        is_negative_definite(minimal_resolution(QS(7, 3)).intersection_matrix)
 
 
 def test_dynkin_graph_path():
