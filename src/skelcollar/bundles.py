@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exact import (
     LaurentPoly,
@@ -349,29 +349,26 @@ class BundleTransition:
 # ---------------------------------------------------------------------------
 # section counting
 
-# Keys are (row, z_exponent, u_exponent); each column maps the keys it
-# touches to exact coefficients.
-_Column = dict[tuple[int, int, int], Fraction]
-
-
-def _kernel_vectors(columns: Sequence[_Column]) -> list[SparseRow]:
-    rows: dict[tuple[int, int, int], SparseRow] = {}
-    for c, col in enumerate(columns):
-        for k, coeff in col.items():
-            rows.setdefault(k, {})[c] = coeff
-    return null_space(echelon(rows), len(columns))
-
-
-def _add_poly(col: _Column, row: int, p: LaurentPoly, sign: int) -> None:
+def zu_terms(p: LaurentPoly) -> Iterator[tuple[int, int, Fraction]]:
+    """(z exponent, u exponent, coefficient) for each term of a (z, u)
+    polynomial; an absent variable has exponent 0."""
     zi = p.variables.index(U_BASE) if U_BASE in p.variables else None
     ui = p.variables.index(U_FIBER) if U_FIBER in p.variables else None
     for exps, coeff in p.terms.items():
-        ze = exps[zi] if zi is not None else 0
-        ue = exps[ui] if ui is not None else 0
-        key = (row, ze, ue)
-        col[key] = col.get(key, Fraction(0)) + sign * coeff
-        if not col[key]:
-            del col[key]
+        yield (exps[zi] if zi is not None else 0, exps[ui] if ui is not None else 0, coeff)
+
+
+def _add_entry(
+    rows: dict[tuple[int, int, int], SparseRow], key: tuple[int, int, int], col: int, value: Fraction
+) -> None:
+    """Add value at one column of the sparse row keyed (row, z exponent,
+    u exponent), dropping an entry that cancels."""
+    row = rows.setdefault(key, {})
+    total = row.get(col, _F0) + value
+    if total:
+        row[col] = total
+    else:
+        row.pop(col, None)
 
 
 def _section_count(trans: BundleTransition, twist: int, u_cutoff: int, window: int) -> int:
@@ -387,26 +384,16 @@ def _section_count(trans: BundleTransition, twist: int, u_cutoff: int, window: i
     n = trans.n
     z_neg_twist = _z_power(-twist)
     width = (window + 1) * (u_cutoff + 1)
-    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    rows: dict[tuple[int, int, int], SparseRow] = {}
     for c in range(rank):
         for k, b in product(range(window + 1), range(u_cutoff + 1)):
             col_id = (k * (u_cutoff + 1) + b) * rank + c
             basis = LaurentPoly.monomial({U_BASE: k, U_FIBER: b})
             for r in range(rank):
                 contrib = z_neg_twist * trans.entries[r][c] * basis
-                zi = contrib.variables.index(U_BASE) if U_BASE in contrib.variables else None
-                ui = contrib.variables.index(U_FIBER) if U_FIBER in contrib.variables else None
-                for exps, coeff in contrib.terms.items():
-                    e = exps[zi] if zi is not None else 0
-                    m = exps[ui] if ui is not None else 0
-                    if 0 <= n * m - e <= window:
-                        continue
-                    row = rows.setdefault((r, e, m), {})
-                    value = row.get(col_id, _F0) + coeff
-                    if value:
-                        row[col_id] = value
-                    else:
-                        row.pop(col_id, None)
+                for e, m, coeff in zu_terms(contrib):
+                    if not 0 <= n * m - e <= window:
+                        _add_entry(rows, (r, e, m), col_id, coeff)
     return rank * width - len(echelon(rows))
 
 
@@ -628,29 +615,26 @@ def _search_certificate(
     n = m1.n
     rank = m1.rank
     monomials = list(product(range(bound + 1), range(-bound, bound + 1)))
-    columns: list[_Column] = []
+    # column c of the system is the frame term shape[c]
+    rows: dict[tuple[int, int, int], SparseRow] = {}
     shape: list[tuple[str, int, int, LaurentPoly]] = []
-    for i in range(rank):
-        for k in range(rank):
-            for alpha, beta in monomials:
-                # A[i][k] term xi^alpha v^beta, on the overlap z^(n beta - alpha) u^beta
-                basis = LaurentPoly.monomial({U_BASE: n * beta - alpha, U_FIBER: beta})
-                col: _Column = {}
-                for jj in range(rank):
-                    _add_poly(col, i * rank + jj, basis * m1.entries[k][jj], -1)
-                columns.append(col)
-                shape.append(("v", i, k, basis))
-    for k in range(rank):
-        for jj in range(rank):
-            for alpha, beta in monomials:
-                basis = LaurentPoly.monomial({U_BASE: alpha, U_FIBER: beta})
-                col = {}
-                for i in range(rank):
-                    _add_poly(col, i * rank + jj, m2.entries[i][k] * basis, 1)
-                columns.append(col)
-                shape.append(("u", k, jj, basis))
+    for i, k in product(range(rank), repeat=2):
+        for alpha, beta in monomials:
+            # A[i][k] term xi^alpha v^beta, on the overlap z^(n beta - alpha) u^beta
+            basis = LaurentPoly.monomial({U_BASE: n * beta - alpha, U_FIBER: beta})
+            for jj in range(rank):
+                for z, u, coeff in zu_terms(basis * m1.entries[k][jj]):
+                    _add_entry(rows, (i * rank + jj, z, u), len(shape), -coeff)
+            shape.append(("v", i, k, basis))
+    for k, jj in product(range(rank), repeat=2):
+        for alpha, beta in monomials:
+            basis = LaurentPoly.monomial({U_BASE: alpha, U_FIBER: beta})
+            for i in range(rank):
+                for z, u, coeff in zu_terms(m2.entries[i][k] * basis):
+                    _add_entry(rows, (i * rank + jj, z, u), len(shape), coeff)
+            shape.append(("u", k, jj, basis))
 
-    vectors = _kernel_vectors(columns)
+    vectors = null_space(echelon(rows), len(shape))
     if not vectors:
         return None
 

@@ -1,11 +1,13 @@
 """Command-line front end: argument parsing, dispatch to the library
 modules, and text, JSON, and SVG report emission.
 
-Every text report opens with a header repeating the effective parameters
-(including seed and cutoff) so a result can be reproduced from the report
-alone; JSON reports carry the same data in a "config" object.  Exit codes:
-0 on success, 2 for usage and input errors, 3 when a verification step
-fails or cannot stabilise.
+`build_parser` is the one place a flag, its default and its handler are
+declared; handlers, checks and headers all read the `argparse.Namespace`
+it returns.  Every text report opens with a header repeating the effective
+parameters (including seed and cutoff) so a result can be reproduced from
+the report alone; JSON reports carry the same data in a "config" object.
+Exit codes: 0 on success, 2 for usage and input errors, 3 when a
+verification step fails or cannot stabilise.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -61,31 +62,6 @@ EXIT_VERIFY = 3
 SEED_ENV = "SKELCOLLAR_SEED"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one invocation."""
-
-    subcommand: str
-    n: Optional[int] = None
-    a: Optional[int] = None
-    b: Optional[int] = None
-    j: Optional[int] = None
-    j2: Optional[int] = None
-    s: Optional[int] = None
-    weights: Optional[tuple[int, ...]] = None
-    kappa: Optional[Fraction] = None
-    samples: int = 40
-    seed: int = 1
-    cutoff: Optional[int] = None
-    bound: Optional[int] = None
-    taus: Optional[tuple[Fraction, ...]] = None
-    matrix_path: Optional[str] = None
-    dual: bool = False
-    collar_action: Optional[str] = None
-    format: str = "text"
-    output: Optional[str] = None
-
-
 def _parse_weights(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -112,133 +88,115 @@ def build_parser() -> argparse.ArgumentParser:
         prog="skelcollar",
         description="exact computations for skeleta, collars, and the pairing between them",
     )
+    # subcommands without --seed still report seed=1 in their header
+    parser.set_defaults(seed=1)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
+    def add_common(p: argparse.ArgumentParser, handler: Handler, formats: Sequence[str]) -> None:
+        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=list(formats), default="text")
         p.add_argument("--output", default=None, help="write the report to this path")
 
     p = sub.add_parser("skeleton", help="components of the cotangent-space skeleton")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weights", type=_parse_weights, default=None)
-    add_common(p, ("text", "json"))
+    add_common(p, _run_skeleton, ("text", "json"))
 
     p = sub.add_parser("potential", help="flow potential for the weighted action")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weights", type=_parse_weights, default=None)
     p.add_argument("--kappa", type=_parse_fraction, default=None)
-    add_common(p, ("text", "json"))
+    add_common(p, _run_potential, ("text", "json"))
 
     p = sub.add_parser("resolve", help="minimal resolution of a plane quotient")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    add_common(p, ("text", "json", "svg"))
+    add_common(p, _run_resolve, ("text", "json", "svg"))
 
     p = sub.add_parser("fan", help="quotient cone and its dual")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--dual", action="store_true", help="draw the dual cone in SVG output")
-    add_common(p, ("text", "json", "svg"))
+    add_common(p, _run_fan, ("text", "json", "svg"))
 
     p = sub.add_parser("birmap", help="product-to-projective collapse round trip")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
-    add_common(p, ("text", "json"))
+    add_common(p, _run_birmap, ("text", "json"))
 
     p = sub.add_parser("birstep", help="step map between consecutive skeleton components")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
-    add_common(p, ("text", "json"))
+    add_common(p, _run_birstep, ("text", "json"))
 
     p = sub.add_parser("collar", help="line bundles on the punctured surface")
     collar_sub = p.add_subparsers(dest="collar_action", required=True)
     pic = collar_sub.add_parser("pic", help="residue classes and tensor table")
     pic.add_argument("--n", type=int, required=True)
-    add_common(pic, ("text", "json"))
+    add_common(pic, _run_collar_pic, ("text", "json"))
     iso = collar_sub.add_parser("iso", help="isomorphism certificate for two twists")
     iso.add_argument("--n", type=int, required=True)
-    iso.add_argument("--j1", type=int, required=True)
+    # stored as j: headers and JSON configs report it under that key
+    iso.add_argument("--j1", dest="j", metavar="J1", type=int, required=True)
     iso.add_argument("--j2", type=int, required=True)
     iso.add_argument("--bound", type=int, default=None)
-    add_common(iso, ("text", "json"))
+    add_common(iso, _run_collar_iso, ("text", "json"))
 
     p = sub.add_parser("splitting", help="splitting type of a rank-2 transition matrix")
     p.add_argument("--matrix", dest="matrix_path", required=True, help="JSON file {n, matrix}")
-    add_common(p, ("text", "json"))
+    add_common(p, _run_splitting, ("text", "json"))
 
     p = sub.add_parser("moduli-dim", help="dimension of the splitting-type moduli")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    add_common(p, ("text", "json"))
+    add_common(p, _run_moduli, ("text", "json"))
 
     p = sub.add_parser("ext1", help="basis of the extension group")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--cutoff", type=int, default=None)
-    add_common(p, ("text", "json"))
+    add_common(p, _run_ext1, ("text", "json"))
 
     p = sub.add_parser("deform", help="splitting profile of an index-step family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--taus", type=_parse_taus, default=None)
-    add_common(p, ("text", "json"))
+    add_common(p, _run_deform, ("text", "json"))
 
     p = sub.add_parser("duality", help="correspondence table with square certificates")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--seed", type=int, default=1)
-    add_common(p, ("text", "json"))
+    add_common(p, _run_duality, ("text", "json"))
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "subcommand": args.subcommand,
-        "format": getattr(args, "format", "text"),
-        "output": getattr(args, "output", None),
-    }
-    for name in ("n", "a", "b", "s", "weights", "kappa", "cutoff", "bound",
-                 "taus", "matrix_path", "dual", "collar_action"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if hasattr(args, "j"):
-        fields["j"] = args.j
-    if hasattr(args, "j1"):
-        fields["j"] = args.j1
-    if hasattr(args, "j2"):
-        fields["j2"] = args.j2
-    if hasattr(args, "samples"):
-        fields["samples"] = args.samples
-    if hasattr(args, "seed"):
-        fields["seed"] = args.seed
-    return RunConfig(**fields)
+# smallest accepted value of each numeric flag, with its wording
+_LOWER_BOUNDS = {
+    "n": (1, "at least 1"),
+    "a": (0, "nonnegative"),
+    "b": (0, "nonnegative"),
+    "samples": (1, "positive"),
+    "s": (1, "positive"),
+    "bound": (0, "nonnegative"),
+    "cutoff": (0, "nonnegative"),
+}
 
 
-def validate_config(config: RunConfig) -> None:
-    if config.n is not None and config.n < 1:
-        raise ValueError(f"--n must be at least 1, got {config.n}")
-    if config.a is not None and config.a < 0:
-        raise ValueError(f"--a must be nonnegative, got {config.a}")
-    if config.b is not None and config.b < 0:
-        raise ValueError(f"--b must be nonnegative, got {config.b}")
-    if config.samples < 1:
-        raise ValueError(f"--samples must be positive, got {config.samples}")
-    if config.s is not None and config.s < 1:
-        raise ValueError(f"--s must be positive, got {config.s}")
-    if config.bound is not None and config.bound < 0:
-        raise ValueError(f"--bound must be nonnegative, got {config.bound}")
-    if config.cutoff is not None and config.cutoff < 0:
-        raise ValueError(f"--cutoff must be nonnegative, got {config.cutoff}")
-    if config.weights is not None and config.n is not None and len(config.weights) != config.n:
-        raise ValueError(
-            f"--weights needs exactly {config.n} entries, got {len(config.weights)}"
-        )
+def validate_config(args: argparse.Namespace) -> None:
+    for key, (least, wording) in _LOWER_BOUNDS.items():
+        value = getattr(args, key, None)
+        if value is not None and value < least:
+            raise ValueError(f"--{key} must be {wording}, got {value}")
+    weights, n = getattr(args, "weights", None), getattr(args, "n", None)
+    if weights is not None and n is not None and len(weights) != n:
+        raise ValueError(f"--weights needs exactly {n} entries, got {len(weights)}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,36 +205,33 @@ def validate_config(config: RunConfig) -> None:
 _HEADER_KEYS = ("n", "a", "b", "j", "j2", "s", "weights", "kappa", "bound", "taus")
 
 
-def _config_summary(config: RunConfig) -> list[tuple[str, str]]:
+def _config_summary(args: argparse.Namespace) -> list[tuple[str, str]]:
     pairs: list[tuple[str, str]] = []
     for key in _HEADER_KEYS:
-        value = getattr(config, key)
+        value = getattr(args, key, None)
         if value is None:
             continue
-        if key == "weights":
-            pairs.append((key, ",".join(str(w) for w in value)))
-        elif key == "taus":
-            pairs.append((key, ",".join(str(t) for t in value)))
-        else:
-            pairs.append((key, str(value)))
-    pairs.append(("seed", str(config.seed)))
-    pairs.append(("cutoff", "auto" if config.cutoff is None else str(config.cutoff)))
+        # weights and taus are tuples, printed comma-separated
+        pairs.append((key, ",".join(map(str, value)) if isinstance(value, tuple) else str(value)))
+    cutoff = getattr(args, "cutoff", None)
+    pairs.append(("seed", str(args.seed)))
+    pairs.append(("cutoff", "auto" if cutoff is None else str(cutoff)))
     return pairs
 
 
-def _header(config: RunConfig) -> str:
-    name = config.subcommand
-    if config.collar_action:
-        name += f" {config.collar_action}"
-    params = " ".join(f"{k}={v}" for k, v in _config_summary(config))
+def _header(args: argparse.Namespace) -> str:
+    name = args.subcommand
+    if getattr(args, "collar_action", None):
+        name += f" {args.collar_action}"
+    params = " ".join(f"{k}={v}" for k, v in _config_summary(args))
     return f"# skelcollar {name} | {params}"
 
 
-def _config_json(config: RunConfig) -> dict:
-    out: dict = {"subcommand": config.subcommand}
-    if config.collar_action:
-        out["collar_action"] = config.collar_action
-    for k, v in _config_summary(config):
+def _config_json(args: argparse.Namespace) -> dict:
+    out: dict = {"subcommand": args.subcommand}
+    if getattr(args, "collar_action", None):
+        out["collar_action"] = args.collar_action
+    for k, v in _config_summary(args):
         out[k] = v
     return out
 
@@ -371,11 +326,11 @@ def _svg_rays(
 # builder); the figure is only built under --format svg
 
 Figure = Optional[Callable[[], str]]
-Handler = Callable[[RunConfig], tuple[int, dict, str, Figure]]
+Handler = Callable[[argparse.Namespace], tuple[int, dict, str, Figure]]
 
 
-def _run_skeleton(config: RunConfig) -> tuple[int, dict, str, Figure]:
-    components = skeleton(config.n, config.weights)
+def _run_skeleton(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    components = skeleton(args.n, args.weights)
     lines = []
     payload = []
     for comp in components:
@@ -394,12 +349,12 @@ def _run_skeleton(config: RunConfig) -> tuple[int, dict, str, Figure]:
     return EXIT_OK, {"components": payload}, "\n".join(lines), None
 
 
-def _run_potential(config: RunConfig) -> tuple[int, dict, str, Figure]:
-    weights = config.weights if config.weights is not None else tuple(range(1, config.n + 1))
+def _run_potential(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    weights = args.weights if args.weights is not None else tuple(range(1, args.n + 1))
     field = action_vector_field(weights)
-    omega = SymplecticStructure(config.n)
-    pot = solve_potential(field, omega, config.kappa if config.kappa is not None else 2)
-    residual = hamiltonian_residual(pot, field, omega, symbolic_test_field(config.n))
+    omega = SymplecticStructure(args.n)
+    pot = solve_potential(field, omega, args.kappa if args.kappa is not None else 2)
+    residual = hamiltonian_residual(pot, field, omega, symbolic_test_field(args.n))
     ok = residual.is_zero
     code = EXIT_OK if ok else EXIT_VERIFY
     lines = [
@@ -417,8 +372,8 @@ def _run_potential(config: RunConfig) -> tuple[int, dict, str, Figure]:
     return code, payload, "\n".join(lines), None
 
 
-def _run_resolve(config: RunConfig) -> tuple[int, dict, str, Figure]:
-    chain = minimal_resolution(QuotientSingularity(config.n, config.a))
+def _run_resolve(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    chain = minimal_resolution(QuotientSingularity(args.n, args.a))
     cone = chain.cone
     matrix = chain.intersection_matrix
     lines = [
@@ -436,13 +391,13 @@ def _run_resolve(config: RunConfig) -> tuple[int, dict, str, Figure]:
         _svg_rays,
         cone.rays,
         chain.rays,
-        f"resolved quotient cone n={config.n} a={config.a}",
+        f"resolved quotient cone n={args.n} a={args.a}",
     )
     return EXIT_OK, payload, "\n".join(lines), svg
 
 
-def _run_fan(config: RunConfig) -> tuple[int, dict, str, Figure]:
-    cone = quotient_cone(QuotientSingularity(config.n, config.a))
+def _run_fan(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    cone = quotient_cone(QuotientSingularity(args.n, args.a))
     dual = cone.dual()
     lines = [
         f"cone rays: {cone.rays[0]} {cone.rays[1]}",
@@ -452,9 +407,9 @@ def _run_fan(config: RunConfig) -> tuple[int, dict, str, Figure]:
         "cone": [list(cone.rays[0]), list(cone.rays[1])],
         "dual": [list(dual.rays[0]), list(dual.rays[1])],
     }
-    shown = dual if config.dual else cone
-    which = "dual cone" if config.dual else "cone"
-    svg = partial(_svg_rays, shown.rays, (), f"{which} n={config.n} a={config.a}")
+    shown = dual if args.dual else cone
+    which = "dual cone" if args.dual else "cone"
+    svg = partial(_svg_rays, shown.rays, (), f"{which} n={args.n} a={args.a}")
     return EXIT_OK, payload, "\n".join(lines), svg
 
 
@@ -482,41 +437,42 @@ def _verdict_result(verdict, source: str) -> tuple[int, dict, str, Figure]:
     return code, payload, "\n".join(lines), None
 
 
-def _run_birmap(config: RunConfig) -> tuple[int, dict, str, Figure]:
-    pair = product_to_projective(config.a, config.b)
-    verdict = verify_birational(pair, samples=config.samples, seed=config.seed)
-    return _verdict_result(verdict, f"collapse of the ({config.a}, {config.b}) product")
+def _run_birmap(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    pair = product_to_projective(args.a, args.b)
+    verdict = verify_birational(pair, samples=args.samples, seed=args.seed)
+    return _verdict_result(verdict, f"collapse of the ({args.a}, {args.b}) product")
 
 
-def _run_birstep(config: RunConfig) -> tuple[int, dict, str, Figure]:
-    pair = bir_step(config.n, config.j)
-    verdict = verify_birational(pair, samples=config.samples, seed=config.seed)
+def _run_birstep(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    pair = bir_step(args.n, args.j)
+    verdict = verify_birational(pair, samples=args.samples, seed=args.seed)
     return _verdict_result(
-        verdict, f"step map {config.j} -> {config.j + 1} in dimension {config.n}"
+        verdict, f"step map {args.j} -> {args.j + 1} in dimension {args.n}"
     )
 
 
-def _run_collar(config: RunConfig) -> tuple[int, dict, str, Figure]:
-    if config.collar_action == "pic":
-        group = picard_group(config.n)
-        lines = [f"residue classes mod {config.n}: {list(group.classes)}"]
-        lines.append("tensor table:")
-        for i, row in enumerate(group.table):
-            lines.append(f"  {i}: {list(row)}")
-        payload = {
-            "classes": list(group.classes),
-            "table": [list(row) for row in group.table],
-        }
-        return EXIT_OK, payload, "\n".join(lines), None
+def _run_collar_pic(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    group = picard_group(args.n)
+    lines = [f"residue classes mod {args.n}: {list(group.classes)}"]
+    lines.append("tensor table:")
+    for i, row in enumerate(group.table):
+        lines.append(f"  {i}: {list(row)}")
+    payload = {
+        "classes": list(group.classes),
+        "table": [list(row) for row in group.table],
+    }
+    return EXIT_OK, payload, "\n".join(lines), None
 
-    comparison = compare_line_bundles(config.n, config.j, config.j2, bound=config.bound)
+
+def _run_collar_iso(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    comparison = compare_line_bundles(args.n, args.j, args.j2, bound=args.bound)
     lines = [
-        f"residues: {comparison.residue1} and {comparison.residue2} (mod {config.n})",
+        f"residues: {comparison.residue1} and {comparison.residue2} (mod {args.n})",
         f"isomorphic on the punctured surface: {'yes' if comparison.isomorphic else 'no'}",
     ]
     payload = {
-        "j1": config.j,
-        "j2": config.j2,
+        "j1": args.j,
+        "j2": args.j2,
         "residue1": comparison.residue1,
         "residue2": comparison.residue2,
         "isomorphic": comparison.isomorphic,
@@ -547,9 +503,9 @@ def _read_matrix_file(path: str) -> tuple[int, list[list[LaurentPoly]]]:
     return data["n"], rows
 
 
-def _run_splitting(config: RunConfig) -> tuple[int, dict, str, Figure]:
+def _run_splitting(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     try:
-        n, rows = _read_matrix_file(config.matrix_path)
+        n, rows = _read_matrix_file(args.matrix_path)
     except RecursionError:
         # parsing or printing deeply nested arrays exhausts the stack
         raise ValueError("matrix file is nested too deeply") from None
@@ -560,8 +516,8 @@ def _run_splitting(config: RunConfig) -> tuple[int, dict, str, Figure]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
-def _run_moduli(config: RunConfig) -> tuple[int, dict, str, Figure]:
-    result = moduli_dimension(config.n, config.j)
+def _run_moduli(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    result = moduli_dimension(args.n, args.j)
     if result.dimension is None:
         lines = [f"empty: {result.note}"]
     else:
@@ -570,8 +526,8 @@ def _run_moduli(config: RunConfig) -> tuple[int, dict, str, Figure]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
-def _run_ext1(config: RunConfig) -> tuple[int, dict, str, Figure]:
-    basis = ext1_basis(config.n, config.j, config.cutoff)
+def _run_ext1(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    basis = ext1_basis(args.n, args.j, args.cutoff)
     lines = [f"dimension: {len(basis)}"]
     if basis:
         lines.append("basis monomials: " + ", ".join(str(m) for m in basis))
@@ -583,9 +539,9 @@ def _run_ext1(config: RunConfig) -> tuple[int, dict, str, Figure]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
-def _run_deform(config: RunConfig) -> tuple[int, dict, str, Figure]:
-    family = index_step_family(config.n, config.j, config.s if config.s is not None else 1)
-    taus = config.taus if config.taus is not None else (Fraction(0), Fraction(1))
+def _run_deform(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    family = index_step_family(args.n, args.j, args.s)
+    taus = args.taus if args.taus is not None else (Fraction(0), Fraction(1))
     profile = family_splitting_profile(family, taus)
     lines = [f"family entry: {family.entry}"]
     for tau, value in zip(taus, profile):
@@ -599,59 +555,41 @@ def _run_deform(config: RunConfig) -> tuple[int, dict, str, Figure]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
-def _run_duality(config: RunConfig) -> tuple[int, dict, str, Figure]:
-    report = duality_report(config.n, samples=config.samples, seed=config.seed)
+def _run_duality(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    report = duality_report(args.n, samples=args.samples, seed=args.seed)
     code = EXIT_OK if report.all_ok else EXIT_VERIFY
     return code, report.to_json_dict(), report.to_text(), None
 
 
-_HANDLERS: dict[str, Handler] = {
-    "skeleton": _run_skeleton,
-    "potential": _run_potential,
-    "resolve": _run_resolve,
-    "fan": _run_fan,
-    "birmap": _run_birmap,
-    "birstep": _run_birstep,
-    "collar": _run_collar,
-    "splitting": _run_splitting,
-    "moduli-dim": _run_moduli,
-    "ext1": _run_ext1,
-    "deform": _run_deform,
-    "duality": _run_duality,
-}
-
-
-def dispatch(config: RunConfig) -> tuple[int, str]:
-    """Run one configured command; returns (exit code, rendered report)."""
-    validate_config(config)
-    code, payload, text_body, svg = _HANDLERS[config.subcommand](config)
-    if config.format == "json":
-        document = {"config": _config_json(config)}
+def dispatch(args: argparse.Namespace) -> tuple[int, str]:
+    """Run one parsed command; returns (exit code, rendered report)."""
+    validate_config(args)
+    code, payload, text_body, svg = args.handler(args)
+    if args.format == "json":
+        document = {"config": _config_json(args)}
         document.update(payload)
         rendered = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    elif config.format == "svg":
+    elif args.format == "svg":
         if svg is None:
-            raise ValueError(f"no figure output for {config.subcommand}")
+            raise ValueError(f"no figure output for {args.subcommand}")
         rendered = svg()
     else:
-        rendered = _header(config) + "\n" + text_body + "\n"
+        rendered = _header(args) + "\n" + text_body + "\n"
     return code, rendered
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    config = config_from_args(args)
     env_seed = os.environ.get(SEED_ENV)
     try:
         if env_seed is not None:
-            config = replace(config, seed=int(env_seed))
-        code, rendered = dispatch(config)
-        if config.output is not None:
-            with open(config.output, "w", encoding="utf-8") as handle:
+            args.seed = int(env_seed)
+        code, rendered = dispatch(args)
+        if args.output is not None:
+            with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(rendered)
     except (BoundTooSmall, WindowUnstable, ClassNotGeneric, DegenerateSampler, IndeterminacyHit) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
@@ -659,7 +597,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if config.output is None:
+    if args.output is None:
         sys.stdout.write(rendered)
     return code
 

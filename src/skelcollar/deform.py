@@ -16,11 +16,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bundles import BundleTransition, splitting_type
+from .bundles import U_BASE, U_FIBER, BundleTransition, splitting_type, zu_terms
 from .exact import LaurentPoly, Scalar, as_fraction
-
-U_BASE = "z"
-U_FIBER = "u"
 
 TAU = "tau"
 
@@ -116,11 +113,7 @@ def ext_class(n: int, j: int, p: LaurentPoly, cutoff: int | None = None) -> ExtC
 
     coords = [Fraction(0)] * len(basis)
     kept = LaurentPoly.zero()
-    zi = p.variables.index(U_BASE) if U_BASE in p.variables else None
-    ui = p.variables.index(U_FIBER) if U_FIBER in p.variables else None
-    for exps, coeff in p.terms.items():
-        a = exps[zi] if zi is not None else 0
-        b = exps[ui] if ui is not None else 0
+    for a, b, coeff in zu_terms(p):
         spot = positions.get((a, b))
         if spot is not None:
             coords[spot] += coeff

@@ -30,7 +30,6 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -406,7 +405,10 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
-        variables = tuple(data["vars"])
+        variables = data["vars"]
+        # a string is iterable too: "zu" must not read as the names z and u
+        if type(variables) is not list or not all(type(v) is str for v in variables):
+            raise ValueError(f'"vars" must be a list of variable names, got {variables!r}')
         terms: dict[tuple[int, ...], Fraction] = {}
         for item in data["terms"]:
             exps = tuple(item["exp"])
@@ -418,14 +420,7 @@ class LaurentPoly:
             if den == 0:
                 raise ValueError(f"zero denominator in the term at {list(exps)}")
             terms[exps] = Fraction(num, den)
-        return cls(variables, terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LaurentPoly":
-        return cls.from_json_dict(json.loads(text))
+        return cls(tuple(variables), terms)
 
 
 def _json_integer(item: Mapping, key: str) -> int:
@@ -445,10 +440,6 @@ def _json_integer(item: Mapping, key: str) -> int:
 # -- matrices of Laurent polynomials ------------------------------------------
 
 PolyMatrix = tuple[tuple[LaurentPoly, ...], ...]
-
-
-def poly_mat(rows: Iterable[Iterable[LaurentPoly | Scalar]]) -> PolyMatrix:
-    return tuple(tuple(LaurentPoly._coerce(x) for x in row) for row in rows)
 
 
 def poly_mat_identity(k: int) -> PolyMatrix:

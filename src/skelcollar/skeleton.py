@@ -134,10 +134,6 @@ class CotangentAtlas:
         return tuple(out)
 
 
-def build_atlas(n: int) -> CotangentAtlas:
-    return CotangentAtlas(n)
-
-
 @dataclass(frozen=True)
 class TorusAction:
     """Diagonal torus action with integer weights (w_1, ..., w_n)."""
@@ -303,8 +299,7 @@ def classify_component(
         return AffineFiber(n)
     if j == n:
         return ZeroSection(n)
-    surviving = [k for k in range(j + 1, n + 1)]
-    twists = []
+    surviving = range(j + 1, n + 1)
     for m in range(1, j + 1):
         t = atlas.transition(0, m)
         rows_idx = atlas.charts[m].slots
@@ -320,9 +315,7 @@ def classify_component(
                         )
                 elif not entry.is_zero:
                     raise UnrecognizedForm("surviving fiber block is not diagonal")
-    deg = 1
-    twists = tuple([-deg] * (n - j))
-    return TwistedBundle(j, n - j, twists)
+    return TwistedBundle(j, n - j, tuple([-1] * (n - j)))
 
 
 def stable_manifold(
@@ -369,6 +362,6 @@ def closed_form(n: int, j: int) -> Classification:
 
 
 def skeleton(n: int, weights: tuple[int, ...] | None = None) -> list[SkeletonComponent]:
-    atlas = build_atlas(n)
+    atlas = CotangentAtlas(n)
     action = TorusAction(tuple(weights)) if weights is not None else standard_action(n)
     return [stable_manifold(atlas, action, j) for j in range(n + 1)]

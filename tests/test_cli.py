@@ -11,6 +11,7 @@ import io
 import json
 import time
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd
 from pathlib import Path
 
@@ -216,6 +217,10 @@ def test_splitting_rejects_malformed_file(capsys, tmp_path):
                 {"exp": [-1], "num": "2", "den": "1"},
             ],
         },
+        # the variable list must be a JSON list of names; a string is not
+        {"vars": "zu", "terms": [{"exp": [0, 1], "num": "1", "den": "1"}]},
+        {"vars": ["z", 1], "terms": [{"exp": [1, 0], "num": "1", "den": "1"}]},
+        {"vars": [["z"]], "terms": [{"exp": [1], "num": "1", "den": "1"}]},
     ],
 )
 def test_splitting_rejects_malformed_entry_without_traceback(capsys, tmp_path, entry):
@@ -375,21 +380,70 @@ def test_splitting_rejects_non_integer_coefficient_without_traceback(
 # -- golden reports ---------------------------------------------------------------
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "reports"
+MATRIX_DIR = Path(__file__).parent / "golden" / "matrices"
+HELP_DIR = Path(__file__).parent / "golden" / "help"
 
 
 def golden_argv(name, fmt="json"):
-    """``birstep_n4_j1_seed7`` -> the argv whose report the file holds; a
-    part with no digits is a bare flag (``fan_n5_a2_dual``)."""
+    """``birstep_n4_j1_seed7`` -> the argv whose report the file holds.
+
+    A part with digits is a flag and its value. ``key-value`` separates the
+    two where the flag ends in a digit (``j1-5``); ``matrix-NAME`` names a
+    file in ``golden/matrices``. A part with no digits is a command word
+    before the first flag (``collar_pic_n3``) and a bare flag after it
+    (``fan_n5_a2_dual``)."""
     subcommand, *params = name.split("_")
     argv = [subcommand]
     for param in params:
-        key = param.rstrip("0123456789")
-        argv += [f"--{key}", param[len(key):]] if key != param else [f"--{key}"]
+        key, dash, value = param.partition("-")
+        if not dash:
+            key = param.rstrip("0123456789")
+            value = param[len(key):]
+        if key == "matrix":
+            value = str(MATRIX_DIR / f"{value}.json")
+        if value:
+            argv += [f"--{key}", value]
+        elif any(word.startswith("--") for word in argv):
+            argv.append(f"--{key}")
+        else:
+            argv.append(key)
     return argv + ["--format", fmt]
 
 
 GOLDEN_NAMES = sorted(path.stem for path in GOLDEN_DIR.glob("*.json"))
 SVG_GOLDEN_NAMES = sorted(path.stem for path in GOLDEN_DIR.glob("*.svg"))
+TEXT_GOLDEN_NAMES = sorted(path.stem for path in GOLDEN_DIR.glob("*.txt"))
+
+
+def _parsers(parser, path=()):
+    """(subcommand path, parser) for the top-level parser and every
+    subparser below it, depth first."""
+    found = [(path, parser)]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found += _parsers(sub, path + (name,))
+    return found
+
+
+_PARSERS = _parsers(build_parser())
+
+
+def _is_leaf(parser):
+    return not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+
+
+# (subcommand path, options) for every leaf parser; an option is its flag
+# and the argparse action behind it
+_LEAVES = [
+    (path, [(a.option_strings[-1], a) for a in parser._actions if a.dest != "help"])
+    for path, parser in _PARSERS
+    if _is_leaf(parser)
+]
+
+
+def _help_name(path):
+    return "_".join(("skelcollar",) + path)
 
 
 def test_golden_set_is_complete():
@@ -403,21 +457,45 @@ def test_golden_set_is_complete():
     toric_cases = [f"{cmd}_n{n}_a{a}" for cmd in ("resolve", "fan") for n, a in quotients]
     ext1_cases = [f"ext1_n{n}_j{j}" for n in range(1, 4) for j in range(4)]
     deform_cases = [f"deform_n{n}_j{j}" for n in range(1, 4) for j in range(3)]
+    potential_cases = [f"potential_n{n}" for n in range(1, 4)]
+    collar_cases = [f"collar_pic_n{n}" for n in (1, 3, 4)] + [
+        "collar_iso_n3_j1-5_j2-1",  # residues differ: no certificate
+        "collar_iso_n3_j1-5_j2-2",  # the default bound
+        "collar_iso_n3_j1-7_j2-1_bound2",
+        "collar_iso_n2_j1-0_j2-4_bound3",
+    ]
+    moduli_cases = [f"moduli-dim_n{n}_j{j}" for n in range(1, 5) for j in range(5)]
     assert sorted(
         duality_cases + birmap_cases + birstep_cases
         + skeleton_cases + toric_cases + ext1_cases + deform_cases
+        + potential_cases + collar_cases + moduli_cases + ["splitting_matrix-twist3"]
     ) == GOLDEN_NAMES
     assert SVG_GOLDEN_NAMES == sorted([
         "resolve_n5_a2", "resolve_n6_a5", "resolve_n7_a3",
         "fan_n5_a2", "fan_n5_a2_dual", "fan_n6_a5_dual",
     ])
+    # one text report per subcommand pins its header line
+    assert TEXT_GOLDEN_NAMES == sorted([
+        "skeleton_n3", "potential_n3", "resolve_n5_a2", "fan_n5_a2_dual",
+        "birmap_a1_b2", "birstep_n4_j1_seed7", "collar_pic_n3",
+        "collar_iso_n3_j1-7_j2-1_bound2", "splitting_matrix-twist3",
+        "moduli-dim_n3_j4", "ext1_n3_j2_cutoff6", "deform_n3_j2_s2", "duality_n3_seed2",
+    ])
+    commands = [tuple(takewhile(lambda word: not word.startswith("--"), golden_argv(name)))
+                for name in TEXT_GOLDEN_NAMES]
+    assert sorted(commands) == sorted(path for path, _ in _LEAVES)
+    # one help text per parser, the top-level one included
+    help_names = sorted(path.stem for path in HELP_DIR.glob("*.txt"))
+    assert help_names == sorted(_help_name(path) for path, _ in _PARSERS)
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_report_matches_golden(capsys, monkeypatch, name):
     # duality, birmap and birstep were captured before sample points went
-    # through the maps as integer homogeneous coordinates; the others
-    # before the Sylvester minors became continuants
+    # through the maps as integer homogeneous coordinates; skeleton, resolve,
+    # fan, ext1 and deform before the Sylvester minors became continuants;
+    # potential, collar, moduli-dim and splitting before the parser's
+    # namespace replaced the CLI's own config record
     monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
     code, out, err = run(capsys, golden_argv(name))
     assert (code, err) == (EXIT_OK, "")
@@ -429,6 +507,24 @@ def test_figure_matches_golden(capsys, name):
     code, out, err = run(capsys, golden_argv(name, "svg"))
     assert (code, err) == (EXIT_OK, "")
     assert out == (GOLDEN_DIR / f"{name}.svg").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", TEXT_GOLDEN_NAMES)
+def test_text_report_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
+    code, out, err = run(capsys, golden_argv(name, "text"))
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", [path for path, _ in _PARSERS], ids=_help_name)
+def test_help_matches_golden(capsys, monkeypatch, path):
+    # argparse wraps help text to the terminal width it reads from COLUMNS;
+    # the goldens hold Python 3.11's argparse layout
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, list(path) + ["--help"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (HELP_DIR / f"{_help_name(path)}.txt").read_text(encoding="utf-8")
 
 
 # -- large quotients ---------------------------------------------------------------
@@ -538,21 +634,11 @@ def test_failed_duality_square_names_its_first_witness(capsys, monkeypatch):
 # -- every argv exits 0, 2 or 3 -------------------------------------------------------
 
 
-def _subcommands(parser, prefix=()):
-    """(subcommand path, options) for every leaf parser; an option is its
-    flag and the argparse action behind it."""
-    nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not nested:
-        options = [(a.option_strings[-1], a) for a in parser._actions if a.dest != "help"]
-        return [(prefix, options)]
-    return [
-        leaf
-        for name, sub in nested[0].choices.items()
-        for leaf in _subcommands(sub, prefix + (name,))
-    ]
-
-
-_LEAVES = _subcommands(build_parser())
+def test_every_leaf_parser_binds_its_own_handler():
+    handlers = [parser.get_default("handler") for _, parser in _PARSERS if _is_leaf(parser)]
+    assert len(handlers) == 13
+    assert all(callable(handler) for handler in handlers)
+    assert len(set(handlers)) == len(handlers)
 
 # small sizes keep every run quick; one value in six is odd, to exercise
 # argparse, the config checks and the library's own input checks

@@ -17,7 +17,6 @@ from skelcollar.exact import (
     ZeroIntoNegativePower,
     echelon,
     null_space,
-    poly_mat,
     poly_mat_det,
     poly_mat_identity,
     poly_mat_mul,
@@ -140,9 +139,9 @@ def test_json_round_trip():
     rng = random.Random(3)
     for _ in range(20):
         p = rand_poly(rng)
-        assert LP.from_json(p.to_json()) == p
+        assert LP.from_json_dict(p.to_json_dict()) == p
     third = LP(("z",), {(-1,): Fraction(1, 3)})
-    assert LP.from_json(third.to_json()) == third
+    assert LP.from_json_dict(third.to_json_dict()) == third
 
 
 def test_constants_hash_like_their_value():
@@ -252,8 +251,7 @@ def test_arithmetic_results_are_canonical(a, b, var, exponents, coeff):
 
 @given(laurent_polys())
 def test_json_round_trip_property(p):
-    assert LP.from_json_dict(p.to_json_dict()) == p
-    assert LP.from_json(p.to_json()) == p
+    assert LP.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
 
 
 # -- trusted construction on the pipeline's own inputs ------------------------------
@@ -425,7 +423,7 @@ def test_pivot_columns_do_not_depend_on_row_order(case, data):
 
 def test_poly_mat_mul_and_identity():
     x = LP.var("x")
-    a = poly_mat([[x, 1], [0, x**-1]])
+    a = ((x, LP.const(1)), (LP.zero(), x**-1))
     i2 = poly_mat_identity(2)
     assert poly_mat_mul(a, i2) == a
     assert poly_mat_mul(i2, a) == a
@@ -433,15 +431,15 @@ def test_poly_mat_mul_and_identity():
 
 def test_poly_mat_det():
     z = LP.var("z")
-    m = poly_mat([[z**2, z], [0, z**-2]])
+    m = ((z**2, z), (LP.zero(), z**-2))
     assert poly_mat_det(m) == LP.const(1)
-    m3 = poly_mat([[1, 2, 3], [0, 1, 4], [5, 6, 0]])
+    m3 = tuple(tuple(map(LP.const, row)) for row in ((1, 2, 3), (0, 1, 4), (5, 6, 0)))
     assert poly_mat_det(m3) == LP.const(1)
 
 
 def test_poly_mat_substitute():
     z, w = LP.var("z"), LP.var("w")
-    m = poly_mat([[z, 0], [0, z**-1]])
+    m = ((z, LP.zero()), (LP.zero(), z**-1))
     n = poly_mat_substitute(m, {"z": w**2})
-    assert n == poly_mat([[w**2, 0], [0, w**-2]])
+    assert n == ((w**2, 0), (0, w**-2))
 

@@ -4,17 +4,17 @@ import itertools
 
 import pytest
 
-from skelcollar.exact import LaurentPoly, poly_mat
+from skelcollar.exact import LaurentPoly
 from skelcollar.skeleton import (
     ActionChartExpr,
     AffineFiber,
+    CotangentAtlas,
     NonIsolatedFixedPoint,
     TorusAction,
     TwistedBundle,
     UnrecognizedForm,
     ZeroSection,
     act,
-    build_atlas,
     closed_form,
     skeleton,
     stable_manifold,
@@ -29,45 +29,39 @@ def v(name):
 
 
 def test_transition_first_chart_dimension_three():
-    atlas = build_atlas(3)
+    atlas = CotangentAtlas(3)
     x1, x2, x3 = v("x1"), v("x2"), v("x3")
-    expected = poly_mat(
-        [
-            [-(x1**2), -x1 * x2, -x1 * x3],
-            [0, x1, 0],
-            [0, 0, x1],
-        ]
+    expected = (
+        (-(x1**2), -x1 * x2, -x1 * x3),
+        (0, x1, 0),
+        (0, 0, x1),
     )
     assert atlas.transition(0, 1) == expected
 
 
 def test_transition_second_and_third_charts_dimension_three():
-    atlas = build_atlas(3)
+    atlas = CotangentAtlas(3)
     x1, x2, x3 = v("x1"), v("x2"), v("x3")
-    assert atlas.transition(0, 2) == poly_mat(
-        [
-            [-x1 * x2, -(x2**2), -x2 * x3],
-            [x2, 0, 0],
-            [0, 0, x2],
-        ]
+    assert atlas.transition(0, 2) == (
+        (-x1 * x2, -(x2**2), -x2 * x3),
+        (x2, 0, 0),
+        (0, 0, x2),
     )
-    assert atlas.transition(0, 3) == poly_mat(
-        [
-            [-x1 * x3, -x2 * x3, -(x3**2)],
-            [x3, 0, 0],
-            [0, x3, 0],
-        ]
+    assert atlas.transition(0, 3) == (
+        (-x1 * x3, -x2 * x3, -(x3**2)),
+        (x3, 0, 0),
+        (0, x3, 0),
     )
 
 
 def test_transition_dimension_one():
-    atlas = build_atlas(1)
+    atlas = CotangentAtlas(1)
     x1 = v("x1")
-    assert atlas.transition(0, 1) == poly_mat([[-(x1**2)]])
+    assert atlas.transition(0, 1) == ((-(x1**2),),)
 
 
 def test_transition_pattern_dimension_four():
-    atlas = build_atlas(4)
+    atlas = CotangentAtlas(4)
     for j in range(1, 5):
         t = atlas.transition(0, j)
         xj = v(f"x{j}")
@@ -85,7 +79,7 @@ def test_transition_pattern_dimension_four():
 
 
 def test_transition_identity_on_same_chart():
-    atlas = build_atlas(3)
+    atlas = CotangentAtlas(3)
     for i in range(4):
         t = atlas.transition(i, i)
         for r in range(3):
@@ -95,7 +89,7 @@ def test_transition_identity_on_same_chart():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cocycle_condition(n):
-    atlas = build_atlas(n)
+    atlas = CotangentAtlas(n)
     for i, j, k in itertools.product(range(n + 1), repeat=3):
         if len({i, j, k}) < 3:
             continue
@@ -103,7 +97,7 @@ def test_cocycle_condition(n):
 
 
 def test_act_on_chart_zero_matches_weight_convention():
-    atlas = build_atlas(3)
+    atlas = CotangentAtlas(3)
     expr = act(atlas, standard_action(3), 0)
     assert expr.base[0] == (LP.const(1), 0)
     for k in (1, 2, 3):
@@ -113,7 +107,7 @@ def test_act_on_chart_zero_matches_weight_convention():
 
 
 def test_act_on_chart_two_dimension_three():
-    atlas = build_atlas(3)
+    atlas = CotangentAtlas(3)
     expr = act(atlas, standard_action(3), 2)
     x1, x2, x3 = v("x1"), v("x2"), v("x3")
     y1, y2, y3 = v("y1"), v("y2"), v("y3")
@@ -133,7 +127,7 @@ def test_act_on_chart_two_dimension_three():
 def test_act_is_compatible_with_chart_zero_action(n):
     # rescaling chart-0 coordinates by the action and re-expressing must
     # match multiplying each chart-j expression by its recorded t-power
-    atlas = build_atlas(n)
+    atlas = CotangentAtlas(n)
     action = standard_action(n)
     t = v("t")
     rescale = {}
@@ -147,7 +141,7 @@ def test_act_is_compatible_with_chart_zero_action(n):
 
 
 def test_act_at_t_one_is_chart_embedding():
-    atlas = build_atlas(2)
+    atlas = CotangentAtlas(2)
     for chart in range(3):
         expr = act(atlas, standard_action(2), chart)
         base_coeffs = tuple(c for c, _ in expr.base)
@@ -157,7 +151,7 @@ def test_act_at_t_one_is_chart_embedding():
 
 
 def test_stable_manifold_forced_sets_dimension_three():
-    atlas = build_atlas(3)
+    atlas = CotangentAtlas(3)
     action = standard_action(3)
     expected = {
         0: {"x1", "x2", "x3"},
@@ -232,7 +226,7 @@ def test_nonisolated_weights_rejected():
 
 
 def test_unrecognized_form_for_decreasing_weights():
-    atlas = build_atlas(3)
+    atlas = CotangentAtlas(3)
     action = TorusAction((-1, -2, -3))
     with pytest.raises(UnrecognizedForm):
         stable_manifold(atlas, action, 0)

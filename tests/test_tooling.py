@@ -67,6 +67,59 @@ def test_trusted_constructor_is_private_to_exact():
     assert "_from_canonical" in exact
 
 
+# a ratchet: settable values may be removed, and the cap lowered with them,
+# but a new one needs the cap raised on purpose
+SETTABLE_VALUES_CAP = 32
+
+
+def _is_dataclass(node):
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Attribute) and d.attr == "dataclass"
+        for d in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    )
+
+
+def _settable_values(tree):
+    """name:line of every parameter default and every dataclass field default."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            defaults = args.defaults + [d for d in args.kw_defaults if d is not None]
+            found.extend(f"{getattr(node, 'name', 'lambda')}:{d.lineno}" for d in defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            found.extend(
+                f"{node.name}.{item.target.id}:{item.lineno}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and item.value is not None
+            )
+    return found
+
+
+def test_settable_values_do_not_grow():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.name}:{value}" for value in _settable_values(tree))
+    assert len(found) <= SETTABLE_VALUES_CAP, found
+
+
+def test_settable_value_count_reads_defaults_and_dataclass_fields():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, *, c, d=2): pass\n"
+        "g = lambda x=0: x\n"
+        "@dataclass(frozen=True)\n"
+        "class C:\n"
+        "    e: int\n"
+        "    f: int = 3\n"
+        "class Plain:\n"
+        "    g: int = 4\n"
+    )
+    assert sorted(_settable_values(tree)) == ["C.f:7", "f:2", "f:2", "lambda:3"]
+
+
 def test_optimized_interpreter_reproduces_the_golden_report():
     # python -O drops assert statements and __debug__ blocks; the report must
     # not depend on either
