@@ -431,7 +431,17 @@ def h0_twist(
 
 def splitting_type(trans: BundleTransition) -> tuple[int, int]:
     """Splitting (j, -j) of a rank-2 transition with trivial determinant
-    over the zero section, read off from the section-count profile."""
+    over the zero section, read off from the section-count profile.
+
+    On the projective line the bundle is O(j) + O(-j), so twist m has
+    max(0, m + j + 1) + max(0, m - j + 1) sections.  The count never
+    decreases as m grows: multiplying by a section of O(1) embeds
+    H0(E(m - 1)) into H0(E(m)).  So j is the last k with sections at
+    twist -k, found by walking down from twist 0 until the first twist
+    without sections; every twist below that one has none either and is
+    never counted.  The walk stops with BoundTooSmall at the degree cap
+    (z spread + 1), and the counts on -j..j must match the split pair.
+    """
     if trans.rank != 2:
         raise ValueError("splitting type is computed for rank-2 transitions")
     restricted = trans.restrict_to_zero_section()
@@ -446,16 +456,22 @@ def splitting_type(trans: BundleTransition) -> tuple[int, int]:
             cache[m] = h0_twist(restricted, m)
         return cache[m]
 
-    if count(-cap) > 0:
-        raise BoundTooSmall(f"sections persist beyond the degree cap {cap}")
     if count(0) == 0:
         raise ValueError("no sections at twist zero: determinant bookkeeping is off")
-    j = max(m for m in range(cap + 1) if count(-m) > 0)
+    j = 0
+    while count(-(j + 1)) > 0:
+        j += 1
+        if j == cap:
+            raise BoundTooSmall(
+                f"sections persist beyond the degree cap {cap}: "
+                f"twist {-cap} still has {count(-cap)}"
+            )
     for m in range(-j, j + 1):
         expected = max(0, m + j + 1) + max(0, m - j + 1)
         if count(m) != expected:
             raise ValueError(
-                f"section counts do not match any split pair at twist {m}"
+                f"section counts do not match any split pair at twist {m}: "
+                f"found {count(m)}, the pair ({j}, {-j}) has {expected}"
             )
     return (j, -j)
 

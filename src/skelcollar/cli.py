@@ -490,6 +490,11 @@ def _run_collar_iso(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
+# section counts solve systems whose width grows with the z spread of the
+# matrix; at spread 64 a splitting type takes a few seconds
+SPLITTING_MAX_Z_SPREAD = 64
+
+
 def _read_matrix_file(path: str) -> tuple[int, list[list[LaurentPoly]]]:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -510,6 +515,11 @@ def _run_splitting(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
         # parsing or printing deeply nested arrays exhausts the stack
         raise ValueError("matrix file is nested too deeply") from None
     trans = BundleTransition.from_rows(n, rows)
+    if trans.z_spread() > SPLITTING_MAX_Z_SPREAD:
+        raise ValueError(
+            f"the matrix has z exponents up to {trans.z_spread()} in absolute value, "
+            f"over the cap of {SPLITTING_MAX_Z_SPREAD}"
+        )
     pair = splitting_type(trans)
     lines = [f"splitting type: {pair}"]
     payload = {"n": trans.n, "splitting": list(pair)}

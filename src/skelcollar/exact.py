@@ -71,6 +71,12 @@ class LaurentPoly:
         terms: Mapping[tuple[int, ...], Scalar] | None = None,
     ) -> None:
         vars_in = tuple(variables)
+        # names are checked before pruning: an unused bad name is still bad
+        for name in vars_in:
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"variable names must be non-empty strings, got {name!r}")
+        if len(set(vars_in)) != len(vars_in):
+            raise ValueError(f"duplicate variable name in {vars_in!r}")
         raw: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -87,8 +93,6 @@ class LaurentPoly:
         # prune unused variables, then sort the survivors
         used = [i for i, v in enumerate(vars_in) if any(e[i] for e in raw)]
         kept = tuple(vars_in[i] for i in used)
-        if len(set(kept)) != len(kept):
-            raise ValueError(f"duplicate variable name in {vars_in!r}")
         order = sorted(range(len(kept)), key=lambda i: kept[i])
         object.__setattr__(self, "variables", tuple(kept[i] for i in order))
         canon: dict[tuple[int, ...], Fraction] = {}
@@ -406,8 +410,9 @@ class LaurentPoly:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
         variables = data["vars"]
-        # a string is iterable too: "zu" must not read as the names z and u
-        if type(variables) is not list or not all(type(v) is str for v in variables):
+        # a string is iterable too: "zu" must not read as the names z and u;
+        # the constructor checks each name
+        if type(variables) is not list:
             raise ValueError(f'"vars" must be a list of variable names, got {variables!r}')
         terms: dict[tuple[int, ...], Fraction] = {}
         for item in data["terms"]:

@@ -1,11 +1,12 @@
 """Reference routes for the tests: a dense fraction-free elimination, the
 cofactor expansion of a determinant, term-by-term evaluation of a Laurent
 polynomial at a point, and the birational round trip on Fraction points
-through that evaluation.  They share no code with the package's sparse
-kernel, its continuants or its compiled map evaluation and are slow and
-simple on purpose; the package's answers are checked against them.
-``broken_pair`` is a map pair whose claimed inverse is wrong, for the
-failure paths."""
+through that evaluation, and the splitting type read from the section
+counts at every twist down to the degree cap.  They share no code with the
+package's sparse kernel, its continuants, its compiled map evaluation or
+its twist walk and are slow and simple on purpose; the package's answers
+are checked against them.  ``broken_pair`` is a map pair whose claimed
+inverse is wrong, for the failure paths."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,7 @@ from skelcollar.birmaps import (
     projectively_equal,
     segre,
 )
+from skelcollar.bundles import BoundTooSmall, U_BASE, h0_twist
 from skelcollar.exact import LaurentPoly, ZeroIntoNegativePower
 
 
@@ -177,3 +179,32 @@ def broken_pair():
     w0, w1 = LaurentPoly.var("w0"), LaurentPoly.var("w1")
     inverse = RationalMap((1,), (1, 1), (("w0", "w1"),), ((w0, w1), (one, one)))
     return MapPair(forward, inverse)
+
+
+def full_walk_splitting_type(trans, counts=None):
+    """Splitting (j, -j) from the section counts at every twist from the
+    degree cap -(z spread + 1) up to 0, with no monotonicity assumed;
+    ``counts``, when given, receives the count of every twist visited."""
+    if trans.rank != 2:
+        raise ValueError("splitting type is computed for rank-2 transitions")
+    restricted = trans.restrict_to_zero_section()
+    det = restricted.det()
+    if not det.is_unit_monomial() or det.max_exponent(U_BASE) != 0:
+        raise ValueError("splitting profile needs determinant 1 over the zero section")
+    cap = restricted.z_spread() + 1
+    cache = {} if counts is None else counts
+
+    def count(m):
+        if m not in cache:
+            cache[m] = h0_twist(restricted, m)
+        return cache[m]
+
+    if count(-cap) > 0:
+        raise BoundTooSmall(f"sections persist beyond the degree cap {cap}")
+    if count(0) == 0:
+        raise ValueError("no sections at twist zero: determinant bookkeeping is off")
+    j = max(m for m in range(cap + 1) if count(-m) > 0)
+    for m in range(-j, j + 1):
+        if count(m) != max(0, m + j + 1) + max(0, m - j + 1):
+            raise ValueError(f"section counts do not match any split pair at twist {m}")
+    return (j, -j)

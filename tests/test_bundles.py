@@ -3,7 +3,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from skelcollar.bundles import (
     BoundTooSmall,
     BundleTransition,
@@ -306,6 +309,74 @@ def test_splitting_invariant_under_frame_changes():
         rows = poly_mat_mul(left, poly_mat_mul([list(r) for r in base.entries], right))
         moved = BundleTransition.from_rows(2, rows)
         assert splitting_type(moved) == expected
+
+
+@st.composite
+def canonical_shapes(draw):
+    """canonical(n, k, p) with k <= 8 and p of mixed-sign z exponents,
+    some of its terms carrying a fiber factor u^b that vanishes on the
+    zero section."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 8))
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-k - 2, k + 2),
+                st.integers(0, 2),
+                st.fractions(-3, 3, max_denominator=3).filter(bool),
+            ),
+            max_size=5,
+        )
+    )
+    off = LP.zero()
+    for e, b, c in terms:
+        off = off + LP.monomial({"z": e, "u": b}, c)
+    return BundleTransition.canonical(n, k, off)
+
+
+def _outcome(route, trans):
+    try:
+        return route(trans)
+    except (ValueError, BoundTooSmall) as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(canonical_shapes())
+def test_twist_walk_matches_the_full_walk(trans):
+    # the walk stops at the first empty twist below zero; the oracle counts
+    # every twist down to the degree cap
+    counts = {}
+    expected = _outcome(lambda t: oracles.full_walk_splitting_type(t, counts), trans)
+    assert _outcome(splitting_type, trans) == expected
+    if isinstance(expected, tuple):
+        j = expected[0]
+        assert all(counts[m] == 0 for m in counts if m < -j - 1)
+
+
+@pytest.mark.parametrize(
+    "n, k, off, j",
+    [
+        (2, 0, None, 0),
+        (1, 3, LP.const(2), 0),
+        (2, 3, zp(-1), 1),
+        (3, 5, zp(2) * 3 + mono(z=-1, u=1), 2),
+        (4, 4, zp(5), 4),
+        (2, 6, None, 6),
+    ],
+)
+def test_splitting_counts_sections_from_twist_minus_j_minus_1_to_j(monkeypatch, n, k, off, j):
+    twists = []
+    real = bundles.h0_twist
+
+    def counted(trans, twist, *args, **kwargs):
+        twists.append(twist)
+        return real(trans, twist, *args, **kwargs)
+
+    monkeypatch.setattr(bundles, "h0_twist", counted)
+    assert splitting_type(BundleTransition.canonical(n, k, off)) == (j, -j)
+    assert len(twists) == 2 * j + 2
+    assert sorted(twists) == list(range(-j - 1, j + 1))
 
 
 # -- the splitting-raising transformation ----------------------------------------

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from skelcollar import cli, duality
+from skelcollar import bundles, cli, duality
 from skelcollar.birmaps import point_text, projectively_equal
 from skelcollar.bundles import BundleTransition, splitting_type
 from skelcollar.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
@@ -233,6 +233,75 @@ def test_splitting_rejects_malformed_entry_without_traceback(capsys, tmp_path, e
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_splitting_rejects_an_empty_variable_name(capsys, tmp_path):
+    one = LaurentPoly.const(1).to_json_dict()
+    zero = LaurentPoly.zero().to_json_dict()
+    entry = {"vars": [""], "terms": [{"exp": [1], "num": "1", "den": "1"}]}
+    path = tmp_path / "empty_name.json"
+    path.write_text(json.dumps({"n": 2, "matrix": [[one, entry], [zero, one]]}))
+    code, out, err = run(capsys, ["splitting", "--matrix", str(path)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: variable names must be non-empty strings, got ''\n"
+
+
+def _write_matrix(path, n, rows):
+    path.write_text(
+        json.dumps({"n": n, "matrix": [[p.to_json_dict() for p in row] for row in rows]})
+    )
+    return str(path)
+
+
+def test_splitting_over_the_spread_cap_exits_2(capsys, tmp_path):
+    off = LaurentPoly.monomial({"z": 65, "u": 1})
+    trans = BundleTransition.canonical(1, 1, off)
+    path = _write_matrix(tmp_path / "wide.json", 1, trans.entries)
+    code, out, err = run(capsys, ["splitting", "--matrix", path])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: the matrix has z exponents up to 65 in absolute value, over the cap of 64\n"
+
+
+def test_splitting_at_the_spread_cap_is_answered(capsys, tmp_path):
+    # the fiber term vanishes on the zero section, so the count itself is cheap
+    off = LaurentPoly.monomial({"z": 64, "u": 1})
+    trans = BundleTransition.canonical(1, 1, off)
+    path = _write_matrix(tmp_path / "at_cap.json", 1, trans.entries)
+    code, out, err = run(capsys, ["splitting", "--matrix", path, "--format", "json"])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["splitting"] == [1, -1]
+
+
+def _skewed_counts(monkeypatch, skew):
+    """Route bundles.h0_twist through skew(twist, count)."""
+    real = bundles.h0_twist
+    monkeypatch.setattr(
+        bundles, "h0_twist", lambda trans, twist: skew(twist, real(trans, twist))
+    )
+
+
+def test_splitting_profile_mismatch_names_its_witness(capsys, monkeypatch):
+    # twist3 splits as (1, -1): twist 1 has 3 + 1 = 4 sections, reported as 5
+    _skewed_counts(monkeypatch, lambda twist, count: count + 1 if twist == 1 else count)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, golden_argv("splitting_matrix-twist3", fmt))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: section counts do not match any split pair at twist 1: "
+            "found 5, the pair (1, -1) has 4\n"
+        )
+
+
+def test_splitting_past_the_degree_cap_names_its_witness(capsys, monkeypatch):
+    # twist3 has z spread 3, so the walk gives up at twist -4
+    _skewed_counts(monkeypatch, lambda twist, count: 1 if twist < 0 else count)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, golden_argv("splitting_matrix-twist3", fmt))
+        assert (code, out) == (EXIT_VERIFY, "")
+        assert err == (
+            "verification failed: sections persist beyond the degree cap 4: "
+            "twist -4 still has 1\n"
+        )
 
 
 @pytest.mark.parametrize("n_text", ["1e999", "2.7", "true", '"3"'])
@@ -465,24 +534,32 @@ def test_golden_set_is_complete():
         "collar_iso_n2_j1-0_j2-4_bound3",
     ]
     moduli_cases = [f"moduli-dim_n{n}_j{j}" for n in range(1, 5) for j in range(5)]
+    # fixtures in golden/matrices: j = 0, 0 < j < k and j = k, a dense p,
+    # fiber terms that vanish on the zero section, n = 1..4, and one matrix
+    # that is not triangular
+    splitting_cases = [
+        f"splitting_matrix-{name}"
+        for name in ("twist3", "j0-n1", "j2-n3", "jk-n4", "dense-n2", "fiber-n3", "sheared-n2")
+    ]
     assert sorted(
         duality_cases + birmap_cases + birstep_cases
         + skeleton_cases + toric_cases + ext1_cases + deform_cases
-        + potential_cases + collar_cases + moduli_cases + ["splitting_matrix-twist3"]
+        + potential_cases + collar_cases + moduli_cases + splitting_cases
     ) == GOLDEN_NAMES
     assert SVG_GOLDEN_NAMES == sorted([
         "resolve_n5_a2", "resolve_n6_a5", "resolve_n7_a3",
         "fan_n5_a2", "fan_n5_a2_dual", "fan_n6_a5_dual",
     ])
-    # one text report per subcommand pins its header line
+    # one text report per subcommand pins its header line; splitting has one
+    # per fixture
     assert TEXT_GOLDEN_NAMES == sorted([
         "skeleton_n3", "potential_n3", "resolve_n5_a2", "fan_n5_a2_dual",
         "birmap_a1_b2", "birstep_n4_j1_seed7", "collar_pic_n3",
-        "collar_iso_n3_j1-7_j2-1_bound2", "splitting_matrix-twist3",
-        "moduli-dim_n3_j4", "ext1_n3_j2_cutoff6", "deform_n3_j2_s2", "duality_n3_seed2",
-    ])
-    commands = [tuple(takewhile(lambda word: not word.startswith("--"), golden_argv(name)))
-                for name in TEXT_GOLDEN_NAMES]
+        "collar_iso_n3_j1-7_j2-1_bound2", "moduli-dim_n3_j4", "ext1_n3_j2_cutoff6",
+        "deform_n3_j2_s2", "duality_n3_seed2",
+    ] + splitting_cases)
+    commands = {tuple(takewhile(lambda word: not word.startswith("--"), golden_argv(name)))
+                for name in TEXT_GOLDEN_NAMES}
     assert sorted(commands) == sorted(path for path, _ in _LEAVES)
     # one help text per parser, the top-level one included
     help_names = sorted(path.stem for path in HELP_DIR.glob("*.txt"))
@@ -494,8 +571,10 @@ def test_report_matches_golden(capsys, monkeypatch, name):
     # duality, birmap and birstep were captured before sample points went
     # through the maps as integer homogeneous coordinates; skeleton, resolve,
     # fan, ext1 and deform before the Sylvester minors became continuants;
-    # potential, collar, moduli-dim and splitting before the parser's
-    # namespace replaced the CLI's own config record
+    # potential, collar, moduli-dim and splitting_matrix-twist3 before the
+    # parser's namespace replaced the CLI's own config record; the other
+    # splitting fixtures before the twist walk stopped at the first empty
+    # twist
     monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
     code, out, err = run(capsys, golden_argv(name))
     assert (code, err) == (EXIT_OK, "")

@@ -42,6 +42,24 @@ def test_canonical_form_drops_zeros_and_unused_vars():
     assert p == LP.var("x") ** 2 * 3
 
 
+@pytest.mark.parametrize(
+    "names, terms",
+    [
+        # a bad name is rejected even where its exponents are all zero and
+        # pruning would drop it
+        (("z", 1), {(1, 0): 1}),
+        (("z", "z"), {(1, 0): 1}),
+        (("z", "z"), {(1, 1): 1}),
+        (("",), {(1,): 1}),
+        (("",), {}),
+        ((None,), {(0,): 1}),
+    ],
+)
+def test_constructor_rejects_bad_variable_names(names, terms):
+    with pytest.raises(ValueError, match="variable name"):
+        LP(names, terms)
+
+
 def test_variables_sorted_and_equality_is_structural():
     p = LP(("b", "a"), {(1, 2): 1})
     q = LP(("a", "b"), {(2, 1): 1})

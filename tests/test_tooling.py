@@ -1,6 +1,7 @@
 """Source-level checks that hold for every module of the package."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -118,6 +119,25 @@ def test_settable_value_count_reads_defaults_and_dataclass_fields():
         "    g: int = 4\n"
     )
     assert sorted(_settable_values(tree)) == ["C.f:7", "f:2", "f:2", "lambda:3"]
+
+
+BENCH_KEYS = {"commit", "python", "workloads", "seeds", "medians"}
+
+
+def test_every_bench_record_names_its_runs():
+    # each performance change commits BENCH_<n>.json at the repository root:
+    # the commits compared, the interpreter, the workloads and seeds run, and
+    # the parent -> change medians of every metric its CHANGES.md entry cites
+    records = sorted(Path(__file__).parent.parent.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert BENCH_KEYS <= record.keys(), path.name
+        assert record["seeds"] and all(type(s) is int for s in record["seeds"]), path.name
+        assert set(record["medians"]) <= set(record["workloads"]), path.name
+        for metrics in record["medians"].values():
+            for pair in metrics.values():
+                assert sorted(pair) == ["change", "parent"], path.name
 
 
 def test_optimized_interpreter_reproduces_the_golden_report():
