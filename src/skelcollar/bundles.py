@@ -7,7 +7,9 @@ v = z^n u.  A transition matrix M sends U-side section data to the V side,
 so the single entry z^(-d) describes the degree-d line bundle.  Section
 counts, splitting types, residue classes mod n, frame-change certificates,
 and the dimension formula for rank-2 moduli all reduce to exact linear
-algebra over these Laurent representations.
+algebra over these Laurent representations.  Every isomorphism over the
+collar, of line bundles in the Picard table as of rank-2 transitions, is
+certified the same way: a CollarIsoCertificate, checked by its verify.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from typing import Iterator, Optional, Sequence
 
 from .exact import (
     LaurentPoly,
+    PolyMatrix,
     SparseRow,
     echelon,
     null_space,
     poly_mat_det,
+    poly_mat_identity,
     poly_mat_mul,
 )
 
@@ -139,62 +143,22 @@ class CollarLineBundle:
             raise ValueError("tensor requires bundles over the same collar")
         return CollarLineBundle(self.n, self.j + other.j)
 
-    def normal_form(self) -> "LineBundleNormalForm":
-        return line_bundle_normal_form(self.n, self.j)
-
-
-@dataclass(frozen=True)
-class LineBundleNormalForm:
-    """Reduction of the transition z^(-j) to z^(-residue) with an explicit
-    unit cochain: v^steps on the V side, u^(-steps) on the U side."""
-
-    n: int
-    j: int
-    residue: int
-    steps: int
-    v_side_unit: LaurentPoly
-    u_side_unit: LaurentPoly
-    reduced_transition: LaurentPoly
-
-    def identity_holds(self) -> bool:
-        chart = SurfaceChartPair(self.n, collar=True)
-        lhs = chart.to_u_side(self.v_side_unit) * _z_power(-self.j) * self.u_side_unit
-        return lhs == self.reduced_transition
-
-
-def line_bundle_normal_form(n: int, j: int) -> LineBundleNormalForm:
-    """Shift a transition exponent into {0, ..., n-1} by multiplying with
-    fiber units; the returned cochain verifies as an exact identity."""
-    _check_n(n)
-    residue = j % n
-    steps = (j - residue) // n
-    form = LineBundleNormalForm(
-        n=n,
-        j=j,
-        residue=residue,
-        steps=steps,
-        v_side_unit=LaurentPoly.monomial({V_FIBER: steps}),
-        u_side_unit=LaurentPoly.monomial({U_FIBER: -steps}),
-        reduced_transition=_z_power(-residue),
-    )
-    if not form.identity_holds():
-        raise AssertionError("unit cochain failed to verify")
-    return form
-
 
 @dataclass(frozen=True)
 class PicardGroup:
     """Isomorphism classes of collar line bundles with the tensor operation.
 
-    Classes are labelled by residues 0..n-1; the table entry at (i, j) is
-    the class of the tensor product, and every entry carries the unit
-    cochain certificate that performed the reduction.  Distinctness of the
-    classes is recorded separately through the residue invariant."""
+    Classes are labelled by residues 0..n-1; the table entry at (a, b) is
+    the class of the tensor product, and every entry carries the
+    frame-change certificate identifying the degree a + b bundle with the
+    degree (a + b) mod n one: v^s on the V side and u^s on the U side, with
+    s = (a + b) div n.  Distinctness of the classes is recorded separately
+    through the residue invariant."""
 
     n: int
     classes: tuple[int, ...]
     table: tuple[tuple[int, ...], ...]
-    certificates: tuple[tuple[LineBundleNormalForm, ...], ...]
+    certificates: tuple[tuple["CollarIsoCertificate", ...], ...]
 
     def tensor_class(self, a: int, b: int) -> int:
         return self.table[a % self.n][b % self.n]
@@ -220,9 +184,14 @@ def picard_group(n: int) -> PicardGroup:
         row = []
         row_certs = []
         for b in range(n):
-            form = line_bundle_normal_form(n, a + b)
-            row.append(form.residue)
-            row_certs.append(form)
+            residue = (a + b) % n
+            cert = collar_iso_certificate(
+                BundleTransition.line_class(n, a + b), BundleTransition.line_class(n, residue)
+            )
+            if cert is None:
+                raise AssertionError(f"no certificate reduces class {a + b} to {residue} mod {n}")
+            row.append(residue)
+            row_certs.append(cert)
         table.append(tuple(row))
         certs.append(tuple(row_certs))
     return PicardGroup(
@@ -304,7 +273,7 @@ class BundleTransition:
         return len(self.entries)
 
     def det(self) -> LaurentPoly:
-        return poly_mat_det([list(row) for row in self.entries])
+        return poly_mat_det(self.entries)
 
     def z_spread(self) -> int:
         """Largest absolute z-exponent appearing in any entry."""
@@ -535,31 +504,33 @@ def phi_transform(n: int, j: int) -> PhiTransform:
 class CollarIsoCertificate:
     """An exact pair of frame changes exhibiting two transitions as the same
     bundle over the collar: m2 * u_frame = v_frame * m1, with both frames
-    invertible over their chart rings."""
+    regular and invertible over their chart rings.  Both frames are written
+    in overlap (z, u) coordinates; ``to_v_side`` of the collar's
+    ``SurfaceChartPair`` gives the V frame in (xi, v)."""
 
     n: int
-    v_frame: tuple[tuple[LaurentPoly, ...], ...]
-    v_frame_chart: tuple[tuple[LaurentPoly, ...], ...]
-    u_frame: tuple[tuple[LaurentPoly, ...], ...]
-    det_v_frame: LaurentPoly
-    det_u_frame: LaurentPoly
+    v_frame: PolyMatrix
+    u_frame: PolyMatrix
 
     def verify(self, m1: BundleTransition, m2: BundleTransition) -> bool:
-        chart = SurfaceChartPair(self.n, collar=True)
-        lhs = poly_mat_mul([list(r) for r in m2.entries], [list(r) for r in self.u_frame])
-        rhs = poly_mat_mul([list(r) for r in self.v_frame], [list(r) for r in m1.entries])
-        if lhs != rhs:
+        """The one check of a certificate: both determinants are units,
+        every frame entry is a function on its chart, and m2 * u_frame =
+        v_frame * m1.  On the collar u and v are units, so a U-frame term
+        z^a u^b needs a >= 0 and a V-frame term z^a u^b = xi^(n b - a) v^b
+        needs n b - a >= 0."""
+        n = self.n
+        chart = SurfaceChartPair(n, collar=True)
+        if not chart.is_v_unit_on_overlap(poly_mat_det(self.v_frame)):
             return False
-        if not chart.is_v_unit_on_overlap(poly_mat_det([list(r) for r in self.v_frame])):
+        if not chart.is_u_unit(poly_mat_det(self.u_frame)):
             return False
-        return chart.is_u_unit(poly_mat_det([list(r) for r in self.u_frame]))
-
-
-def _v_chart_rows(
-    n: int, rows: Sequence[Sequence[LaurentPoly]]
-) -> tuple[tuple[LaurentPoly, ...], ...]:
-    chart = SurfaceChartPair(n, collar=True)
-    return tuple(tuple(chart.to_v_side(p) for p in row) for row in rows)
+        for frame, v_side in ((self.u_frame, False), (self.v_frame, True)):
+            for p in (p for row in frame for p in row):
+                if not set(p.variables) <= {U_BASE, U_FIBER}:
+                    return False
+                if any((n * b - a if v_side else a) < 0 for a, b, _ in zu_terms(p)):
+                    return False
+        return poly_mat_mul(m2.entries, self.u_frame) == poly_mat_mul(self.v_frame, m1.entries)
 
 
 def _certificate_from_frames(
@@ -569,31 +540,8 @@ def _certificate_from_frames(
     m1: BundleTransition,
     m2: BundleTransition,
 ) -> Optional[CollarIsoCertificate]:
-    chart = SurfaceChartPair(n, collar=True)
-    det_v = poly_mat_det([list(r) for r in v_rows])
-    det_u = poly_mat_det([list(r) for r in u_rows])
-    if not chart.is_v_unit_on_overlap(det_v) or not chart.is_u_unit(det_u):
-        return None
-    cert = CollarIsoCertificate(
-        n=n,
-        v_frame=tuple(tuple(row) for row in v_rows),
-        v_frame_chart=_v_chart_rows(n, v_rows),
-        u_frame=tuple(tuple(row) for row in u_rows),
-        det_v_frame=det_v,
-        det_u_frame=det_u,
-    )
-    if not cert.verify(m1, m2):
-        return None
-    return cert
-
-
-def _identity_certificate(n: int, rank: int, m1: BundleTransition, m2: BundleTransition):
-    one = LaurentPoly.const(1)
-    zero = LaurentPoly.zero()
-    rows = tuple(
-        tuple(one if i == k else zero for k in range(rank)) for i in range(rank)
-    )
-    return _certificate_from_frames(n, rows, rows, m1, m2)
+    cert = CollarIsoCertificate(n, tuple(map(tuple, v_rows)), tuple(map(tuple, u_rows)))
+    return cert if cert.verify(m1, m2) else None
 
 
 def _monomial_line_certificate(
@@ -717,7 +665,8 @@ def collar_iso_certificate(
         bound = max(n, m1.z_spread() + m2.z_spread()) + 1
     if not exhaustive:
         if m1.entries == m2.entries:
-            cert = _identity_certificate(n, rank, m1, m2)
+            identity = poly_mat_identity(rank)
+            cert = _certificate_from_frames(n, identity, identity, m1, m2)
             if cert is not None:
                 return cert
         if rank == 1 and m1.entries[0][0].is_monomial() and m2.entries[0][0].is_monomial():

@@ -451,7 +451,17 @@ def _run_birstep(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     )
 
 
+# every cell of the n x n tensor table carries a checked certificate; at
+# n = 64 (4096 cells) the table takes about half a second
+PIC_MAX_TABLE_CELLS = 4096
+
+
 def _run_collar_pic(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    if args.n * args.n > PIC_MAX_TABLE_CELLS:
+        raise ValueError(
+            f"--n {args.n} needs a tensor table of {args.n * args.n} cells, "
+            f"over the cap of {PIC_MAX_TABLE_CELLS}"
+        )
     group = picard_group(args.n)
     lines = [f"residue classes mod {args.n}: {list(group.classes)}"]
     lines.append("tensor table:")

@@ -88,7 +88,6 @@ class ExtClass:
 
     n: int
     j: int
-    cutoff: int
     representative: LaurentPoly
     coordinates: tuple[Fraction, ...]
     basis: tuple[LaurentPoly, ...]
@@ -98,15 +97,19 @@ class ExtClass:
         return self.representative.is_zero
 
 
-def ext_class(n: int, j: int, p: LaurentPoly, cutoff: int | None = None) -> ExtClass:
-    """Reduce p modulo the coboundary span and record its coordinates."""
+def ext_class(n: int, j: int, p: LaurentPoly) -> ExtClass:
+    """Reduce p modulo the coboundary span and record its coordinates.
+
+    The basis covers fiber levels b up to the auto cutoff, at least
+    (2j - 2) // n; above it n*b - 2j >= -1, so no exponent lies strictly
+    between the V-side cut n*b - 2j and the U-side cut 0, and every term
+    outside the basis is a coboundary."""
     _check_pair(n, j)
     if not set(p.variables) <= {U_BASE, U_FIBER}:
         raise ValueError(f"representative uses variables outside (z, u): {p}")
     if p.min_exponent(U_FIBER) < 0:
         raise ValueError("representative needs nonnegative fiber powers")
-    basis = ext1_basis(n, j, cutoff)
-    used_cutoff = cutoff if cutoff is not None else _auto_cutoff(n, j)
+    basis = ext1_basis(n, j)
     positions: dict[tuple[int, int], int] = {}
     for i, mono in enumerate(basis):
         positions[(mono.max_exponent(U_BASE), mono.max_exponent(U_FIBER))] = i
@@ -118,24 +121,16 @@ def ext_class(n: int, j: int, p: LaurentPoly, cutoff: int | None = None) -> ExtC
         if spot is not None:
             coords[spot] += coeff
             kept = kept + LaurentPoly.monomial({U_BASE: a, U_FIBER: b}, coeff)
-            continue
-        if a >= 0 or a <= n * b - 2 * j:
-            continue  # coboundary on the U side or the V side
-        raise WindowUnstable(
-            f"term z^{a} u^{b} escapes the cutoff {used_cutoff} window for "
-            f"(n={n}, j={j})"
-        )
     return ExtClass(
         n=n,
         j=j,
-        cutoff=used_cutoff,
         representative=kept,
         coordinates=tuple(coords),
         basis=basis,
     )
 
 
-def include_class(cls: ExtClass, s: int, cutoff: int | None = None) -> ExtClass:
+def include_class(cls: ExtClass, s: int) -> ExtClass:
     """Reinterpret the same representative inside the wider (n, j+s) window.
 
     Widening only loosens the coboundary cuts, so every reduced term
@@ -143,7 +138,7 @@ def include_class(cls: ExtClass, s: int, cutoff: int | None = None) -> ExtClass:
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError("inclusion step must be a positive integer")
-    wider = ext_class(cls.n, cls.j + s, cls.representative, cutoff)
+    wider = ext_class(cls.n, cls.j + s, cls.representative)
     if not cls.is_zero and wider.is_zero:
         raise AssertionError("inclusion must not kill a nonzero class")
     return wider

@@ -169,15 +169,10 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def is_unit_monomial(self, invertible: set[str] | None = None) -> bool:
-        """True when self is a single term whose variables (if any) all lie
-        in ``invertible``; with ``invertible=None`` any variables qualify."""
-        if len(self.terms) != 1:
-            return False
-        if invertible is None:
-            return True
-        (exps,) = self.terms
-        return all(e == 0 or v in invertible for v, e in zip(self.variables, exps))
+    def is_unit_monomial(self) -> bool:
+        """True when self is a single term, a unit once its variables are
+        inverted."""
+        return len(self.terms) == 1
 
     def __bool__(self) -> bool:
         return bool(self.terms)

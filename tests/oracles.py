@@ -2,10 +2,12 @@
 cofactor expansion of a determinant, term-by-term evaluation of a Laurent
 polynomial at a point, and the birational round trip on Fraction points
 through that evaluation, and the splitting type read from the section
-counts at every twist down to the degree cap.  They share no code with the
-package's sparse kernel, its continuants, its compiled map evaluation or
-its twist walk and are slow and simple on purpose; the package's answers
-are checked against them.  ``broken_pair`` is a map pair whose claimed
+counts at every twist down to the degree cap, and the check of a collar
+frame-change certificate on {(z exponent, u exponent): Fraction} dicts.
+They share no code with the package's sparse kernel, its continuants, its
+compiled map evaluation, its twist walk or its certificate check and are
+slow and simple on purpose; the package's answers are checked against
+them.  ``broken_pair`` is a map pair whose claimed
 inverse is wrong, for the failure paths."""
 
 from fractions import Fraction
@@ -208,3 +210,80 @@ def full_walk_splitting_type(trans, counts=None):
         if count(m) != max(0, m + j + 1) + max(0, m - j + 1):
             raise ValueError(f"section counts do not match any split pair at twist {m}")
     return (j, -j)
+
+
+def zu_matrix(rows):
+    """A matrix of (z, u) Laurent polynomials as lists of
+    {(z exponent, u exponent): Fraction} dicts."""
+    out = []
+    for row in rows:
+        new_row = []
+        for poly in row:
+            if not set(poly.variables) <= {"z", "u"}:
+                raise ValueError(f"entry uses variables outside (z, u): {poly}")
+            terms = {}
+            for exps, coeff in poly.terms.items():
+                named = dict(zip(poly.variables, exps))
+                terms[(named.get("z", 0), named.get("u", 0))] = Fraction(coeff)
+            new_row.append(terms)
+        out.append(new_row)
+    return out
+
+
+def _add_term(acc, key, value):
+    total = acc.get(key, 0) + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
+def _dict_mul(p, q):
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            _add_term(out, (a1 + a2, b1 + b2), c1 * c2)
+    return out
+
+
+def _dict_matmul(x, y):
+    out = []
+    for row in x:
+        new_row = []
+        for j in range(len(y[0])):
+            acc = {}
+            for k, entry in enumerate(row):
+                for key, c in _dict_mul(entry, y[k][j]).items():
+                    _add_term(acc, key, c)
+            new_row.append(acc)
+        out.append(new_row)
+    return out
+
+
+def _dict_det(rows):
+    if not rows:
+        return {(0, 0): Fraction(1)}
+    total = {}
+    for j, head in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        for key, c in _dict_mul(head, _dict_det(minor)).items():
+            _add_term(total, key, (-1) ** j * c)
+    return total
+
+
+def certificate_holds(n, m1, m2, u_frame, v_frame):
+    """m2 * U = V * m1 over the n-collar, for dict matrices.  On the collar u
+    and v are units, so U must have every term z^a u^b with a >= 0 and
+    det U = c u^b; V, in overlap coordinates, every term z^a u^b with
+    n b - a >= 0 (it is xi^(n b - a) v^b) and det V = c z^(n b) u^b."""
+    if any(a < 0 for row in u_frame for poly in row for a, _ in poly):
+        return False
+    if any(n * b - a < 0 for row in v_frame for poly in row for a, b in poly):
+        return False
+    det_u, det_v = _dict_det(u_frame), _dict_det(v_frame)
+    if len(det_u) != 1 or len(det_v) != 1:
+        return False
+    ((au, _),), ((av, bv),) = det_u, det_v
+    if au != 0 or av != n * bv:
+        return False
+    return _dict_matmul(m2, u_frame) == _dict_matmul(v_frame, m1)

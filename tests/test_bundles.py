@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,14 +18,21 @@ from skelcollar.bundles import (
     collar_topology,
     compare_line_bundles,
     h0_twist,
-    line_bundle_normal_form,
     moduli_dimension,
     phi_transform,
     picard_group,
     splitting_type,
 )
 from skelcollar import bundles
-from skelcollar.exact import LaurentPoly, ZeroIntoNegativePower, echelon, null_space, poly_mat_mul
+from skelcollar.exact import (
+    LaurentPoly,
+    ZeroIntoNegativePower,
+    echelon,
+    null_space,
+    poly_mat_det,
+    poly_mat_identity,
+    poly_mat_mul,
+)
 
 LP = LaurentPoly
 
@@ -79,28 +87,33 @@ def test_chart_rejects_foreign_variables():
 # -- line bundle normal forms --------------------------------------------------
 
 
+def reduction_certificate(n, j):
+    """The certificate identifying the degree-j class with its residue, as
+    collar iso and the Picard table find it."""
+    m1 = BundleTransition.line_class(n, j)
+    m2 = BundleTransition.line_class(n, j % n)
+    cert = collar_iso_certificate(m1, m2)
+    assert cert is not None and cert.verify(m1, m2)
+    return cert
+
+
 def test_normal_form_shift_by_one_period():
     # oracle: expand v * z^-5 * u^-1 with v = z^3 u by raw arithmetic
     v_on_overlap = mono(z=3, u=1)
     product = v_on_overlap * zp(-5) * mono(u=-1)
     assert product == zp(-2)
 
-    form = line_bundle_normal_form(3, 5)
-    assert form.residue == 2
-    assert form.steps == 1
-    assert form.v_side_unit == LP.var("v")
-    assert form.u_side_unit == mono(u=-1)
-    assert form.reduced_transition == zp(-2)
-    assert form.identity_holds()
+    cert = reduction_certificate(3, 5)
+    assert cert.v_frame == ((v_on_overlap,),)
+    assert SurfaceChartPair(3, collar=True).to_v_side(cert.v_frame[0][0]) == LP.var("v")
+    assert cert.u_frame == ((LP.var("u"),),)
 
 
 def test_normal_form_trivial_exponent():
     for n in (1, 2, 5):
-        form = line_bundle_normal_form(n, 0)
-        assert form.residue == 0
-        assert form.steps == 0
-        assert form.v_side_unit == LP.const(1)
-        assert form.u_side_unit == LP.const(1)
+        cert = reduction_certificate(n, 0)
+        assert cert.v_frame == ((LP.const(1),),)
+        assert cert.u_frame == ((LP.const(1),),)
 
 
 def test_normal_form_negative_exponent():
@@ -108,20 +121,27 @@ def test_normal_form_negative_exponent():
     v_inverse = mono(z=-4, u=-1)
     assert v_inverse * zp(3) * mono(u=1) == zp(-1)
 
-    form = line_bundle_normal_form(4, -3)
-    assert form.residue == 1
-    assert form.steps == -1
-    assert form.identity_holds()
+    # z^-1 * u^-1 = v^-1 * z^3: the frames are (v^-1, u^-1)
+    cert = reduction_certificate(4, -3)
+    assert cert.v_frame == ((v_inverse,),)
+    assert cert.u_frame == ((mono(u=-1),),)
 
 
 def test_normal_form_sweep():
+    # the reduction of z^-j to z^-(j mod n) is (v^s, u^s), s = (j - j mod n)/n,
+    # and the dict-arithmetic oracle accepts it
     for n in range(1, 7):
+        chart = SurfaceChartPair(n, collar=True)
         for j in range(-3 * n, 3 * n + 1):
-            form = line_bundle_normal_form(n, j)
-            assert form.residue == j % n
-            assert 0 <= form.residue < n
-            assert j - form.steps * n == form.residue
-            assert form.identity_holds()
+            s = (j - j % n) // n
+            cert = reduction_certificate(n, j)
+            assert chart.to_v_side(cert.v_frame[0][0]) == mono(v=s)
+            assert cert.u_frame == ((mono(u=s),),)
+            assert oracles.certificate_holds(
+                n, *(oracles.zu_matrix(m) for m in (
+                    ((zp(-j),),), ((zp(-(j % n)),),), cert.u_frame, cert.v_frame
+                ))
+            )
 
 
 def test_collar_line_bundle_type():
@@ -129,7 +149,7 @@ def test_collar_line_bundle_type():
     assert bundle.transition() == zp(-5)
     assert bundle.residue == 2
     assert bundle.tensor(CollarLineBundle(3, 1)).j == 6
-    assert bundle.normal_form().residue == 2
+    assert bundle.tensor(CollarLineBundle(3, 1)).residue == 0
     with pytest.raises(ValueError):
         bundle.tensor(CollarLineBundle(4, 1))
 
@@ -141,9 +161,18 @@ def test_picard_tensor_wraps_around():
     pic = picard_group(3)
     assert pic.tensor_class(2, 2) == 1
     cert = pic.certificates[2][2]
-    assert cert.j == 4
-    assert cert.residue == 1
-    assert cert.identity_holds()
+    # 2 + 2 = 4 = 1 + 3: one period, so the frames are (v, u)
+    assert cert.verify(BundleTransition.line_class(3, 4), BundleTransition.line_class(3, 1))
+    assert SurfaceChartPair(3, collar=True).to_v_side(cert.v_frame[0][0]) == LP.var("v")
+    assert cert.u_frame == ((LP.var("u"),),)
+
+
+def test_picard_certificates_are_the_collar_iso_frames():
+    for n in range(1, 6):
+        pic = picard_group(n)
+        for a in range(n):
+            for b in range(n):
+                assert pic.certificates[a][b] == reduction_certificate(n, a + b)
 
 
 def test_picard_inverse_pairs():
@@ -434,7 +463,7 @@ def test_certificate_for_one_period_shift():
     m2 = BundleTransition.line_class(3, 2)
     cert = collar_iso_certificate(m1, m2, bound=1)
     assert cert is not None
-    assert cert.v_frame_chart == ((LP.var("v"),),)
+    assert SurfaceChartPair(3, collar=True).to_v_side(cert.v_frame[0][0]) == LP.var("v")
     assert cert.u_frame == ((LP.var("u"),),)
     # re-verify the identity by raw multiplication
     lhs = m2.entries[0][0] * cert.u_frame[0][0]
@@ -459,8 +488,8 @@ def test_certificate_rank_two_diagonal_shift():
     cert = collar_iso_certificate(m1, m2, bound=1)
     assert cert is not None
     assert cert.verify(m1, m2)
-    det_v = cert.det_v_frame
-    assert det_v.is_unit_monomial()
+    assert SurfaceChartPair(2, collar=True).is_v_unit_on_overlap(poly_mat_det(cert.v_frame))
+    assert SurfaceChartPair(2, collar=True).is_u_unit(poly_mat_det(cert.u_frame))
 
 
 def test_certificate_rank_two_crossed_summands():
@@ -487,6 +516,139 @@ def test_certificate_respects_bound():
     assert collar_iso_certificate(m1, m2, bound=2) is not None
 
 
+def oracle_holds(cert, m1, m2):
+    frames = (m1.entries, m2.entries, cert.u_frame, cert.v_frame)
+    return oracles.certificate_holds(cert.n, *(oracles.zu_matrix(m) for m in frames))
+
+
+def test_verify_rejects_a_u_frame_that_is_not_regular():
+    # z^-1 is no function on the U chart: B = diag(z, z^-1) has determinant
+    # 1 and m2 * B = A * m1 holds, yet no certificate exists
+    m1 = BundleTransition.diagonal(2, 1, -1)
+    m2 = BundleTransition.diagonal(2, 0, 0)
+    identity = m2.entries
+    forged = bundles.CollarIsoCertificate(2, identity, m1.entries)
+    assert poly_mat_mul(m2.entries, forged.u_frame) == poly_mat_mul(forged.v_frame, m1.entries)
+    assert not forged.verify(m1, m2)
+    assert not oracle_holds(forged, m1, m2)
+    assert collar_iso_certificate(m1, m2) is None
+
+
+def test_verify_rejects_a_v_frame_that_is_not_regular():
+    # the V-frame term z^1 u^0 is xi^-1 on the V chart
+    m1 = BundleTransition.diagonal(2, 0, 0)
+    m2 = BundleTransition.diagonal(2, 1, -1)
+    forged = bundles.CollarIsoCertificate(2, m2.entries, m1.entries)
+    assert poly_mat_mul(m2.entries, forged.u_frame) == poly_mat_mul(forged.v_frame, m1.entries)
+    assert not forged.verify(m1, m2)
+    assert not oracle_holds(forged, m1, m2)
+    # u = xi^2 v is regular on both charts, so the shear [[1, u], [0, 1]]
+    # on both sides passes
+    shear = ((LP.const(1), LP.var("u")), (LP.zero(), LP.const(1)))
+    fine = bundles.CollarIsoCertificate(2, shear, shear)
+    assert fine.verify(m1, m1) and oracle_holds(fine, m1, m1)
+
+
+def test_verify_rejects_variables_outside_the_overlap():
+    # w passes both unit tests and both products, but is no coordinate here
+    line = BundleTransition.line_class(2, 0)
+    w = ((LP.var("w"),),)
+    assert not bundles.CollarIsoCertificate(2, w, w).verify(line, line)
+
+
+COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-5, 2)])
+
+
+def terms(low, high, **size):
+    """Lists of (base exponent in low..high, fiber exponent, coefficient)."""
+    return st.lists(st.tuples(st.integers(low, high), st.integers(-2, 2), COEFFS), **size)
+
+
+def zu_poly(triples):
+    return sum((LP.monomial({"z": a, "u": b}, c) for a, b, c in triples), LP.zero())
+
+
+def chart_term(n, side, a, b, coeff):
+    """The chart term of base exponent a and fiber exponent b in overlap
+    coordinates: z^a u^b on U, xi^a v^b = z^(n b - a) u^b on V."""
+    return LP.monomial({"z": a if side == "u" else n * b - a, "u": b}, coeff)
+
+
+@st.composite
+def chart_frames(draw, n, side, rank, irregular=False):
+    """A frame with unit determinant on one chart of the collar: a product
+    of scalings by units, shears and swaps.  With ``irregular`` one more
+    shear carries a term with a negative base exponent."""
+    one, zero = LP.const(1), LP.zero()
+    frame = poly_mat_identity(rank)
+    steps = draw(st.lists(st.sampled_from(["scale", "shear", "swap"]), min_size=1, max_size=3))
+    if irregular:
+        steps.append("bad shear")
+    for step in steps:
+        if step == "scale" or rank == 1:
+            units = [chart_term(n, side, 0, b, c) for _, b, c in draw(terms(0, 0, min_size=rank, max_size=rank))]
+            factor = tuple(tuple(units[i] if i == k else zero for k in range(rank)) for i in range(rank))
+        elif step == "swap":
+            factor = ((zero, one), (one, zero))
+        else:
+            shear = draw(terms(-3 if step == "bad shear" else 0, 3, min_size=1, max_size=3))
+            if step == "bad shear":
+                shear += draw(terms(-3, -1, min_size=1, max_size=1))
+            x = sum((chart_term(n, side, *t) for t in shear), LP.zero())
+            factor = ((one, x), (zero, one)) if draw(st.booleans()) else ((one, zero), (x, one))
+        frame = poly_mat_mul(frame, factor)
+    return frame
+
+
+def inverse(frame):
+    inv_det = poly_mat_det(frame) ** -1
+    if len(frame) == 1:
+        return ((inv_det,),)
+    (a, b), (c, d) = frame
+    return ((d * inv_det, -b * inv_det), (-c * inv_det, a * inv_det))
+
+
+@pytest.mark.parametrize("case", ["accept", "irregular", "singular", "disagree", "arbitrary"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_verify_agrees_with_the_dict_oracle(case, data):
+    # accepted: m2 = V * m1 * U^-1 for unit frames; rejected: the same with
+    # an irregular frame, both frames times a regular non-unit, a U frame
+    # moved off m2, or arbitrary frames
+    n = data.draw(st.integers(1, 4))
+    rank = 2 if case == "irregular" else data.draw(st.integers(1, 2))
+    if rank == 1:
+        m1 = BundleTransition.from_rows(n, [[zu_poly(data.draw(terms(-3, 3, min_size=1, max_size=1)))]])
+    else:
+        e1, e2 = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+        p = zu_poly(data.draw(terms(-3, 3, max_size=3)))
+        m1 = BundleTransition.from_rows(n, [[zp(e1), p], [LP.zero(), zp(e2)]])
+    bad_side = data.draw(st.sampled_from(["u", "v"])) if case == "irregular" else None
+    u_frame = data.draw(chart_frames(n, "u", rank, irregular=bad_side == "u"))
+    v_frame = data.draw(chart_frames(n, "v", rank, irregular=bad_side == "v"))
+    m2 = BundleTransition(n, poly_mat_mul(poly_mat_mul(v_frame, m1.entries), inverse(u_frame)))
+    expected = case == "accept"
+    if case == "singular":
+        # m2 * U * f = V * m1 * f; f = u is no unit on V, z^n u none on U
+        f = data.draw(st.sampled_from([mono(u=1), mono(z=n, u=1), mono(u=1) + 1]))
+        u_frame, v_frame = (tuple(tuple(p * f for p in row) for row in m) for m in (u_frame, v_frame))
+    if case == "disagree":
+        # m2 * U * S = V * m1 * S, which is V * m1 only when S is the identity
+        shift = data.draw(chart_frames(n, "u", rank))
+        u_frame = poly_mat_mul(u_frame, shift)
+        expected = shift == poly_mat_identity(rank)
+    if case == "arbitrary":
+        u_frame, v_frame = (
+            tuple(tuple(zu_poly(data.draw(terms(-3, 3, max_size=2))) for _ in range(rank)) for _ in range(rank))
+            for _ in "uv"
+        )
+    cert = bundles.CollarIsoCertificate(n, v_frame, u_frame)
+    verdict = cert.verify(m1, m2)
+    assert verdict == oracle_holds(cert, m1, m2)
+    if case != "arbitrary":
+        assert verdict == expected
+
+
 # the benchmark's 13 kernel-search shapes at seed 1 (rank-2 pairs with the
 # default or a tight bound, exhaustive line pairs) and the frames recorded
 # from the dense-elimination search; null marks the two isomorphic pairs
@@ -503,18 +665,16 @@ def test_certificate_search_matches_golden(case):
             case["n"], [[LP.from_json_dict(p) for p in row] for row in rows]
         )
 
-    cert = collar_iso_certificate(
-        transition(case["m1"]),
-        transition(case["m2"]),
-        bound=case["bound"],
-        exhaustive=case["exhaustive"],
-    )
+    m1, m2 = transition(case["m1"]), transition(case["m2"])
+    cert = collar_iso_certificate(m1, m2, bound=case["bound"], exhaustive=case["exhaustive"])
     found = None
     if cert is not None:
         found = {
             key: [[p.to_json_dict() for p in row] for row in getattr(cert, key)]
             for key in ("u_frame", "v_frame")
         }
+        assert cert.verify(m1, m2)
+        assert oracle_holds(cert, m1, m2)
     assert found == case["certificate"]
 
 

@@ -155,6 +155,19 @@ def test_collar_pic_table(capsys):
     assert "1: [1, 2, 0]" in out
 
 
+def test_collar_pic_over_the_table_cap_exits_2(capsys):
+    code, out, err = run(capsys, ["collar", "pic", "--n", "65"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --n 65 needs a tensor table of 4225 cells, over the cap of 4096\n"
+
+
+def test_collar_pic_at_the_table_cap_is_answered(capsys):
+    code, out, err = run(capsys, ["collar", "pic", "--n", "64", "--format", "json"])
+    assert (code, err) == (EXIT_OK, "")
+    table = json.loads(out)["table"]
+    assert len(table) == 64 and table[63][1] == 0 and table[5][7] == 12
+
+
 def test_collar_iso_certificate_and_refusal(capsys):
     code, out, _ = run(capsys, ["collar", "iso", "--n", "3", "--j1", "5", "--j2", "2"])
     assert code == EXIT_OK

@@ -6,7 +6,7 @@ import pytest
 
 from skelcollar import deform
 from skelcollar.birmaps import IndexOutOfRange
-from skelcollar.bundles import line_bundle_normal_form
+from skelcollar.bundles import BundleTransition, collar_iso_certificate
 from skelcollar.duality import (
     DualityReport,
     NotAPair,
@@ -30,9 +30,14 @@ def test_pair_examples():
 
 
 def test_pair_matches_normal_form_residues():
-    # the residues of the partner bundles, computed through the reduction
-    # certificate rather than by modular arithmetic
-    expected = (line_bundle_normal_form(3, 2).residue, line_bundle_normal_form(3, -2).residue)
+    # the residues of the partner bundles, read off as the one class in
+    # 0..n-1 a frame-change certificate reaches, not by modular arithmetic
+    def residue(n, j):
+        line = BundleTransition.line_class
+        (r,) = [r for r in range(n) if collar_iso_certificate(line(n, j), line(n, r)) is not None]
+        return r
+
+    expected = (residue(3, 2), residue(3, -2))
     assert dual_of_lagrangian(3, 2) == expected == (2, 1)
 
 
