@@ -57,14 +57,11 @@ def _check_n(n: int) -> None:
 
 @dataclass(frozen=True)
 class SurfaceChartPair:
-    """The two-chart cover with gluing (xi, v) = (1/z, z^n u).
-
-    With ``collar=True`` the fiber coordinates u and v are invertible,
-    which changes what counts as a unit on each side.
-    """
+    """The two-chart cover with gluing (xi, v) = (1/z, z^n u).  Which chart
+    functions are units on the collar is stated once, in
+    ``CollarIsoCertificate.verify``."""
 
     n: int
-    collar: bool = False
 
     def __post_init__(self) -> None:
         _check_n(self.n)
@@ -90,30 +87,6 @@ class SurfaceChartPair:
                 U_FIBER: LaurentPoly.monomial({V_BASE: self.n, V_FIBER: 1}),
             }
         )
-
-    def is_u_unit(self, p: LaurentPoly) -> bool:
-        """Unit in the U chart ring: a constant, or const * u^k on the collar."""
-        if not p.is_monomial() or p.is_zero:
-            return False
-        if p.max_exponent(U_BASE) != 0 or p.min_exponent(U_BASE) != 0:
-            return False
-        if self.collar:
-            return True
-        return p.max_exponent(U_FIBER) == 0 and p.min_exponent(U_FIBER) == 0
-
-    def is_v_unit_on_overlap(self, p: LaurentPoly) -> bool:
-        """Unit of the V chart ring, presented in overlap (z, u) coordinates.
-
-        Powers of v become z^(n k) u^k, so the test is that the single term
-        has z-exponent exactly n times its u-exponent (zero when not collar).
-        """
-        if not p.is_monomial() or p.is_zero:
-            return False
-        ze = p.max_exponent(U_BASE)
-        ue = p.max_exponent(U_FIBER)
-        if ze != self.n * ue:
-            return False
-        return self.collar or ue == 0
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +121,26 @@ class CollarLineBundle:
 class PicardGroup:
     """Isomorphism classes of collar line bundles with the tensor operation.
 
-    Classes are labelled by residues 0..n-1; the table entry at (a, b) is
-    the class of the tensor product, and every entry carries the
-    frame-change certificate identifying the degree a + b bundle with the
-    degree (a + b) mod n one: v^s on the V side and u^s on the U side, with
-    s = (a + b) div n.  Distinctness of the classes is recorded separately
-    through the residue invariant."""
+    Classes are labelled by residues 0..n-1, and the tensor of classes a and
+    b is the class (a + b) mod n.  ``certificates[d]``, for each degree
+    d = 0..2n-2 that a sum a + b reaches, is the frame-change certificate
+    identifying the degree-d bundle with the degree d mod n one: v^s on the
+    V side and u^s on the U side, with s = d div n.  Distinctness of the
+    classes is recorded separately through the residue invariant."""
 
     n: int
-    classes: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
-    certificates: tuple[tuple["CollarIsoCertificate", ...], ...]
+    certificates: tuple["CollarIsoCertificate", ...]
+
+    @property
+    def classes(self) -> tuple[int, ...]:
+        return tuple(range(self.n))
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self.tensor_class(a, b) for b in self.classes) for a in self.classes)
 
     def tensor_class(self, a: int, b: int) -> int:
-        return self.table[a % self.n][b % self.n]
+        return (a + b) % self.n
 
     def residue_invariant(self, j: int) -> int:
         """The invariant separating the classes: the exponent mod n."""
@@ -178,28 +157,15 @@ class PicardGroup:
 
 def picard_group(n: int) -> PicardGroup:
     _check_n(n)
-    table = []
     certs = []
-    for a in range(n):
-        row = []
-        row_certs = []
-        for b in range(n):
-            residue = (a + b) % n
-            cert = collar_iso_certificate(
-                BundleTransition.line_class(n, a + b), BundleTransition.line_class(n, residue)
-            )
-            if cert is None:
-                raise AssertionError(f"no certificate reduces class {a + b} to {residue} mod {n}")
-            row.append(residue)
-            row_certs.append(cert)
-        table.append(tuple(row))
-        certs.append(tuple(row_certs))
-    return PicardGroup(
-        n=n,
-        classes=tuple(range(n)),
-        table=tuple(table),
-        certificates=tuple(certs),
-    )
+    for d in range(2 * n - 1):
+        cert = collar_iso_certificate(
+            BundleTransition.line_class(n, d), BundleTransition.line_class(n, d % n)
+        )
+        if cert is None:
+            raise AssertionError(f"no certificate reduces class {d} to {d % n} mod {n}")
+        certs.append(cert)
+    return PicardGroup(n, tuple(certs))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +231,7 @@ class BundleTransition:
             for p in row:
                 if not set(p.variables) <= {U_BASE, U_FIBER}:
                     raise ValueError(f"entry uses variables outside (z, u): {p}")
-        if not self.det().is_unit_monomial():
+        if not self.det().is_monomial():
             raise ValueError("transition determinant must be a unit monomial")
 
     @property
@@ -415,7 +381,7 @@ def splitting_type(trans: BundleTransition) -> tuple[int, int]:
         raise ValueError("splitting type is computed for rank-2 transitions")
     restricted = trans.restrict_to_zero_section()
     det = restricted.det()
-    if not det.is_unit_monomial() or det.max_exponent(U_BASE) != 0:
+    if not det.is_monomial() or det.max_exponent(U_BASE) != 0:
         raise ValueError("splitting profile needs determinant 1 over the zero section")
     cap = restricted.z_spread() + 1
     cache: dict[int, int] = {}
@@ -505,26 +471,30 @@ class CollarIsoCertificate:
     """An exact pair of frame changes exhibiting two transitions as the same
     bundle over the collar: m2 * u_frame = v_frame * m1, with both frames
     regular and invertible over their chart rings.  Both frames are written
-    in overlap (z, u) coordinates; ``to_v_side`` of the collar's
-    ``SurfaceChartPair`` gives the V frame in (xi, v)."""
+    in overlap (z, u) coordinates; ``SurfaceChartPair(n).to_v_side`` gives
+    the V frame in (xi, v)."""
 
     n: int
     v_frame: PolyMatrix
     u_frame: PolyMatrix
 
     def verify(self, m1: BundleTransition, m2: BundleTransition) -> bool:
-        """The one check of a certificate: both determinants are units,
-        every frame entry is a function on its chart, and m2 * u_frame =
-        v_frame * m1.  On the collar u and v are units, so a U-frame term
-        z^a u^b needs a >= 0 and a V-frame term z^a u^b = xi^(n b - a) v^b
-        needs n b - a >= 0."""
-        n = self.n
-        chart = SurfaceChartPair(n, collar=True)
-        if not chart.is_v_unit_on_overlap(poly_mat_det(self.v_frame)):
+        """The one check of a certificate: both frames are square of the
+        transitions' common rank, both determinants are units, every frame
+        entry is a function on its chart, and m2 * u_frame = v_frame * m1.
+        On the collar u and v are units, so the U determinant is one term
+        z^0 u^b and the V determinant one term v^b = z^(n b) u^b; a U-frame
+        term z^a u^b needs a >= 0 and a V-frame term z^a u^b = xi^(n b - a)
+        v^b needs n b - a >= 0."""
+        n, rank = self.n, m1.rank
+        frames = ((self.u_frame, False), (self.v_frame, True))
+        square = all(len(f) == rank and all(len(row) == rank for row in f) for f, _ in frames)
+        if m2.rank != rank or not square:
             return False
-        if not chart.is_u_unit(poly_mat_det(self.u_frame)):
-            return False
-        for frame, v_side in ((self.u_frame, False), (self.v_frame, True)):
+        for frame, v_side in frames:
+            det = list(zu_terms(poly_mat_det(frame)))
+            if len(det) != 1 or det[0][0] != (n * det[0][1] if v_side else 0):
+                return False
             for p in (p for row in frame for p in row):
                 if not set(p.variables) <= {U_BASE, U_FIBER}:
                     return False

@@ -451,8 +451,8 @@ def _run_birstep(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     )
 
 
-# every cell of the n x n tensor table carries a checked certificate; at
-# n = 64 (4096 cells) the table takes about half a second
+# bounds the n x n tensor table the report prints; the certificates, one
+# per degree 0..2n-2, are cheap beside it
 PIC_MAX_TABLE_CELLS = 4096
 
 

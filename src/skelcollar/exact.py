@@ -169,11 +169,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def is_unit_monomial(self) -> bool:
-        """True when self is a single term, a unit once its variables are
-        inverted."""
-        return len(self.terms) == 1
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

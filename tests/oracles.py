@@ -191,7 +191,7 @@ def full_walk_splitting_type(trans, counts=None):
         raise ValueError("splitting type is computed for rank-2 transitions")
     restricted = trans.restrict_to_zero_section()
     det = restricted.det()
-    if not det.is_unit_monomial() or det.max_exponent(U_BASE) != 0:
+    if not det.is_monomial() or det.max_exponent(U_BASE) != 0:
         raise ValueError("splitting profile needs determinant 1 over the zero section")
     cap = restricted.z_spread() + 1
     cache = {} if counts is None else counts

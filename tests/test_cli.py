@@ -7,6 +7,7 @@ round trip between emitted JSON and the library's own readers.
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -166,6 +167,20 @@ def test_collar_pic_at_the_table_cap_is_answered(capsys):
     assert (code, err) == (EXIT_OK, "")
     table = json.loads(out)["table"]
     assert len(table) == 64 and table[63][1] == 0 and table[5][7] == 12
+
+
+# sha256 over exit code and stdout of `collar pic --n N`, text then JSON,
+# N = 1..64: the reports stay fixed whatever certificate work backs them
+PIC_REPORTS_SHA256 = "171e9f54c361667b3a88fd3673c4001c279d71205e6cf60ba945a5548f715b47"
+
+
+def test_collar_pic_reports_up_to_the_cap_keep_their_digest(capsys):
+    digest = hashlib.sha256()
+    for n in range(1, 65):
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, ["collar", "pic", "--n", str(n), "--format", fmt])
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == PIC_REPORTS_SHA256
 
 
 def test_collar_iso_certificate_and_refusal(capsys):

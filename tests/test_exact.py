@@ -138,9 +138,12 @@ def test_diff_negative_exponent():
 
 
 def test_unit_monomial_detection():
+    # a single term is a unit once its variables are inverted
     x = LP.var("x")
-    assert (3 * x**2).is_unit_monomial()
-    assert not (x + 1).is_unit_monomial()
+    assert (3 * x**2).is_monomial()
+    assert (5 * x**-1).is_monomial()
+    assert not (x + 1).is_monomial()
+    assert not LP.zero().is_monomial()
 
 
 def test_homogeneous_degree():
