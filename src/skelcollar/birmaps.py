@@ -23,12 +23,11 @@ positions of the flattened source point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .exact import LaurentPoly, ZeroIntoNegativePower
+from .exact import LaurentPoly, Record, ZeroIntoNegativePower
 
 # exact homogeneous coordinates, one tuple per factor
 Point = tuple[tuple[int | Fraction, ...], ...]
@@ -96,8 +95,7 @@ def _run_terms(terms: tuple[Term, ...], coords: Sequence[int | Fraction]) -> int
     return total
 
 
-@dataclass(frozen=True)
-class RationalMap:
+class RationalMap(Record):
     """Map between products of projective spaces, one homogeneous
     component tuple per target factor.
 
@@ -110,9 +108,6 @@ class RationalMap:
     source_vars: tuple[tuple[str, ...], ...]
     components: tuple[tuple[LaurentPoly, ...], ...]
     label: str = ""
-    _plan: tuple[tuple[tuple[Term, ...], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if len(self.source_vars) != len(self.source_dims):
@@ -168,8 +163,7 @@ class RationalMap:
         return tuple(image)
 
 
-@dataclass(frozen=True)
-class ComposedMap:
+class ComposedMap(Record):
     """Stage-by-stage composite of rational maps."""
 
     stages: tuple[RationalMap, ...]
@@ -208,8 +202,7 @@ def _stages(m: AnyMap) -> tuple[RationalMap, ...]:
     return m.stages if isinstance(m, ComposedMap) else (m,)
 
 
-@dataclass(frozen=True)
-class MapPair:
+class MapPair(Record):
     """A rational map with a declared inverse, plus bookkeeping notes."""
 
     forward: AnyMap
@@ -363,8 +356,7 @@ def point_text(point: Point) -> str:
     return " x ".join("(" + " : ".join(str(c) for c in factor) + ")" for factor in point)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     passed: bool
     checked: int
     skipped: int

@@ -14,7 +14,6 @@ certified the same way: a CollarIsoCertificate, checked by its verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
@@ -22,6 +21,7 @@ from typing import Iterator, Optional, Sequence
 from .exact import (
     LaurentPoly,
     PolyMatrix,
+    Record,
     SparseRow,
     echelon,
     null_space,
@@ -55,8 +55,7 @@ def _check_n(n: int) -> None:
 # charts
 
 
-@dataclass(frozen=True)
-class SurfaceChartPair:
+class SurfaceChartPair(Record):
     """The two-chart cover with gluing (xi, v) = (1/z, z^n u).  Which chart
     functions are units on the collar is stated once, in
     ``CollarIsoCertificate.verify``."""
@@ -93,8 +92,7 @@ class SurfaceChartPair:
 # line bundle classes on the collar
 
 
-@dataclass(frozen=True)
-class CollarLineBundle:
+class CollarLineBundle(Record):
     """The restriction to the collar of the degree-j line bundle; the
     transition entry is z^(-j)."""
 
@@ -117,8 +115,7 @@ class CollarLineBundle:
         return CollarLineBundle(self.n, self.j + other.j)
 
 
-@dataclass(frozen=True)
-class PicardGroup:
+class PicardGroup(Record):
     """Isomorphism classes of collar line bundles with the tensor operation.
 
     Classes are labelled by residues 0..n-1, and the tensor of classes a and
@@ -172,8 +169,7 @@ def picard_group(n: int) -> PicardGroup:
 # collar topology
 
 
-@dataclass(frozen=True)
-class CollarTopology:
+class CollarTopology(Record):
     """Orders of the fundamental group and the low homology/cohomology of
     the collar; all three are cyclic of the same order."""
 
@@ -211,8 +207,7 @@ def collar_topology(n: int) -> CollarTopology:
 # rank <= 2 transition matrices
 
 
-@dataclass(frozen=True)
-class BundleTransition:
+class BundleTransition(Record):
     """A square transition matrix over the chart overlap, entries Laurent in
     z and polynomial or Laurent in u; the determinant must be a single
     invertible term there."""
@@ -415,15 +410,13 @@ def splitting_type(trans: BundleTransition) -> tuple[int, int]:
 # the splitting-raising transformation
 
 
-@dataclass(frozen=True)
-class PhiStage:
+class PhiStage(Record):
     label: str
     summands: tuple[int, int]
     chern: int
 
 
-@dataclass(frozen=True)
-class PhiTransform:
+class PhiTransform(Record):
     """Bookkeeping for the two elementary transformations followed by a
     twist that raise a rank-2 splitting type by n while fixing the collar
     residue class."""
@@ -466,8 +459,7 @@ def phi_transform(n: int, j: int) -> PhiTransform:
 # frame-change certificates on the collar
 
 
-@dataclass(frozen=True)
-class CollarIsoCertificate:
+class CollarIsoCertificate(Record):
     """An exact pair of frame changes exhibiting two transitions as the same
     bundle over the collar: m2 * u_frame = v_frame * m1, with both frames
     regular and invertible over their chart rings.  Both frames are written
@@ -644,8 +636,7 @@ def collar_iso_certificate(
     return _search_certificate(m1, m2, bound)
 
 
-@dataclass(frozen=True)
-class LineBundleComparison:
+class LineBundleComparison(Record):
     """Verdict for two collar line-bundle classes: the residue invariant
     decides, and a matching pair ships with an explicit certificate."""
 
@@ -684,8 +675,7 @@ def compare_line_bundles(
 # moduli dimension
 
 
-@dataclass(frozen=True)
-class ModuliDimension:
+class ModuliDimension(Record):
     """Expected dimension 2j - n - 2 for rank-2 moduli at splitting type j;
     a negative value is reported as empty, not as an error."""
 

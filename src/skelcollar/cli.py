@@ -372,8 +372,18 @@ def _run_potential(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     return code, payload, "\n".join(lines), None
 
 
+# bounds the r x r intersection matrix of the r exceptional curves, which
+# the JSON report prints in full (1.45 MB at r = 399)
+RESOLVE_MAX_MATRIX_CELLS = 40_000
+
+
 def _run_resolve(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     chain = minimal_resolution(QuotientSingularity(args.n, args.a))
+    if len(chain.rays) ** 2 > RESOLVE_MAX_MATRIX_CELLS:
+        raise ValueError(
+            f"--n {args.n} --a {args.a} needs an intersection matrix of "
+            f"{len(chain.rays) ** 2} cells, over the cap of {RESOLVE_MAX_MATRIX_CELLS}"
+        )
     cone = chain.cone
     matrix = chain.intersection_matrix
     lines = [

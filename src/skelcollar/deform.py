@@ -12,12 +12,11 @@ tau = 0 and drops to splitting type j at tau = 1 when p is generic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bundles import U_BASE, U_FIBER, BundleTransition, splitting_type, zu_terms
-from .exact import LaurentPoly, Scalar, as_fraction
+from .exact import LaurentPoly, Record, Scalar, as_fraction
 
 TAU = "tau"
 
@@ -81,8 +80,7 @@ def ext1_basis(n: int, j: int, cutoff: int | None = None) -> tuple[LaurentPoly, 
     return base
 
 
-@dataclass(frozen=True)
-class ExtClass:
+class ExtClass(Record):
     """A reduced overlap representative with its coordinates relative to the
     computed monomial basis; no term lies in the coboundary span."""
 
@@ -148,8 +146,7 @@ def include_class(cls: ExtClass, s: int) -> ExtClass:
 # one-parameter families
 
 
-@dataclass(frozen=True)
-class DeformationFamily:
+class DeformationFamily(Record):
     """The family [[z^(j+s), tau * p], [0, z^(-j-s)]] over the parameter tau.
 
     The parameter is named tau to keep clear of the torus-flow parameter
@@ -218,7 +215,7 @@ def deformation_family(source: ExtClass, s: int) -> DeformationFamily:
             f"class for (n={source.n}, j={source.j}) deforms to splitting "
             f"{observed[0]} at tau = 1, not {expected[0]}"
         )
-    return replace(family, endpoints=(at_zero[0], observed[0]))
+    return family.replace(endpoints=(at_zero[0], observed[0]))
 
 
 def index_step_family(n: int, j: int, s: int = 1) -> DeformationFamily:
@@ -249,7 +246,7 @@ def index_step_family(n: int, j: int, s: int = 1) -> DeformationFamily:
     at_one = family.splitting_at(1)
     if at_one != (0, 0):
         raise AssertionError("the constant entry must trivialise at tau = 1")
-    return replace(family, endpoints=(at_zero[0], at_one[0]))
+    return family.replace(endpoints=(at_zero[0], at_one[0]))
 
 
 def family_splitting_profile(

@@ -11,11 +11,11 @@ family on the collar side and checks that both reach the same row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .birmaps import IndexOutOfRange, Verdict, bir_step, point_text, verify_birational
 from .deform import index_step_family
+from .exact import Record
 from .skeleton import (
     AffineFiber,
     SkeletonComponent,
@@ -67,8 +67,7 @@ def describe_classification(c: object) -> str:
     return str(c)
 
 
-@dataclass(frozen=True)
-class DualityEntry:
+class DualityEntry(Record):
     """One row of the correspondence: a skeleton component and the residue
     pair of its split collar partner."""
 
@@ -78,8 +77,7 @@ class DualityEntry:
     collar_pair: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SquareReport:
+class SquareReport(Record):
     """Certificates for one square: the step map between components j and
     j+1, the residue pairs of both rows, and the family whose endpoints
     step the collar splitting by the same amount."""
@@ -152,8 +150,7 @@ def square_check(
     )
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(Record):
     """The full correspondence table for one collar parameter together with
     every square certificate."""
 

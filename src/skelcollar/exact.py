@@ -56,6 +56,55 @@ def as_fraction(value: Scalar | str) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
+class Record:
+    """Immutable value type in place of a frozen dataclass, whose import cost
+    most of CLI start-up.  Fields are the subclass's own annotations, in order,
+    class attributes their defaults; equality and hash go by type and values."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            given = {**dict(zip(fields, args)), **kwargs}
+            values = {**self._defaults, **given}
+            if len(given) < len(args) + len(kwargs) or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__}{fields} got {len(args)} and {sorted(kwargs)}")
+            args = [values[f] for f in fields]
+        # set one by one, never through __dict__, so that CPython keeps the
+        # instance's inline values and fast attribute reads
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Runs once the fields are set; may still use ``object.__setattr__``."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: records are immutable")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes) -> Record:
+        """A copy with the named fields changed, checked as a new record."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial with Fraction coefficients.
 

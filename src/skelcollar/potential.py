@@ -11,10 +11,9 @@ not produce, so the factor is a parameter rather than a silent choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import LaurentPoly, Scalar, as_fraction
+from .exact import LaurentPoly, Record, Scalar, as_fraction
 
 
 class NotHamiltonian(ValueError):
@@ -29,8 +28,7 @@ def fiber_var(i: int) -> LaurentPoly:
     return LaurentPoly.var(f"y{i}")
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Record):
     """Polynomial vector field on V_0: components along x_1..x_n, y_1..y_n."""
 
     components: tuple[LaurentPoly, ...]
@@ -63,8 +61,7 @@ def symbolic_test_field(n: int) -> VectorField:
     return VectorField(tuple(comps))
 
 
-@dataclass(frozen=True)
-class SymplecticStructure:
+class SymplecticStructure(Record):
     """The standard form pairing x_i against y_i on V_0."""
 
     n: int
@@ -80,8 +77,7 @@ class SymplecticStructure:
         return acc
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(Record):
     """Quadratic potential h with its free constant and convention factor."""
 
     h: LaurentPoly

@@ -21,10 +21,9 @@ Conventions, fixed once and used by every routine here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import LaurentPoly, PolyMatrix, poly_mat_identity, poly_mat_mul, poly_mat_substitute
+from .exact import LaurentPoly, PolyMatrix, Record, poly_mat_identity, poly_mat_mul, poly_mat_substitute
 
 
 class NonIsolatedFixedPoint(ValueError):
@@ -44,8 +43,7 @@ def fiber_name(k: int) -> str:
     return f"y{k}"
 
 
-@dataclass(frozen=True)
-class ChartInfo:
+class ChartInfo(Record):
     index: int
     n: int
 
@@ -134,8 +132,7 @@ class CotangentAtlas:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class TorusAction:
+class TorusAction(Record):
     """Diagonal torus action with integer weights (w_1, ..., w_n)."""
 
     weights: tuple[int, ...]
@@ -161,8 +158,7 @@ def standard_action(n: int) -> TorusAction:
     return TorusAction(tuple(range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class ActionChartExpr:
+class ActionChartExpr(Record):
     """The acted point of chart j, one (coefficient, t-power) pair per
     coordinate; coefficients are chart-0 expressions, and at t = 1 they
     reproduce the chart embedding."""
@@ -192,18 +188,15 @@ def act(atlas: CotangentAtlas, action: TorusAction, chart: int) -> ActionChartEx
     return ActionChartExpr(chart, tuple(range(atlas.n + 1)), base, slots, fiber)
 
 
-@dataclass(frozen=True)
-class AffineFiber:
+class AffineFiber(Record):
     dim: int
 
 
-@dataclass(frozen=True)
-class ZeroSection:
+class ZeroSection(Record):
     dim: int
 
 
-@dataclass(frozen=True)
-class TwistedBundle:
+class TwistedBundle(Record):
     base_dim: int
     rank: int
     twists: tuple[int, ...]
@@ -212,8 +205,7 @@ class TwistedBundle:
 Classification = AffineFiber | ZeroSection | TwistedBundle
 
 
-@dataclass(frozen=True)
-class SkeletonComponent:
+class SkeletonComponent(Record):
     """One component of the skeleton: the closure of a stable manifold."""
 
     j: int

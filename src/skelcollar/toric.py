@@ -21,12 +21,11 @@ Two conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .exact import LaurentPoly
+from .exact import LaurentPoly, Record
 
 Vec = tuple[int, int]
 
@@ -65,8 +64,7 @@ def _primitive(v: Vec) -> Vec:
     return (v[0] // g, v[1] // g)
 
 
-@dataclass(frozen=True)
-class QuotientSingularity:
+class QuotientSingularity(Record):
     """Cyclic quotient of the plane: order n, weight a, generator (r, r^a)."""
 
     n: int
@@ -85,8 +83,7 @@ class QuotientSingularity:
             raise InvalidInput(f"weight {self.a} not coprime to order {self.n}")
 
 
-@dataclass(frozen=True)
-class Cone2D:
+class Cone2D(Record):
     """Strictly convex rational cone in the plane, rays counterclockwise."""
 
     ray1: Vec
@@ -203,8 +200,7 @@ def hj_evaluate(coeffs: list[int]) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class ResolutionChain:
+class ResolutionChain(Record):
     """Exceptional data of the minimal resolution of a quotient singularity.
 
     ``rays`` are the lattice rays inserted into the cone (none when the cone
@@ -269,8 +265,7 @@ def minimal_resolution(s: QuotientSingularity) -> ResolutionChain:
     )
 
 
-@dataclass(frozen=True)
-class DynkinGraph:
+class DynkinGraph(Record):
     """Dual graph of the exceptional curves: one vertex per curve, an edge
     where two curves meet."""
 
@@ -317,8 +312,7 @@ def is_negative_definite(self_intersections: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InvariantRing:
+class InvariantRing(Record):
     """Generators and relations of the ring of group-invariant polynomials.
 
     Generators are monomials in the plane coordinates a, b; relations are
@@ -361,8 +355,7 @@ def invariant_generators(s: QuotientSingularity) -> InvariantRing:
     return InvariantRing(n, gens, tuple(relations))
 
 
-@dataclass(frozen=True)
-class ContractionMap:
+class ContractionMap(Record):
     """Assignment sending the surface monomials z^i*u to generator symbols."""
 
     n: int

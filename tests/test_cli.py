@@ -679,6 +679,26 @@ def test_figure_at_the_grid_cap_is_drawn(capsys):
     assert "317 x 317" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "svg"])
+def test_resolve_over_the_matrix_cap_exits_2(capsys, fmt):
+    # n / (n - 1) resolves into a chain of n - 1 curves
+    assert 200 * 200 <= cli.RESOLVE_MAX_MATRIX_CELLS < 201 * 201
+    code, out, err = run(capsys, ["resolve", "--n", "202", "--a", "201", "--format", fmt])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: --n 202 --a 201 needs an intersection matrix of 40401 cells, "
+        "over the cap of 40000\n"
+    )
+
+
+def test_resolve_at_the_matrix_cap_is_answered(capsys):
+    code, out, err = run(capsys, ["resolve", "--n", "201", "--a", "200", "--format", "json"])
+    assert (code, err) == (EXIT_OK, "")
+    matrix = json.loads(out)["intersection_matrix"]
+    assert len(matrix) == 200 and all(len(row) == 200 for row in matrix)
+    assert matrix[0][:3] == [-2, 1, 0] and matrix[199][197:] == [0, 1, -2]
+
+
 # -- the first failing witness ------------------------------------------------------
 
 

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skelcollar.birmaps import Verdict
 from skelcollar.bundles import BundleTransition, collar_iso_certificate, splitting_type
 from skelcollar.duality import duality_report
 from skelcollar.exact import (
     LaurentPoly,
     NotInvertible,
+    Record,
     ZeroIntoNegativePower,
     echelon,
     null_space,
@@ -22,6 +24,8 @@ from skelcollar.exact import (
     poly_mat_mul,
     poly_mat_substitute,
 )
+
+from skelcollar.skeleton import AffineFiber, TwistedBundle, ZeroSection
 
 from oracles import dense_kernel, evaluate
 
@@ -461,3 +465,82 @@ def test_poly_mat_substitute():
     n = poly_mat_substitute(m, {"z": w**2})
     assert n == ((w**2, 0), (0, w**-2))
 
+
+
+# -- records -----------------------------------------------------------------------
+
+
+class _Interval(Record):
+    lo: int
+    hi: int = 10
+
+    def __post_init__(self) -> None:
+        if self.lo > self.hi:
+            raise ValueError("empty interval")
+        object.__setattr__(self, "width", self.hi - self.lo)
+
+
+def test_records_of_different_types_are_unequal():
+    assert AffineFiber(2) == AffineFiber(dim=2)
+    assert AffineFiber(2) != ZeroSection(2)
+    assert AffineFiber(2) != 2
+    assert len({AffineFiber(2), AffineFiber(dim=2), ZeroSection(2)}) == 2
+
+
+def test_record_hash_agrees_with_equality():
+    a = Verdict(True, 3, 0)
+    b = Verdict(passed=True, checked=3, skipped=0, failures=())
+    assert a == b and hash(a) == hash(b)
+    assert a != Verdict(True, 3, 1)
+    assert _Interval(3) == _Interval(3, 10) and hash(_Interval(3)) == hash(_Interval(lo=3, hi=10))
+
+
+def test_record_refuses_assignment_and_deletion():
+    v = Verdict(True, 3, 0)
+    with pytest.raises(AttributeError):
+        v.checked = 4
+    with pytest.raises(AttributeError):
+        del v.checked
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    assert v == Verdict(True, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "args,kwargs",
+    [
+        ((True, 3), {}),  # missing
+        ((), {"passed": True, "checked": 3}),  # missing, by keyword
+        ((True, 3, 0, (), 9), {}),  # one too many
+        ((True, 3, 0), {"extra": 1}),  # unexpected
+        ((True, 3), {"extra": 1}),  # unexpected in place of a missing one
+        ((True, 3, 0), {"checked": 3}),  # repeated
+    ],
+)
+def test_record_argument_errors_raise_type_error(args, kwargs):
+    with pytest.raises(TypeError):
+        Verdict(*args, **kwargs)
+
+
+def test_record_defaults_apply():
+    assert Verdict(True, 3, 0).failures == ()
+    assert Verdict(True, 3, skipped=0) == Verdict(True, 3, 0, ())
+    assert Verdict(True, 3, 0, failures=((1, 2),)).failures == ((1, 2),)
+    assert _Interval(3).hi == 10
+
+
+def test_record_post_init_runs_after_the_fields_are_set():
+    interval = _Interval(3)
+    assert (interval.lo, interval.hi, interval.width) == (3, 10, 7)
+    assert interval.replace(hi=5).width == 2
+    assert interval.width == 7
+    with pytest.raises(ValueError, match="empty interval"):
+        interval.replace(hi=1)
+    with pytest.raises(ValueError, match="unit monomial"):
+        BundleTransition(2, ((LP.var("z") + 1,),))
+
+
+def test_record_repr_lists_the_fields_only():
+    assert repr(Verdict(True, 3, 0)) == "Verdict(passed=True, checked=3, skipped=0, failures=())"
+    assert repr(TwistedBundle(1, 2, (0, -1))) == "TwistedBundle(base_dim=1, rank=2, twists=(0, -1))"
+    assert repr(_Interval(3)) == "_Interval(lo=3, hi=10)"
