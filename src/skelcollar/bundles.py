@@ -353,8 +353,8 @@ def h0_twist(
     second = _section_count(trans, twist, u_cutoff, 2 * window + 1)
     if first != second:
         raise BoundTooSmall(
-            f"section count moved from {first} to {second} when the degree "
-            f"window grew past {window}"
+            f"section count at twist {twist} moved from {first} to {second} "
+            f"when the degree window grew past {window}"
         )
     return first
 
@@ -537,44 +537,54 @@ _PAIR_CAP = 24
 def _search_certificate(
     m1: BundleTransition, m2: BundleTransition, bound: int
 ) -> Optional[CollarIsoCertificate]:
-    """Kernel search over bounded frame entries for m2 * B = A * m1."""
+    """Kernel search over bounded frame entries for m2 * B = A * m1.
+
+    Column c of the system is the frame term ``shape[c]`` (side, frame row
+    and column, z and u exponents on the overlap).  A frame term times a
+    transition entry is the entry's terms shifted by the term's exponents,
+    so each entry is read once and no product is formed.  Each null vector,
+    then sums of pairs of the first ``_PAIR_CAP`` and the sum of all, is
+    tried as a frame pair, and ``verify`` decides.  A 1 x 1 frame is a unit
+    only if it is one term.  For rank 1, V * m1 = m2 * U with single-term
+    m1 and m2 gives both frames the same number of terms, so a vector
+    without exactly two nonzeros is skipped before any frame is built."""
     n = m1.n
     rank = m1.rank
     monomials = list(product(range(bound + 1), range(-bound, bound + 1)))
-    # column c of the system is the frame term shape[c]
+    terms1 = [[[(z, u, -c) for z, u, c in zu_terms(p)] for p in row] for row in m1.entries]
+    terms2 = [[list(zu_terms(p)) for p in row] for row in m2.entries]
+    # every (row, column) cell is written once
     rows: dict[tuple[int, int, int], SparseRow] = {}
-    shape: list[tuple[str, int, int, LaurentPoly]] = []
+    shape: list[tuple[str, int, int, int, int]] = []
     for i, k in product(range(rank), repeat=2):
         for alpha, beta in monomials:
             # A[i][k] term xi^alpha v^beta, on the overlap z^(n beta - alpha) u^beta
-            basis = LaurentPoly.monomial({U_BASE: n * beta - alpha, U_FIBER: beta})
+            dz, col = n * beta - alpha, len(shape)
             for jj in range(rank):
-                for z, u, coeff in zu_terms(basis * m1.entries[k][jj]):
-                    _add_entry(rows, (i * rank + jj, z, u), len(shape), -coeff)
-            shape.append(("v", i, k, basis))
+                for z, u, coeff in terms1[k][jj]:
+                    rows.setdefault((i * rank + jj, z + dz, u + beta), {})[col] = coeff
+            shape.append(("v", i, k, dz, beta))
     for k, jj in product(range(rank), repeat=2):
         for alpha, beta in monomials:
-            basis = LaurentPoly.monomial({U_BASE: alpha, U_FIBER: beta})
+            col = len(shape)
             for i in range(rank):
-                for z, u, coeff in zu_terms(m2.entries[i][k] * basis):
-                    _add_entry(rows, (i * rank + jj, z, u), len(shape), coeff)
-            shape.append(("u", k, jj, basis))
+                for z, u, coeff in terms2[i][k]:
+                    rows.setdefault((i * rank + jj, z + alpha, u + beta), {})[col] = coeff
+            shape.append(("u", k, jj, alpha, beta))
 
     vectors = null_space(echelon(rows), len(shape))
     if not vectors:
         return None
 
     def assemble(vec: SparseRow) -> Optional[CollarIsoCertificate]:
-        v_rows = [[LaurentPoly.zero() for _ in range(rank)] for _ in range(rank)]
-        u_rows = [[LaurentPoly.zero() for _ in range(rank)] for _ in range(rank)]
+        if rank == 1 and len(vec) != 2:
+            return None
+        frames = {side: [[LaurentPoly.zero()] * rank for _ in range(rank)] for side in "vu"}
         for c in sorted(vec):
-            coeff = vec[c]
-            side, a, b, basis = shape[c]
-            if side == "v":
-                v_rows[a][b] = v_rows[a][b] + basis * coeff
-            else:
-                u_rows[a][b] = u_rows[a][b] + basis * coeff
-        return _certificate_from_frames(n, v_rows, u_rows, m1, m2)
+            side, a, b, z, u = shape[c]
+            basis = LaurentPoly.monomial({U_BASE: z, U_FIBER: u})
+            frames[side][a][b] = frames[side][a][b] + basis * vec[c]
+        return _certificate_from_frames(n, frames["v"], frames["u"], m1, m2)
 
     for vec in vectors:
         cert = assemble(vec)

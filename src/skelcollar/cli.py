@@ -329,7 +329,21 @@ Figure = Optional[Callable[[], str]]
 Handler = Callable[[argparse.Namespace], tuple[int, dict, str, Figure]]
 
 
+def _check_cap(cells: int, cap: int, need: str) -> None:
+    """Refuse a command whose work, ``need``, comes to more than ``cap`` cells."""
+    if cells > cap:
+        raise ValueError(f"{need}, {cells} cells, over the cap of {cap}")
+
+
+# bounds the chart work: each of the n + 1 components pushes the action
+# through an n x n fiber transition (a few tenths of a second at n = 21)
+SKELETON_MAX_TRANSITION_CELLS = 10_000
+
+
 def _run_skeleton(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    n = args.n
+    _check_cap((n + 1) * n * n, SKELETON_MAX_TRANSITION_CELLS,
+               f"--n {n} needs {n + 1} fiber transitions of {n} x {n}")
     components = skeleton(args.n, args.weights)
     lines = []
     payload = []
@@ -349,7 +363,16 @@ def _run_skeleton(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     return EXIT_OK, {"components": payload}, "\n".join(lines), None
 
 
+# bounds the exponent table of h, n + 1 terms over 2n + 1 variables, which
+# the residual check differentiates 2n times (a few tenths of a second at
+# n = 49)
+POTENTIAL_MAX_TERM_CELLS = 5_000
+
+
 def _run_potential(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    n = args.n
+    _check_cap((n + 1) * (2 * n + 1), POTENTIAL_MAX_TERM_CELLS,
+               f"--n {n} needs a potential of {n + 1} terms over {2 * n + 1} variables")
     weights = args.weights if args.weights is not None else tuple(range(1, args.n + 1))
     field = action_vector_field(weights)
     omega = SymplecticStructure(args.n)
@@ -447,7 +470,18 @@ def _verdict_result(verdict, source: str) -> tuple[int, dict, str, Figure]:
     return code, payload, "\n".join(lines), None
 
 
+# bounds the round trip: each of the (a + 1)(b + 1) Segre components is
+# checked over the a + b + 2 variables of the factors, then evaluated once
+# per sample; at the cap the per-sample cost dominates small maps, and
+# a = b = 1 with 12496 samples takes about half a second
+BIRMAP_MAX_SEGRE_CELLS = 50_000
+
+
 def _run_birmap(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    components, reads = (args.a + 1) * (args.b + 1), args.a + args.b + 2 + args.samples
+    _check_cap(components * reads, BIRMAP_MAX_SEGRE_CELLS,
+               f"--a {args.a} --b {args.b} --samples {args.samples} needs {components} "
+               f"Segre components times {reads} variables and samples")
     pair = product_to_projective(args.a, args.b)
     verdict = verify_birational(pair, samples=args.samples, seed=args.seed)
     return _verdict_result(verdict, f"collapse of the ({args.a}, {args.b}) product")

@@ -22,7 +22,8 @@ Everything downstream is built from these pieces.
 * Linear algebra over the rationals has one elimination kernel:
   ``echelon`` reduces sparse rows ``{column: Fraction}``, always pivoting
   on a row's smallest column, and ``null_space`` back-substitutes its
-  pivot rows into a reduced kernel basis.  Section counts and certificate
+  pivot rows into a reduced kernel basis, visiting only the rows that
+  touch a column already solved.  Section counts and certificate
   searches are its only callers; there is no dense rational matrix.
 
 No floating point is used anywhere.
@@ -567,21 +568,31 @@ def null_space(pivots: Mapping[int, SparseRow], cols: int) -> list[SparseRow]:
     """Reduced basis of the right null space of ``echelon``'s pivot rows.
 
     One vector per free column f, ascending: 1 at f, 0 at every other free
-    column, and the pivot columns solved by back-substitution.  Pivot
-    columns right of f stay 0, so only the pivots left of f are visited.
+    column, and the pivot columns solved by back-substitution in descending
+    lead order.  A pivot row solves its lead to 0 unless it touches a column
+    already in the vector, so an index built once per call maps each column
+    to the leads of the other rows holding it, and only those rows are
+    visited.  Every pending lead lies left of the rows already visited, so
+    the largest pending lead is always the next in descending order.
     """
-    leads = sorted(pivots, reverse=True)
+    touching: dict[int, list[int]] = {}
+    for lead, row in pivots.items():
+        for c in row:
+            if c != lead:
+                touching.setdefault(c, []).append(lead)
     basis = []
     for f in range(cols):
         if f in pivots:
             continue
         vec = {f: _ONE}
-        for lead in leads:
-            if lead > f:
-                continue
+        pending = set(touching.get(f, ()))
+        while pending:
+            lead = max(pending)
+            pending.remove(lead)
             row = pivots[lead]
             s = sum((x * vec[c] for c, x in row.items() if c in vec), _ZERO)
             if s:
                 vec[lead] = -s / row[lead]
+                pending.update(touching.get(lead, ()))
         basis.append(vec)
     return basis

@@ -2,8 +2,9 @@
 cofactor expansion of a determinant, term-by-term evaluation of a Laurent
 polynomial at a point, and the birational round trip on Fraction points
 through that evaluation, and the splitting type read from the section
-counts at every twist down to the degree cap, and the check of a collar
-frame-change certificate on {(z exponent, u exponent): Fraction} dicts.
+counts at every twist down to the degree cap, the check of a collar
+frame-change certificate on {(z exponent, u exponent): Fraction} dicts,
+and the rows of the certificate search built from Laurent products.
 They share no code with the package's sparse kernel, its continuants, its
 compiled map evaluation, its twist walk or its certificate check and are
 slow and simple on purpose; the package's answers are checked against
@@ -12,6 +13,7 @@ inverse is wrong, for the failure paths."""
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 
 from skelcollar.birmaps import (
@@ -287,3 +289,33 @@ def certificate_holds(n, m1, m2, u_frame, v_frame):
     if au != 0 or av != n * bv:
         return False
     return _dict_matmul(m2, u_frame) == _dict_matmul(v_frame, m1)
+
+
+def product_certificate_rows(m1, m2, bound):
+    """(rows, columns) of the certificate search's system m2 * B = A * m1,
+    built by multiplying each frame term into each transition entry as a
+    Laurent polynomial.  Rows map (row, z exponent, u exponent) to
+    {column: Fraction}; columns[c] is (side, frame row, frame column,
+    frame term), the V frame's terms first."""
+    n, rank = m1.n, m1.rank
+    monomials = list(product(range(bound + 1), range(-bound, bound + 1)))
+    rows, columns = {}, []
+
+    def add(key, value):
+        _add_term(rows.setdefault(key, {}), len(columns), value)
+
+    for i, k in product(range(rank), repeat=2):
+        for alpha, beta in monomials:
+            basis = LaurentPoly.monomial({"z": n * beta - alpha, "u": beta})
+            for jj in range(rank):
+                for (z, u), coeff in zu_matrix([[basis * m1.entries[k][jj]]])[0][0].items():
+                    add((i * rank + jj, z, u), -coeff)
+            columns.append(("v", i, k, basis))
+    for k, jj in product(range(rank), repeat=2):
+        for alpha, beta in monomials:
+            basis = LaurentPoly.monomial({"z": alpha, "u": beta})
+            for i in range(rank):
+                for (z, u), coeff in zu_matrix([[m2.entries[i][k] * basis]])[0][0].items():
+                    add((i * rank + jj, z, u), coeff)
+            columns.append(("u", k, jj, basis))
+    return rows, columns

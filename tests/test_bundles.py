@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -296,9 +297,15 @@ def test_h0_profile_of_mixing_matrix():
 
 
 def test_h0_explicit_window_too_small():
+    # the witness names the twist, both counts and the window
     trans = BundleTransition.line_class(1, 4)
-    with pytest.raises(BoundTooSmall):
+    with pytest.raises(BoundTooSmall) as caught:
         h0_twist(trans, 0, window=1)
+    assert str(caught.value) == (
+        "section count at twist 0 moved from 0 to 3 when the degree window grew past 1"
+    )
+    with pytest.raises(BoundTooSmall, match="^section count at twist -2 moved from 1 to 3 "):
+        h0_twist(trans, -2, window=1)
 
 
 def test_h0_with_fiber_cutoff():
@@ -753,6 +760,128 @@ def test_certificate_search_never_builds_a_dense_matrix(monkeypatch):
         for vec in basis:
             for row in rows.values():
                 assert sum(x * vec.get(c, 0) for c, x in row.items()) == 0
+
+
+_TERM = st.tuples(
+    st.integers(-4, 4), st.integers(-2, 2), st.fractions(-3, 3, max_denominator=3).filter(bool)
+)
+
+
+def _poly(terms):
+    out = LP.zero()
+    for e, b, c in terms:
+        out = out + LP.monomial({"z": e, "u": b}, c)
+    return out
+
+
+@st.composite
+def search_pairs(draw):
+    """Two transitions of equal rank on one collar with a bound: rank 1
+    single terms, or rank 2 upper or lower triangular shapes, with mixed-sign
+    z exponents and u terms."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        pair = [BundleTransition.from_rows(n, [[_poly([draw(_TERM)])]]) for _ in "12"]
+    else:
+        pair = []
+        for _ in "12":
+            k = draw(st.integers(-3, 3))
+            off = _poly(draw(st.lists(_TERM, max_size=3)))
+            rows = [[zp(k), off], [LP.zero(), zp(-k)]]
+            if draw(st.booleans()):
+                rows = [[zp(k), LP.zero()], [off, zp(-k)]]
+            pair.append(BundleTransition.from_rows(n, rows))
+    return pair[0], pair[1], draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_pairs())
+def test_search_rows_by_exponent_shift_match_the_product_rows(case):
+    m1, m2, bound = case
+    seen = []
+
+    def recording_echelon(rows):
+        seen.append(rows)
+        return echelon(rows)
+
+    with mock.patch.object(bundles, "echelon", recording_echelon):
+        collar_iso_certificate(m1, m2, bound=bound, exhaustive=True)
+    assert seen == [oracles.product_certificate_rows(m1, m2, bound)[0]]
+
+
+def _line_frames(vec, columns):
+    """The 1 x 1 frame pair (U, V) of a null vector as {(z, u): Fraction}
+    matrices."""
+    frames = {"u": [[{}]], "v": [[{}]]}
+    for c, x in vec.items():
+        side, _, _, basis = columns[c]
+        ((key, _),) = oracles.zu_matrix([[basis]])[0][0].items()
+        frames[side][0][0][key] = x
+    return frames["u"], frames["v"]
+
+
+@pytest.mark.parametrize(
+    "n,p1,p2,bound",
+    [
+        (2, LP.monomial({"z": -3}), LP.monomial({"z": -1}), None),
+        (2, LP.monomial({"z": -2, "u": -1}, -3), LP.monomial({"z": 4, "u": 1}), None),
+        (1, LP.monomial({"z": 1, "u": -2}, Fraction(2, 3)), LP.const(1), 3),
+        # no certificate: 77 single vectors pass the test, no pair sum does
+        (1, LP.monomial({"z": 4, "u": -1}, Fraction(2, 3)), LP.monomial({"z": -3, "u": 2}), None),
+        (3, LP.monomial({"z": 4}, 2), LP.var("u"), 2),
+    ],
+)
+def test_rank_one_search_builds_frames_only_for_single_term_vectors(monkeypatch, n, p1, p2, bound):
+    # a 1 x 1 frame is a unit only if it is one term, so the search builds
+    # frames only from vectors with one V-side and one U-side nonzero, and
+    # still returns the first candidate whose frames hold, as it did when
+    # it built every candidate
+    m1 = BundleTransition.from_rows(n, [[p1]])
+    m2 = BundleTransition.from_rows(n, [[p2]])
+    spaces, built = [], []
+    real_null_space, real_from_frames = bundles.null_space, bundles._certificate_from_frames
+
+    def recording_null_space(pivots, cols):
+        spaces.append(real_null_space(pivots, cols))
+        return spaces[-1]
+
+    def recording_from_frames(n, v_rows, u_rows, m1, m2):
+        built.append((v_rows, u_rows))
+        return real_from_frames(n, v_rows, u_rows, m1, m2)
+
+    monkeypatch.setattr(bundles, "null_space", recording_null_space)
+    monkeypatch.setattr(bundles, "_certificate_from_frames", recording_from_frames)
+    cert = collar_iso_certificate(m1, m2, bound=bound, exhaustive=True)
+
+    if bound is None:
+        bound = max(n, m1.z_spread() + m2.z_spread()) + 1
+    _, columns = oracles.product_certificate_rows(m1, m2, bound)
+    (vectors,) = spaces
+    head = vectors[: bundles._PAIR_CAP]
+    candidates = vectors + [
+        bundles._vector_sum((head[a], head[b]))
+        for a in range(len(head))
+        for b in range(a + 1, len(head))
+    ] + [bundles._vector_sum(vectors)]
+    single_term = [
+        vec for vec in candidates
+        if sorted(columns[c][0] for c in vec) == ["u", "v"]
+    ]
+    m1_terms, m2_terms = oracles.zu_matrix(m1.entries), oracles.zu_matrix(m2.entries)
+    expected = next(
+        (vec for vec in candidates
+         if oracles.certificate_holds(n, m1_terms, m2_terms, *_line_frames(vec, columns))),
+        None,
+    )
+    assert all(entry.is_monomial() for v_rows, u_rows in built for row in v_rows + u_rows
+               for entry in row)
+    if expected is None:
+        assert cert is None
+        assert len(built) == len(single_term) < len(candidates)
+    else:
+        found = (oracles.zu_matrix(cert.u_frame), oracles.zu_matrix(cert.v_frame))
+        assert found == _line_frames(expected, columns)
+        assert len(built) == single_term.index(expected) + 1
 
 
 def test_certificate_needs_matching_shape():

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import json
+import signal
 import time
 from fractions import Fraction
 from itertools import takewhile
@@ -697,6 +698,88 @@ def test_resolve_at_the_matrix_cap_is_answered(capsys):
     matrix = json.loads(out)["intersection_matrix"]
     assert len(matrix) == 200 and all(len(row) == 200 for row in matrix)
     assert matrix[0][:3] == [-2, 1, 0] and matrix[199][197:] == [0, 1, -2]
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["skeleton", "--n", "22"],
+         "--n 22 needs 23 fiber transitions of 22 x 22, 11132 cells, over the cap of 10000"),
+        (["potential", "--n", "50"],
+         "--n 50 needs a potential of 51 terms over 101 variables, 5151 cells, "
+         "over the cap of 5000"),
+        (["birmap", "--a", "9", "--b", "9", "--samples", "481"],
+         "--a 9 --b 9 --samples 481 needs 100 Segre components times 501 variables and "
+         "samples, 50100 cells, over the cap of 50000"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_work_over_the_cap_exits_2(capsys, argv, error, fmt):
+    code, out, err = run(capsys, argv + ["--format", fmt])
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,cells,cap",
+    [
+        (["skeleton", "--n", "21"], 22 * 21 * 21, cli.SKELETON_MAX_TRANSITION_CELLS),
+        (["potential", "--n", "49"], 50 * 99, cli.POTENTIAL_MAX_TERM_CELLS),
+        (["birmap", "--a", "9", "--b", "9", "--samples", "480"], 100 * 500,
+         cli.BIRMAP_MAX_SEGRE_CELLS),
+    ],
+)
+def test_work_at_the_cap_is_answered(capsys, argv, cells, cap):
+    assert cells <= cap
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    if argv[0] == "skeleton":
+        assert [c["j"] for c in doc["components"]] == list(range(22))
+    elif argv[0] == "potential":
+        assert doc["residual_zero"] is True
+    else:
+        assert (doc["passed"], doc["checked"]) == (True, 480)
+
+
+class _Overran(BaseException):
+    pass
+
+
+def _overran(signum, frame):
+    raise _Overran
+
+
+_SIZE = st.one_of(st.integers(0, 64), st.integers(0, 10**6), st.integers(0, 10**18))
+# every size flag of these commands is capped by the work it asks for
+_CAPPED = {
+    ("skeleton",): ("--n",),
+    ("potential",): ("--n",),
+    ("birmap",): ("--a", "--b", "--samples"),
+    ("collar", "pic"): ("--n",),
+    ("collar", "iso"): ("--n", "--j1", "--j2"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_large_sizes_exit_0_or_2_under_an_alarm(data):
+    command = data.draw(st.sampled_from(sorted(_CAPPED)))
+    argv = list(command)
+    for flag in _CAPPED[command]:
+        argv += [flag, str(data.draw(_SIZE))]
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.alarm(5)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--format", "json"])
+    except _Overran:
+        pytest.fail(f"{argv} ran past the 5 s alarm")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (EXIT_OK, EXIT_USAGE), (argv, err.getvalue())
+    assert err.getvalue() == "" if code == EXIT_OK else err.getvalue().startswith("error: ")
 
 
 # -- the first failing witness ------------------------------------------------------

@@ -428,6 +428,44 @@ def test_kernel_matches_dense_oracle(case):
         assert all(vec.values())
 
 
+@st.composite
+def banded_or_block_matrices(draw):
+    """Wide sparse systems in which most pivot rows never touch a given
+    free column: a band of width 1..3 right of each row's start, or dense
+    blocks on the diagonal, some rows repeated as combinations."""
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    rows = []
+    if draw(st.booleans()):
+        cols, width = draw(st.integers(1, 24)), draw(st.integers(1, 3))
+        for start in draw(st.lists(st.integers(0, cols - 1), max_size=20)):
+            row = [Fraction(0)] * cols
+            for c in range(start, min(cols, start + width)):
+                row[c] = draw(entry)
+            rows.append(row)
+    else:
+        sizes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), min_size=1, max_size=6))
+        cols = sum(width for _, width in sizes)
+        offset = 0
+        for height, width in sizes:
+            block = [[draw(entry) for _ in range(width)] for _ in range(height)]
+            if block and draw(st.booleans()):
+                block.append([2 * x for x in block[0]])
+            for part in block:
+                rows.append([Fraction(0)] * offset + part + [Fraction(0)] * (cols - offset - width))
+            offset += width
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], cols
+
+
+@given(banded_or_block_matrices())
+def test_sparse_back_substitution_matches_dense_oracle(case):
+    # null_space visits only the pivot rows that touch a column already in
+    # the vector; the basis must still be the dense oracle's
+    rows, cols = case
+    _, expected_kernel = dense_kernel(rows, cols)
+    assert kernel_of(rows, cols)[1] == expected_kernel
+
+
 @given(rational_matrices(), st.data())
 def test_pivot_columns_do_not_depend_on_row_order(case, data):
     # the lead columns are the leftmost independent set and the reduced
