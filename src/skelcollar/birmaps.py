@@ -132,15 +132,16 @@ class RationalMap(Record):
         object.__setattr__(self, "_plan", plan)
 
     def _check_multidegree(self, comps: tuple[LaurentPoly, ...]) -> None:
+        # each component's variables are looked up once: linear in the terms
         for group in self.source_vars:
+            names = set(group)
             degrees = set()
             for c in comps:
-                if c.is_zero:
-                    continue
-                d = c.homogeneous_degree(group)
-                if d is None:
+                idx = [i for i, v in enumerate(c.variables) if v in names]
+                found = {sum(e[i] for i in idx) for e in c.terms}
+                if len(found) > 1:
                     raise ValueError(f"component {c} not homogeneous in {group}")
-                degrees.add(d)
+                degrees |= found
             if len(degrees) > 1:
                 raise ValueError(f"components have mixed degrees {degrees} in {group}")
 
@@ -336,17 +337,18 @@ class RationalSampler:
 
 
 def projectively_equal(p: Point, q: Point) -> bool:
+    """Each factor of ``q`` a nonzero multiple of ``p``'s: ``vq`` is nonzero at the
+    first nonzero coordinate of ``vp``, and every coordinate cross-multiplies."""
     if len(p) != len(q):
         return False
     for vp, vq in zip(p, q):
         if len(vp) != len(vq):
             return False
-        if not any(vp) or not any(vq):
+        i = next((i for i, x in enumerate(vp) if x), None)
+        if i is None or not vq[i]:
             return False
-        for i in range(len(vp)):
-            for k in range(i + 1, len(vp)):
-                if vp[i] * vq[k] != vp[k] * vq[i]:
-                    return False
+        if any(x * vq[i] != y * vp[i] for x, y in zip(vp, vq)):
+            return False
     return True
 
 

@@ -122,8 +122,8 @@ class PicardGroup(Record):
     b is the class (a + b) mod n.  ``certificates[d]``, for each degree
     d = 0..2n-2 that a sum a + b reaches, is the frame-change certificate
     identifying the degree-d bundle with the degree d mod n one: v^s on the
-    V side and u^s on the U side, with s = d div n.  Distinctness of the
-    classes is recorded separately through the residue invariant."""
+    V side and u^s on the U side, with s = d div n.  Distinct classes are
+    told apart by ``CollarLineBundle.residue``, the exponent mod n."""
 
     n: int
     certificates: tuple["CollarIsoCertificate", ...]
@@ -138,18 +138,6 @@ class PicardGroup(Record):
 
     def tensor_class(self, a: int, b: int) -> int:
         return (a + b) % self.n
-
-    def residue_invariant(self, j: int) -> int:
-        """The invariant separating the classes: the exponent mod n."""
-        return j % self.n
-
-    def order_of(self, a: int) -> int:
-        acc = a % self.n
-        order = 1
-        while acc != 0:
-            acc = self.tensor_class(acc, a)
-            order += 1
-        return order
 
 
 def picard_group(n: int) -> PicardGroup:
@@ -309,6 +297,8 @@ def _section_count(trans: BundleTransition, twist: int, u_cutoff: int, window: i
     read off from the single overlap monomial z^(n m - k) u^m, so it absorbs
     that bucket whenever k lands inside the window and the solution count is
     the U-side unknowns minus the rank of the leftover bucket constraints.
+    Both products of a row are by one term, so ``LaurentPoly.__mul__``
+    forms each as an exponent shift.
     """
     rank = trans.rank
     n = trans.n

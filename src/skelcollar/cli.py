@@ -619,8 +619,18 @@ def _run_deform(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
+# bounds the squares: each of the n - 1 walks up to 4n section-count twists and
+# round-trips --samples points over about n coordinates; in-process on 2 vCPUs,
+# n = 14 at the default 40 samples took 1.2 s, n = 17 at one sample 2.0 s
+DUALITY_MAX_SQUARE_CELLS = 20_000
+
+
 def _run_duality(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
-    report = duality_report(args.n, samples=args.samples, seed=args.seed)
+    n, samples = args.n, args.samples
+    _check_cap((n - 1) * (4 * n + samples) * n, DUALITY_MAX_SQUARE_CELLS,
+               f"--n {n} --samples {samples} needs {n - 1} squares of {4 * n} section "
+               f"counts and {samples} samples over {n} coordinates")
+    report = duality_report(n, samples=samples, seed=args.seed)
     code = EXIT_OK if report.all_ok else EXIT_VERIFY
     return code, report.to_json_dict(), report.to_text(), None
 

@@ -11,7 +11,7 @@ family on the collar side and checks that both reach the same row.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .birmaps import IndexOutOfRange, Verdict, bir_step, point_text, verify_birational
 from .deform import index_step_family
@@ -25,10 +25,6 @@ from .skeleton import (
 )
 
 
-class NotAPair(ValueError):
-    """Raised when collar residues are not mutually inverse mod n."""
-
-
 def _check_collar(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"collar parameter must be a positive integer, got {n!r}")
@@ -40,17 +36,6 @@ def dual_of_lagrangian(n: int, j: int) -> tuple[int, int]:
     if not 0 <= j <= n - 1:
         raise IndexOutOfRange(f"no skeleton component {j} for collar parameter {n}")
     return (j % n, (-j) % n)
-
-
-def dual_of_bundle_pair(n: int, residues: Sequence[int]) -> int:
-    """Skeleton index recovered from a collar residue pair."""
-    _check_collar(n)
-    r1, r2 = residues
-    if not (0 <= r1 < n and 0 <= r2 < n):
-        raise ValueError(f"residues must lie in 0..{n - 1}, got {tuple(residues)}")
-    if (r1 + r2) % n != 0:
-        raise NotAPair(f"residues {tuple(residues)} are not negatives mod {n}")
-    return r1
 
 
 def describe_classification(c: object) -> str:

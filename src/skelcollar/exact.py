@@ -16,7 +16,9 @@ Everything downstream is built from these pieces.
   user code).  Results of the arithmetic (``+``, ``-``, ``*``,
   ``inverse``, ``diff``, ``monomial``) are canonical by construction and
   go through the private ``_from_canonical``, which skips that
-  re-validation and only prunes variables that cancelled away.
+  re-validation and only prunes variables that cancelled away.  A product
+  with a one-term factor is an exponent shift of the other factor, its
+  coefficients scaled only when the term's coefficient is not 1.
 * Matrices of Laurent polynomials are tuples of rows (``PolyMatrix``)
   with product, substitution and cofactor determinant.
 * Linear algebra over the rationals has one elimination kernel:
@@ -276,6 +278,15 @@ class LaurentPoly:
         if self.is_zero or other.is_zero:
             return LaurentPoly.zero()
         joint, a, b = self._aligned(other)
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # one term: a shift of the other factor, scaled unless by 1; a
+            # shift is injective, so no keys merge or cancel
+            ((ea, ca),) = a.items()
+            scaled = ca != 1
+            out = {tuple(map(add, ea, eb)): ca * cb if scaled else cb for eb, cb in b.items()}
+            return LaurentPoly._from_canonical(joint, out)
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():

@@ -4,7 +4,10 @@ polynomial at a point, and the birational round trip on Fraction points
 through that evaluation, and the splitting type read from the section
 counts at every twist down to the degree cap, the check of a collar
 frame-change certificate on {(z exponent, u exponent): Fraction} dicts,
-and the rows of the certificate search built from Laurent products.
+and the rows of the certificate search built from Laurent products; the
+Laurent product on {named exponents: Fraction} dicts, projective equality
+by every pair of coordinates, the order of a Picard class by repeated
+tensoring, and the skeleton index of a collar residue pair.
 They share no code with the package's sparse kernel, its continuants, its
 compiled map evaluation, its twist walk or its certificate check and are
 slow and simple on purpose; the package's answers are checked against
@@ -319,3 +322,63 @@ def product_certificate_rows(m1, m2, bound):
                     add((i * rank + jj, z, u), coeff)
             columns.append(("u", k, jj, basis))
     return rows, columns
+
+
+def named_terms(poly):
+    """A Laurent polynomial, or a scalar, as {((name, exponent), ...):
+    Fraction}, zero exponents left out."""
+    if not isinstance(poly, LaurentPoly):
+        return {(): Fraction(poly)} if poly else {}
+    return {tuple((v, e) for v, e in zip(poly.variables, exps) if e): Fraction(c)
+            for exps, c in poly.terms.items()}
+
+
+def laurent_product(p, q):
+    """(variables, named terms) of p * q by the schoolbook product on named
+    dicts; the variables are the names that survive in some term."""
+    out = {}
+    for t1, c1 in named_terms(p).items():
+        for t2, c2 in named_terms(q).items():
+            exps = dict(t1)
+            for v, e in t2:
+                exps[v] = exps.get(v, 0) + e
+            _add_term(out, tuple(sorted((v, e) for v, e in exps.items() if e)), c1 * c2)
+    return tuple(sorted({v for key in out for v, _ in key})), out
+
+
+def projectively_equal_pairwise(p, q):
+    """Every 2 x 2 minor of each factor pair vanishes, neither factor zero."""
+    if len(p) != len(q):
+        return False
+    for vp, vq in zip(p, q):
+        if len(vp) != len(vq) or not any(vp) or not any(vq):
+            return False
+        for i in range(len(vp)):
+            for k in range(i + 1, len(vp)):
+                if vp[i] * vq[k] != vp[k] * vq[i]:
+                    return False
+    return True
+
+
+def picard_order(pic, a):
+    """Order of class a in the Picard table: tensor a with itself until the
+    trivial class comes back."""
+    acc, order = a % pic.n, 1
+    while acc != 0:
+        acc = pic.tensor_class(acc, a)
+        order += 1
+    return order
+
+
+class NotAPair(ValueError):
+    """Collar residues that are not mutually inverse mod n."""
+
+
+def dual_of_bundle_pair(n, residues):
+    """Skeleton index recovered from a collar residue pair (r, -r mod n)."""
+    r1, r2 = residues
+    if not (0 <= r1 < n and 0 <= r2 < n):
+        raise ValueError(f"residues must lie in 0..{n - 1}, got {tuple(residues)}")
+    if (r1 + r2) % n != 0:
+        raise NotAPair(f"residues {tuple(residues)} are not negatives mod {n}")
+    return r1

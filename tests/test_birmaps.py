@@ -214,6 +214,37 @@ def test_projective_equality():
     assert not projectively_equal(((F(0), F(0)),), ((F(0), F(0)),))
 
 
+_COORDS = st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 2), F(-3, 4)])
+_FACTORS = st.lists(st.lists(_COORDS, min_size=1, max_size=4).map(tuple), min_size=1, max_size=3)
+
+
+@st.composite
+def point_pairs(draw):
+    """A point and a second one that is a multiple of it factor by factor
+    (the multiple may be 0), such a multiple with one coordinate moved, or
+    an unrelated point, whose factors may differ in number and length."""
+    p = tuple(draw(_FACTORS))
+    kind = draw(st.sampled_from(["multiple", "moved", "unrelated"]))
+    if kind == "unrelated":
+        return p, tuple(draw(_FACTORS))
+    scales = draw(st.lists(_COORDS, min_size=len(p), max_size=len(p)))
+    q = [tuple(c * s for c in f) for f, s in zip(p, scales)]
+    if kind == "moved":
+        i = draw(st.integers(0, len(q) - 1))
+        k = draw(st.integers(0, len(q[i]) - 1))
+        q[i] = q[i][:k] + (q[i][k] + draw(_COORDS),) + q[i][k + 1 :]
+    return p, tuple(q)
+
+
+@given(point_pairs())
+@example((((F(0), F(2)),), ((F(3), F(2)),)))
+@example((((F(1), F(2)),), ((F(1), F(2), F(0)),)))
+def test_projective_equality_matches_every_pair_of_coordinates(pair):
+    p, q = pair
+    expected = oracles.projectively_equal_pairwise(p, q)
+    assert projectively_equal(p, q) == projectively_equal(q, p) == expected
+
+
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -3}])
 def test_verify_rejects_nonpositive_counts(kwargs):
     with pytest.raises(ValueError, match="at least 1") as info:
@@ -293,6 +324,28 @@ def test_name_shared_by_two_factors_takes_the_later_value():
     m = RationalMap((1, 1), (1,), (("x0", "x1"), ("x1", "x2")), ((x1, 2 * x1),))
     point = ((F(2), F(3)), (F(5), F(7)))
     assert m.apply(point) == oracles.apply_map(m, point) == ((F(5), F(10)),)
+
+
+@pytest.mark.parametrize(
+    "groups,components,error",
+    [
+        ((("y0", "y1"),), (("y0 + y1^2", "y1"),), "component y0 + y1^2 not homogeneous in ('y0', 'y1')"),
+        ((("y0", "y1"),), (("y0", "y1^2"),), "components have mixed degrees {1, 2} in ('y0', 'y1')"),
+        ((("y0", "y1"), ("y1", "y2")), (("y0*y1", "y1*y2"),),
+         "components have mixed degrees {1, 2} in ('y0', 'y1')"),
+        ((("y0", "y1"), ("y1", "y2")), (("y0*y1", "y1^2"),),
+         "components have mixed degrees {1, 2} in ('y1', 'y2')"),
+    ],
+)
+def test_components_must_be_homogeneous_of_one_degree_per_group(groups, components, error):
+    polys = {
+        "y0 + y1^2": mono("y0") + mono("y1", "y1"), "y0": mono("y0"), "y1": mono("y1"),
+        "y1^2": mono("y1", "y1"), "y0*y1": mono("y0", "y1"), "y1*y2": mono("y1", "y2"),
+    }
+    comps = tuple(tuple(polys[c] for c in factor) for factor in components)
+    with pytest.raises(ValueError) as info:
+        RationalMap((1,) * len(groups), (1,), groups, comps)
+    assert str(info.value) == error
 
 
 def test_component_outside_source_variables_rejected():

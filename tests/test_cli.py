@@ -711,6 +711,9 @@ def test_resolve_at_the_matrix_cap_is_answered(capsys):
         (["birmap", "--a", "9", "--b", "9", "--samples", "481"],
          "--a 9 --b 9 --samples 481 needs 100 Segre components times 501 variables and "
          "samples, 50100 cells, over the cap of 50000"),
+        (["duality", "--n", "15"],
+         "--n 15 --samples 40 needs 14 squares of 60 section counts and 40 samples over "
+         "15 coordinates, 21000 cells, over the cap of 20000"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -726,6 +729,8 @@ def test_work_over_the_cap_exits_2(capsys, argv, error, fmt):
         (["potential", "--n", "49"], 50 * 99, cli.POTENTIAL_MAX_TERM_CELLS),
         (["birmap", "--a", "9", "--b", "9", "--samples", "480"], 100 * 500,
          cli.BIRMAP_MAX_SEGRE_CELLS),
+        (["duality", "--n", "2", "--samples", "9992"], 1 * (8 + 9992) * 2,
+         cli.DUALITY_MAX_SQUARE_CELLS),
     ],
 )
 def test_work_at_the_cap_is_answered(capsys, argv, cells, cap):
@@ -737,8 +742,16 @@ def test_work_at_the_cap_is_answered(capsys, argv, cells, cap):
         assert [c["j"] for c in doc["components"]] == list(range(22))
     elif argv[0] == "potential":
         assert doc["residual_zero"] is True
+    elif argv[0] == "duality":
+        assert doc["all_ok"] is True and doc["squares"][0]["bir_checked"] == 9992
     else:
         assert (doc["passed"], doc["checked"]) == (True, 480)
+
+
+def test_duality_cap_admits_the_scaling_curve_to_n_12():
+    # --n 2..12 at the default 40 samples is the duality scaling curve the
+    # benchmark is to report; 15 is the first n the cap refuses
+    assert 11 * (4 * 12 + 40) * 12 <= cli.DUALITY_MAX_SQUARE_CELLS < 14 * (4 * 15 + 40) * 15
 
 
 class _Overran(BaseException):
@@ -757,6 +770,7 @@ _CAPPED = {
     ("birmap",): ("--a", "--b", "--samples"),
     ("collar", "pic"): ("--n",),
     ("collar", "iso"): ("--n", "--j1", "--j2"),
+    ("duality",): ("--n", "--samples"),
 }
 
 

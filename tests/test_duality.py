@@ -4,14 +4,13 @@ import json
 
 import pytest
 
+from oracles import NotAPair, dual_of_bundle_pair
 from skelcollar import deform
 from skelcollar.birmaps import IndexOutOfRange
 from skelcollar.bundles import BundleTransition, collar_iso_certificate
 from skelcollar.duality import (
     DualityReport,
-    NotAPair,
     SquareReport,
-    dual_of_bundle_pair,
     dual_of_lagrangian,
     duality_report,
     square_check,

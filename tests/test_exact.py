@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from skelcollar.birmaps import Verdict
@@ -27,7 +27,7 @@ from skelcollar.exact import (
 
 from skelcollar.skeleton import AffineFiber, TwistedBundle, ZeroSection
 
-from oracles import dense_kernel, evaluate
+from oracles import dense_kernel, evaluate, laurent_product, named_terms
 
 LP = LaurentPoly
 
@@ -269,6 +269,34 @@ def test_arithmetic_results_are_canonical(a, b, var, exponents, coeff):
         results.append(a.inverse())
     for r in results:
         assert_identical(r, LP(r.variables, r.terms))
+
+
+@st.composite
+def one_term_polys(draw):
+    """One term over up to three of z, u, w, its coefficient 1 or not."""
+    names = draw(st.lists(st.sampled_from(["z", "u", "w"]), unique=True, max_size=3))
+    exps = draw(st.tuples(*[st.integers(-2, 2)] * len(names)))
+    coeff = draw(st.sampled_from([Fraction(1), Fraction(1), Fraction(-1), Fraction(3, 2)]))
+    return LP(names, {exps: coeff})
+
+
+_FACTORS = st.one_of(laurent_polys(), one_term_polys())
+
+
+@given(_FACTORS, _FACTORS, st.sampled_from([0, 1, -1, 2, Fraction(1), Fraction(-2, 3)]))
+# shifts that cancel z: by a one-term factor of coefficient 1 on the left,
+# and of coefficient 1/2 on the right of two terms
+@example(LP(("z",), {(1,): 1}), LP(("u", "z"), {(1, -1): 2}), 1)
+@example(LP(("u", "z"), {(1, 2): 1, (0, 2): -1}), LP(("z",), {(-2,): Fraction(1, 2)}), 3)
+def test_product_matches_the_dict_oracle(a, b, scalar):
+    # with a one-term factor, on either side, the product is an exponent
+    # shift of the other factor; a variable that cancels everywhere is pruned
+    for x, y in ((a, b), (b, a), (scalar, a), (a, scalar)):
+        variables, terms = laurent_product(x, y)
+        product = x * y
+        assert product.variables == variables
+        assert named_terms(product) == terms
+        assert_identical(product, LP(product.variables, product.terms))
 
 
 @given(laurent_polys())
