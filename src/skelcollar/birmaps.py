@@ -186,10 +186,6 @@ class ComposedMap(Record):
     def target_dims(self) -> tuple[int, ...]:
         return self.stages[-1].target_dims
 
-    @property
-    def label(self) -> str:
-        return " then ".join(s.label or "?" for s in self.stages)
-
     def apply(self, point: Point) -> Point:
         for stage in self.stages:
             point = stage.apply(point)
@@ -215,9 +211,6 @@ class MapPair(Record):
             raise ValueError("inverse target does not match forward source")
         if self.forward.target_dims != self.inverse.source_dims:
             raise ValueError("inverse source does not match forward target")
-
-    def swap(self) -> "MapPair":
-        return MapPair(self.inverse, self.forward, self.notes)
 
 
 def segre(a: int, b: int) -> RationalMap:

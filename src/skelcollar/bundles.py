@@ -32,8 +32,6 @@ from .exact import (
 
 U_BASE = "z"
 U_FIBER = "u"
-V_BASE = "xi"
-V_FIBER = "v"
 
 _F0 = Fraction(0)
 
@@ -52,67 +50,7 @@ def _check_n(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# charts
-
-
-class SurfaceChartPair(Record):
-    """The two-chart cover with gluing (xi, v) = (1/z, z^n u).  Which chart
-    functions are units on the collar is stated once, in
-    ``CollarIsoCertificate.verify``."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-
-    def to_u_side(self, p: LaurentPoly) -> LaurentPoly:
-        """Rewrite a (xi, v) expression in (z, u) coordinates."""
-        if not set(p.variables) <= {V_BASE, V_FIBER}:
-            raise ValueError(f"expected variables within (xi, v): {p}")
-        return p.substitute(
-            {
-                V_BASE: LaurentPoly.monomial({U_BASE: -1}),
-                V_FIBER: LaurentPoly.monomial({U_BASE: self.n, U_FIBER: 1}),
-            }
-        )
-
-    def to_v_side(self, p: LaurentPoly) -> LaurentPoly:
-        """Rewrite a (z, u) expression in (xi, v) coordinates."""
-        if not set(p.variables) <= {U_BASE, U_FIBER}:
-            raise ValueError(f"expected variables within (z, u): {p}")
-        return p.substitute(
-            {
-                U_BASE: LaurentPoly.monomial({V_BASE: -1}),
-                U_FIBER: LaurentPoly.monomial({V_BASE: self.n, V_FIBER: 1}),
-            }
-        )
-
-
-# ---------------------------------------------------------------------------
 # line bundle classes on the collar
-
-
-class CollarLineBundle(Record):
-    """The restriction to the collar of the degree-j line bundle; the
-    transition entry is z^(-j)."""
-
-    n: int
-    j: int
-
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-
-    @property
-    def residue(self) -> int:
-        return self.j % self.n
-
-    def transition(self) -> LaurentPoly:
-        return _z_power(-self.j)
-
-    def tensor(self, other: "CollarLineBundle") -> "CollarLineBundle":
-        if self.n != other.n:
-            raise ValueError("tensor requires bundles over the same collar")
-        return CollarLineBundle(self.n, self.j + other.j)
 
 
 class PicardGroup(Record):
@@ -123,7 +61,7 @@ class PicardGroup(Record):
     d = 0..2n-2 that a sum a + b reaches, is the frame-change certificate
     identifying the degree-d bundle with the degree d mod n one: v^s on the
     V side and u^s on the U side, with s = d div n.  Distinct classes are
-    told apart by ``CollarLineBundle.residue``, the exponent mod n."""
+    told apart by the residue of the degree mod n."""
 
     n: int
     certificates: tuple["CollarIsoCertificate", ...]
@@ -151,44 +89,6 @@ def picard_group(n: int) -> PicardGroup:
             raise AssertionError(f"no certificate reduces class {d} to {d % n} mod {n}")
         certs.append(cert)
     return PicardGroup(n, tuple(certs))
-
-
-# ---------------------------------------------------------------------------
-# collar topology
-
-
-class CollarTopology(Record):
-    """Orders of the fundamental group and the low homology/cohomology of
-    the collar; all three are cyclic of the same order."""
-
-    n: int
-    pi1_order: int
-    h1_order: int
-    h2_order: int
-    derivation: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        if not (self.pi1_order == self.h1_order == self.h2_order == self.n):
-            raise ValueError("collar invariants must all be cyclic of order n")
-
-
-def collar_topology(n: int) -> CollarTopology:
-    _check_n(n)
-    return CollarTopology(
-        n=n,
-        pi1_order=n,
-        h1_order=n,
-        h2_order=n,
-        derivation=(
-            "circle bundle over the sphere: fibers glued through a degree-n "
-            "twist, so the fundamental group is cyclic of order n",
-            "first homology is the abelianisation of the fundamental group",
-            "Poincare duality carries first homology to second cohomology",
-            "the exponential sheaf sequence maps line-bundle classes onto "
-            "second cohomology, matching the residue invariant",
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +148,6 @@ class BundleTransition(Record):
     def line_class(cls, n: int, j: int) -> "BundleTransition":
         """The degree-j line bundle: single entry z^(-j)."""
         return cls(n, ((_z_power(-j),),))
-
-    @classmethod
-    def diagonal(cls, n: int, e1: int, e2: int) -> "BundleTransition":
-        return cls(n, ((_z_power(e1), LaurentPoly.zero()), (LaurentPoly.zero(), _z_power(e2))))
 
     @classmethod
     def canonical(cls, n: int, j: int, off: LaurentPoly | None = None) -> "BundleTransition":
@@ -397,55 +293,6 @@ def splitting_type(trans: BundleTransition) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# the splitting-raising transformation
-
-
-class PhiStage(Record):
-    label: str
-    summands: tuple[int, int]
-    chern: int
-
-
-class PhiTransform(Record):
-    """Bookkeeping for the two elementary transformations followed by a
-    twist that raise a rank-2 splitting type by n while fixing the collar
-    residue class."""
-
-    n: int
-    j: int
-    stages: tuple[PhiStage, ...]
-    splitting_before: int
-    splitting_after: int
-    collar_class: int
-
-
-def phi_transform(n: int, j: int) -> PhiTransform:
-    _check_n(n)
-    if j < 0:
-        raise ValueError("splitting type must be nonnegative")
-    stages = (
-        PhiStage("start", (j, -j), 0),
-        PhiStage("first-transform", (-n, j + n), j),
-        PhiStage("second-transform", (-j, j + 2 * n), 2 * n),
-        PhiStage("twist-back", (-j - n, j + n), 0),
-    )
-    result = PhiTransform(
-        n=n,
-        j=j,
-        stages=stages,
-        splitting_before=j,
-        splitting_after=j + n,
-        collar_class=j % n,
-    )
-    # the end state must carry the same residue and no net twist
-    if result.splitting_after % n != result.collar_class:
-        raise AssertionError("the transform must keep the collar residue class")
-    if stages[-1].chern != 0:
-        raise AssertionError("the transform must end with no net twist")
-    return result
-
-
-# ---------------------------------------------------------------------------
 # frame-change certificates on the collar
 
 
@@ -453,8 +300,8 @@ class CollarIsoCertificate(Record):
     """An exact pair of frame changes exhibiting two transitions as the same
     bundle over the collar: m2 * u_frame = v_frame * m1, with both frames
     regular and invertible over their chart rings.  Both frames are written
-    in overlap (z, u) coordinates; ``SurfaceChartPair(n).to_v_side`` gives
-    the V frame in (xi, v)."""
+    in overlap (z, u) coordinates; a V-frame term z^a u^b is xi^(n b - a) v^b
+    in (xi, v)."""
 
     n: int
     v_frame: PolyMatrix
@@ -483,6 +330,25 @@ class CollarIsoCertificate(Record):
                 if any((n * b - a if v_side else a) < 0 for a, b, _ in zu_terms(p)):
                     return False
         return poly_mat_mul(m2.entries, self.u_frame) == poly_mat_mul(self.v_frame, m1.entries)
+
+
+def phi_transform(trans: BundleTransition) -> tuple[BundleTransition, CollarIsoCertificate]:
+    """The collar's identification of splitting type j with j + n.
+
+    For a canonical [[z^j, p], [0, z^-j]], the image is the canonical
+    [[z^(j+n), z^n u^2 p], [0, z^-(j+n)]] with the certificate
+    V = diag(v, 1/v), U = diag(u, 1/u), v = z^n u: u and v are units on the
+    collar, and the new corner vanishes on the zero section whenever p is
+    regular there, so the image splits as (j + n, -j - n) with the same
+    residue j mod n."""
+    n, p = trans.n, trans.entries[0][-1]
+    j = trans.entries[0][0].max_exponent(U_BASE)
+    if trans.rank != 2 or j < 0 or trans != BundleTransition.canonical(n, j, p):
+        raise ValueError("phi takes a canonical [[z^j, p], [0, z^-j]] with j >= 0")
+    u, v = LaurentPoly.var(U_FIBER), LaurentPoly.monomial({U_BASE: n, U_FIBER: 1})
+    zero = LaurentPoly.zero()
+    frames = (((v, zero), (zero, v**-1)), ((u, zero), (zero, u**-1)))
+    return BundleTransition.canonical(n, j + n, v * u * p), CollarIsoCertificate(n, *frames)
 
 
 def _certificate_from_frames(
@@ -683,10 +549,6 @@ class ModuliDimension(Record):
     j: int
     dimension: Optional[int]
     note: str
-
-    @property
-    def is_empty(self) -> bool:
-        return self.dimension is None
 
 
 def moduli_dimension(n: int, j: int) -> ModuliDimension:

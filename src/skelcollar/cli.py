@@ -473,7 +473,10 @@ def _verdict_result(verdict, source: str) -> tuple[int, dict, str, Figure]:
 # bounds the round trip: each of the (a + 1)(b + 1) Segre components is
 # checked over the a + b + 2 variables of the factors, then evaluated once
 # per sample; at the cap the per-sample cost dominates small maps, and
-# a = b = 1 with 12496 samples takes about half a second
+# a = b = 1 with 12496 samples takes about half a second.  birstep counts
+# the components of its two collapses times its n + 1 variables and the
+# samples; at the cap its slowest case, n = 2, j = 0 with 12497 samples,
+# took 0.41 s in-process on 2 vCPUs
 BIRMAP_MAX_SEGRE_CELLS = 50_000
 
 
@@ -488,11 +491,13 @@ def _run_birmap(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
 
 
 def _run_birstep(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
-    pair = bir_step(args.n, args.j)
-    verdict = verify_birational(pair, samples=args.samples, seed=args.seed)
-    return _verdict_result(
-        verdict, f"step map {args.j} -> {args.j + 1} in dimension {args.n}"
-    )
+    n, j, samples = args.n, args.j, args.samples
+    components, reads = (j + 1) * (n - j) + (j + 2) * (n - j - 1), n + 1 + samples
+    _check_cap(components * reads, BIRMAP_MAX_SEGRE_CELLS,
+               f"--n {n} --j {j} --samples {samples} needs {components} Segre components "
+               f"times {reads} variables and samples")
+    verdict = verify_birational(bir_step(n, j), samples=samples, seed=args.seed)
+    return _verdict_result(verdict, f"step map {j} -> {j + 1} in dimension {n}")
 
 
 # bounds the n x n tensor table the report prints; the certificates, one

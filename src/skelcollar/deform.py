@@ -18,8 +18,6 @@ from typing import Optional, Sequence
 from .bundles import U_BASE, U_FIBER, BundleTransition, splitting_type, zu_terms
 from .exact import LaurentPoly, Record, Scalar, as_fraction
 
-TAU = "tau"
-
 
 class WindowUnstable(RuntimeError):
     """Doubling the degree window changed the computed basis."""
@@ -149,16 +147,13 @@ def include_class(cls: ExtClass, s: int) -> ExtClass:
 class DeformationFamily(Record):
     """The family [[z^(j+s), tau * p], [0, z^(-j-s)]] over the parameter tau.
 
-    The parameter is named tau to keep clear of the torus-flow parameter
-    used by the group actions elsewhere in this package.  ``endpoints``
-    holds the splitting types the builder observed and checked at tau = 0
-    and tau = 1.
+    ``endpoints`` holds the splitting types the builder observed and
+    checked at tau = 0 and tau = 1.
     """
 
     n: int
     j: int
     s: int
-    tau_symbol: str
     entry: LaurentPoly
     source: Optional[ExtClass]
     included: Optional[ExtClass]
@@ -167,12 +162,6 @@ class DeformationFamily(Record):
     @property
     def top_exponent(self) -> int:
         return self.j + self.s
-
-    def symbolic_matrix(self) -> tuple[tuple[LaurentPoly, ...], ...]:
-        tau = LaurentPoly.var(self.tau_symbol)
-        top = LaurentPoly.monomial({U_BASE: self.top_exponent})
-        bottom = LaurentPoly.monomial({U_BASE: -self.top_exponent})
-        return ((top, tau * self.entry), (LaurentPoly.zero(), bottom))
 
     def matrix_at(self, tau: Scalar) -> BundleTransition:
         value = as_fraction(tau)
@@ -199,7 +188,6 @@ def deformation_family(source: ExtClass, s: int) -> DeformationFamily:
         n=source.n,
         j=source.j,
         s=s,
-        tau_symbol=TAU,
         entry=included.representative,
         source=source,
         included=included,
@@ -235,7 +223,6 @@ def index_step_family(n: int, j: int, s: int = 1) -> DeformationFamily:
         n=n,
         j=0,
         s=s,
-        tau_symbol=TAU,
         entry=LaurentPoly.const(1),
         source=None,
         included=None,

@@ -6,7 +6,9 @@ For a collar parameter n the skeleton side is the cotangent bundle of
 projective (n-1)-space with its n components, and the collar side is the
 set of n residue classes of line-bundle pairs (j mod n, -j mod n).  Each
 square couples one step map on the skeleton side with one one-parameter
-family on the collar side and checks that both reach the same row.
+family on the collar side and checks that both reach the same row.  Every
+report first checks the toric duality between the quotients 1/n(1,1) and
+1/n(1,n-1) that the correspondence is built from.
 """
 
 from __future__ import annotations
@@ -22,6 +24,13 @@ from .skeleton import (
     TwistedBundle,
     ZeroSection,
     skeleton,
+)
+from .toric import (
+    QuotientSingularity,
+    dynkin_dual_graph,
+    is_negative_definite,
+    minimal_resolution,
+    quotient_cone,
 )
 
 
@@ -194,6 +203,31 @@ class DualityReport(Record):
         return "\n".join(lines)
 
 
+def _check_toric_leg(n: int, components: int) -> None:
+    """The toric duality the correspondence rests on: the cone of 1/n(1,1)
+    is dual to that of 1/n(1,n-1); the first resolves to one (-n)-curve, the
+    zero section of the total space whose collar the bundles live on; the
+    second to the A_(n-1) chain of n - 1 (-2)-curves, whose n torus-fixed
+    points match the ``components`` skeleton components."""
+    sharp, flat = QuotientSingularity(n, 1), QuotientSingularity(n, n - 1)
+    curve, chain = minimal_resolution(sharp), minimal_resolution(flat)
+    legs = (
+        ("the dual of the 1/n(1,1) cone is the 1/n(1,n-1) cone",
+         quotient_cone(sharp).dual().is_equivalent(quotient_cone(flat))),
+        ("1/n(1,1) resolves to one (-n)-curve", curve.self_intersections == (-n,)),
+        ("1/n(1,n-1) resolves to (-2)-curves whose torus-fixed points match "
+         "the skeleton components", chain.self_intersections == (-2,) * (components - 1)),
+        ("the dual graph of the 1/n(1,n-1) chain is a path",
+         dynkin_dual_graph(chain).is_path()),
+        ("both chains are negative definite",
+         is_negative_definite(curve.self_intersections)
+         and is_negative_definite(chain.self_intersections)),
+    )
+    for statement, holds in legs:
+        if not holds:
+            raise AssertionError(f"toric leg at n = {n}: expected {statement}")
+
+
 def duality_report(n: int, samples: int = 40, seed: int = 1) -> DualityReport:
     """Assemble the table of all rows and all squares for one parameter."""
     if not isinstance(n, int) or n < 2:
@@ -201,6 +235,7 @@ def duality_report(n: int, samples: int = 40, seed: int = 1) -> DualityReport:
     components = skeleton(n - 1)
     if len(components) != n:
         raise AssertionError("skeleton side must have exactly n components")
+    _check_toric_leg(n, len(components))
     entries = tuple(
         DualityEntry(
             n=n,

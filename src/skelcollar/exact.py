@@ -213,11 +213,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self.variables
 
-    def constant_value(self) -> Fraction:
-        if self.variables:
-            raise ValueError(f"not a constant: {self}")
-        return self.terms.get((), _ZERO)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -516,10 +511,6 @@ def poly_mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
             new_row.append(acc)
         out.append(tuple(new_row))
     return tuple(out)
-
-
-def poly_mat_substitute(a: PolyMatrix, bindings: Mapping[str, LaurentPoly | Scalar]) -> PolyMatrix:
-    return tuple(tuple(entry.substitute(bindings) for entry in row) for row in a)
 
 
 def poly_mat_det(a: PolyMatrix) -> LaurentPoly:

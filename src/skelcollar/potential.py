@@ -49,10 +49,6 @@ class VectorField(Record):
     def y_components(self) -> tuple[LaurentPoly, ...]:
         return self.components[self.n :]
 
-    @classmethod
-    def zero(cls, n: int) -> "VectorField":
-        return cls(tuple(LaurentPoly.zero() for _ in range(2 * n)))
-
 
 def symbolic_test_field(n: int) -> VectorField:
     """Fully symbolic field (a_1..a_n, b_1..b_n) for identity checking."""
@@ -171,11 +167,3 @@ def hamiltonian_residual(
         dh = dh + pot.h.diff(f"x{i}") * z.x_components[i - 1]
         dh = dh + pot.h.diff(f"y{i}") * z.y_components[i - 1]
     return dh - pot.kappa * omega.pairing(x_field, z)
-
-
-def symplectic_gradient(pot: Potential, omega: SymplecticStructure) -> VectorField:
-    """The field Y with dh(Z) = omega(Y, Z): (dh/dy_i ; -dh/dx_i)."""
-    n = omega.n
-    comps = [pot.h.diff(f"y{i}") for i in range(1, n + 1)]
-    comps += [-pot.h.diff(f"x{i}") for i in range(1, n + 1)]
-    return VectorField(tuple(comps))

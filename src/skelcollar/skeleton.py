@@ -21,9 +21,7 @@ Conventions, fixed once and used by every routine here:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exact import LaurentPoly, PolyMatrix, Record, poly_mat_identity, poly_mat_mul, poly_mat_substitute
+from .exact import LaurentPoly, PolyMatrix, Record, poly_mat_identity
 
 
 class NonIsolatedFixedPoint(ValueError):
@@ -92,20 +90,6 @@ class CotangentAtlas:
             mat = tuple(rows)
         self._transitions[key] = mat
         return mat
-
-    def overlap_substitution(self, i: int, j: int) -> dict[str, LaurentPoly]:
-        """Rewrite chart-j base coordinates as chart-i expressions."""
-        glue_inv = LaurentPoly.var(base_name(j)) ** -1
-        out: dict[str, LaurentPoly] = {}
-        for m in self.charts[j].slots:
-            out[base_name(m)] = self._chart_coord(i, m) * glue_inv
-        return out
-
-    def cocycle_holds(self, i: int, j: int, k: int) -> bool:
-        lhs = self.transition(i, k)
-        t_jk_in_i = poly_mat_substitute(self.transition(j, k), self.overlap_substitution(i, j))
-        rhs = poly_mat_mul(t_jk_in_i, self.transition(i, j))
-        return lhs == rhs
 
     def embedding_base(self, j: int) -> tuple[LaurentPoly, ...]:
         """Chart-j base coordinates, slots 0..n, written in chart-0
@@ -342,15 +326,6 @@ def stable_manifold(
     return SkeletonComponent(
         j, n, tuple(constraints), forced, free_base, free_fiber, classification
     )
-
-
-def closed_form(n: int, j: int) -> Classification:
-    """The expected shape of component j, stated without any chart work."""
-    if j == 0:
-        return AffineFiber(n)
-    if j == n:
-        return ZeroSection(n)
-    return TwistedBundle(j, n - j, tuple([-1] * (n - j)))
 
 
 def skeleton(n: int, weights: tuple[int, ...] | None = None) -> list[SkeletonComponent]:

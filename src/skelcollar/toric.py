@@ -21,21 +21,16 @@ Two conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .exact import LaurentPoly, Record
+from .exact import Record
 
 Vec = tuple[int, int]
 
 
 class InvalidInput(ValueError):
     """Raised when numeric input violates a stated precondition."""
-
-
-class Unsupported(ValueError):
-    """Raised for inputs outside the implemented range of an operation."""
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -96,15 +91,6 @@ class Cone2D(Record):
             if gcd(v[0], v[1]) != 1:
                 raise InvalidInput(f"ray {v} is not primitive")
 
-    @classmethod
-    def from_rays(cls, v: Vec, w: Vec) -> "Cone2D":
-        v, w = _primitive(tuple(v)), _primitive(tuple(w))
-        if _cross(v, w) == 0:
-            raise InvalidInput("rays are linearly dependent")
-        if _cross(v, w) < 0:
-            v, w = w, v
-        return cls(v, w)
-
     @property
     def rays(self) -> tuple[Vec, Vec]:
         return (self.ray1, self.ray2)
@@ -113,15 +99,6 @@ class Cone2D(Record):
     def index(self) -> int:
         """Index of the sublattice spanned by the rays: the order n."""
         return _cross(self.ray1, self.ray2)
-
-    def is_smooth(self) -> bool:
-        return self.index == 1
-
-    def contains(self, v: tuple[int, int] | tuple[Fraction, Fraction]) -> bool:
-        d = self.index
-        alpha = Fraction(v[0] * self.ray2[1] - v[1] * self.ray2[0], d)
-        beta = Fraction(self.ray1[0] * v[1] - self.ray1[1] * v[0], d)
-        return alpha >= 0 and beta >= 0
 
     def dual(self) -> "Cone2D":
         """Vectors pairing nonnegatively with the whole cone.
@@ -169,15 +146,11 @@ def quotient_cone(s: QuotientSingularity) -> Cone2D:
     return Cone2D((1, 0), (-a, n))
 
 
-def dual_cone(c: Cone2D) -> Cone2D:
-    return c.dual()
-
-
 def hj_expansion(n: int, q: int) -> list[int]:
     """Minus-sign continued fraction of n/q: n/q = a1 - 1/(a2 - 1/(...)).
 
     All coefficients are >= 2, and evaluating the expansion returns n/q
-    exactly (see hj_evaluate).
+    exactly.
     """
     if not (0 < q < n) or gcd(n, q) != 1:
         raise InvalidInput(f"need 0 < q < n coprime, got n={n}, q={q}")
@@ -188,16 +161,6 @@ def hj_expansion(n: int, q: int) -> list[int]:
         n, q = q, a * q - n
         if q == 0:
             return out
-
-
-def hj_evaluate(coeffs: list[int]) -> Fraction:
-    """Exact value of the minus-sign continued fraction [a1, a2, ...]."""
-    if not coeffs:
-        raise InvalidInput("empty continued fraction")
-    value = Fraction(coeffs[-1])
-    for a in reversed(coeffs[:-1]):
-        value = a - 1 / value
-    return value
 
 
 class ResolutionChain(Record):
@@ -223,19 +186,6 @@ class ResolutionChain(Record):
             )
             for i in range(k)
         )
-
-    def full_ray_sequence(self) -> tuple[Vec, ...]:
-        """Cone boundary plus inserted rays, in sweep order."""
-        if not self.rays:
-            return self.cone.rays
-        if self.singularity.a == self.singularity.n - 1 and self.singularity.n >= 3:
-            # stored sweep runs from the (0,1) side for this family
-            return (self.cone.ray2,) + self.rays + (self.cone.ray1,)
-        return (self.cone.ray1,) + self.rays + (self.cone.ray2,)
-
-    def is_unimodular_subdivision(self) -> bool:
-        seq = self.full_ray_sequence()
-        return all(abs(_cross(seq[i], seq[i + 1])) == 1 for i in range(len(seq) - 1))
 
 
 def minimal_resolution(s: QuotientSingularity) -> ResolutionChain:
@@ -310,68 +260,3 @@ def is_negative_definite(self_intersections: Sequence[int]) -> bool:
         if (minor > 0) != (k % 2 == 0) or minor == 0:
             return False
     return True
-
-
-class InvariantRing(Record):
-    """Generators and relations of the ring of group-invariant polynomials.
-
-    Generators are monomials in the plane coordinates a, b; relations are
-    binomials in the generator symbols x0..xm that vanish identically under
-    the substitution x_i -> generator_i.
-    """
-
-    n: int
-    generators: tuple[LaurentPoly, ...]
-    relations: tuple[LaurentPoly, ...]
-
-    def generator_symbols(self) -> tuple[str, ...]:
-        return tuple(f"x{i}" for i in range(len(self.generators)))
-
-    def parametrization(self) -> dict[str, LaurentPoly]:
-        return dict(zip(self.generator_symbols(), self.generators))
-
-    def relations_vanish(self) -> bool:
-        binding = self.parametrization()
-        return all(r.substitute(binding).is_zero for r in self.relations)
-
-
-def invariant_generators(s: QuotientSingularity) -> InvariantRing:
-    """Invariant ring for weight 1: generated by a^i b^(n-i), i = 0..n,
-    subject to all two-by-two minors of the row of consecutive symbols."""
-    if s.n > 1 and s.a != 1:
-        raise Unsupported(f"invariant ring implemented for weight 1 only, got a={s.a}")
-    n = s.n
-    gens = tuple(
-        LaurentPoly(("a", "b"), {(i, n - i): 1}) for i in range(n + 1)
-    )
-    relations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            xi = LaurentPoly.var(f"x{i}")
-            xi1 = LaurentPoly.var(f"x{i + 1}")
-            xj = LaurentPoly.var(f"x{j}")
-            xj1 = LaurentPoly.var(f"x{j + 1}")
-            relations.append(xi * xj1 - xi1 * xj)
-    return InvariantRing(n, gens, tuple(relations))
-
-
-class ContractionMap(Record):
-    """Assignment sending the surface monomials z^i*u to generator symbols."""
-
-    n: int
-    assignments: tuple[tuple[LaurentPoly, str], ...]
-
-    def substitution(self) -> dict[str, LaurentPoly]:
-        return {symbol: mono for mono, symbol in self.assignments}
-
-    def pullback(self, p: LaurentPoly) -> LaurentPoly:
-        return p.substitute(self.substitution())
-
-
-def contraction_map(n: int) -> ContractionMap:
-    if n < 1:
-        raise InvalidInput(f"need n >= 1, got {n}")
-    z = LaurentPoly.var("z")
-    u = LaurentPoly.var("u")
-    pairs = tuple((z**i * u, f"x{i}") for i in range(n + 1))
-    return ContractionMap(n, pairs)

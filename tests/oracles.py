@@ -7,7 +7,11 @@ frame-change certificate on {(z exponent, u exponent): Fraction} dicts,
 and the rows of the certificate search built from Laurent products; the
 Laurent product on {named exponents: Fraction} dicts, projective equality
 by every pair of coordinates, the order of a Picard class by repeated
-tensoring, and the skeleton index of a collar residue pair.
+tensoring, and the skeleton index of a collar residue pair; the two-chart
+cover of the local surface, split rank-2 transitions, the closed-form shape
+of each skeleton component, the cocycle condition of the cotangent atlas,
+the value of a continued fraction, cone membership and the unimodularity
+of a resolved fan.
 They share no code with the package's sparse kernel, its continuants, its
 compiled map evaluation, its twist walk or its certificate check and are
 slow and simple on purpose; the package's answers are checked against
@@ -31,8 +35,9 @@ from skelcollar.birmaps import (
     projectively_equal,
     segre,
 )
-from skelcollar.bundles import BoundTooSmall, U_BASE, h0_twist
-from skelcollar.exact import LaurentPoly, ZeroIntoNegativePower
+from skelcollar.bundles import BoundTooSmall, BundleTransition, U_BASE, h0_twist
+from skelcollar.exact import LaurentPoly, ZeroIntoNegativePower, poly_mat_mul
+from skelcollar.skeleton import AffineFiber, TwistedBundle, ZeroSection
 
 
 def int_rows(rows):
@@ -382,3 +387,91 @@ def dual_of_bundle_pair(n, residues):
     if (r1 + r2) % n != 0:
         raise NotAPair(f"residues {tuple(residues)} are not negatives mod {n}")
     return r1
+
+
+class SurfaceChartPair:
+    """The two-chart cover of the n-th local surface with gluing
+    (xi, v) = (1/z, z^n u), rewriting expressions between the charts."""
+
+    def __init__(self, n):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"twist parameter must be a positive integer, got {n!r}")
+        self.n = n
+
+    def to_u_side(self, p):
+        """Rewrite a (xi, v) expression in (z, u) coordinates."""
+        if not set(p.variables) <= {"xi", "v"}:
+            raise ValueError(f"expected variables within (xi, v): {p}")
+        return p.substitute({"xi": LaurentPoly.monomial({"z": -1}),
+                             "v": LaurentPoly.monomial({"z": self.n, "u": 1})})
+
+    def to_v_side(self, p):
+        """Rewrite a (z, u) expression in (xi, v) coordinates."""
+        if not set(p.variables) <= {"z", "u"}:
+            raise ValueError(f"expected variables within (z, u): {p}")
+        return p.substitute({"z": LaurentPoly.monomial({"xi": -1}),
+                             "u": LaurentPoly.monomial({"xi": self.n, "v": 1})})
+
+
+def diagonal(n, e1, e2):
+    """The split transition diag(z^e1, z^e2)."""
+    zero = LaurentPoly.zero()
+    return BundleTransition(n, ((LaurentPoly.monomial({"z": e1}), zero),
+                                (zero, LaurentPoly.monomial({"z": e2}))))
+
+
+def closed_form(n, j):
+    """The expected shape of skeleton component j of the cotangent bundle of
+    projective n-space, stated without any chart work."""
+    if j == 0:
+        return AffineFiber(n)
+    if j == n:
+        return ZeroSection(n)
+    return TwistedBundle(j, n - j, tuple([-1] * (n - j)))
+
+
+def poly_mat_substitute(a, bindings):
+    """Substitute into every entry of a matrix of Laurent polynomials."""
+    return tuple(tuple(entry.substitute(bindings) for entry in row) for row in a)
+
+
+def cocycle_holds(atlas, i, j, k):
+    """T_ik = T_jk * T_ij on the triple overlap, T_jk rewritten from chart-j
+    into chart-i coordinates: slot m of chart j is (chart-i coordinate of m)
+    over (chart-i coordinate of j), and a chart's own slot is 1."""
+
+    def coord(slot):
+        return LaurentPoly.const(1) if slot == i else LaurentPoly.var(f"x{slot}")
+
+    glue_inv = coord(j) ** -1
+    in_chart_i = {f"x{m}": coord(m) * glue_inv for m in range(atlas.n + 1) if m != j}
+    t_jk_in_i = poly_mat_substitute(atlas.transition(j, k), in_chart_i)
+    return atlas.transition(i, k) == poly_mat_mul(t_jk_in_i, atlas.transition(i, j))
+
+
+def hj_evaluate(coeffs):
+    """Exact value of the minus-sign continued fraction [a1, a2, ...]."""
+    if not coeffs:
+        raise ValueError("empty continued fraction")
+    value = Fraction(coeffs[-1])
+    for a in reversed(coeffs[:-1]):
+        value = a - 1 / value
+    return value
+
+
+def cone_contains(cone, v):
+    """v is a nonnegative combination of the cone's two rays (Cramer's rule)."""
+    (a, b), (c, d) = cone.ray1, cone.ray2
+    det = a * d - b * c
+    return Fraction(v[0] * d - v[1] * c, det) >= 0 and Fraction(a * v[1] - b * v[0], det) >= 0
+
+
+def is_unimodular_subdivision(chain):
+    """Consecutive rays of the resolved fan, cone boundary included, span
+    the lattice.  Rays are stored in sweep order from ray1, except for the
+    weight n - 1 family (n >= 3), whose sweep runs from the (0, 1) side."""
+    cone, s = chain.cone, chain.singularity
+    seq = (cone.ray1,) + chain.rays + (cone.ray2,)
+    if chain.rays and s.a == s.n - 1 and s.n >= 3:
+        seq = (cone.ray2,) + chain.rays + (cone.ray1,)
+    return all(abs(p[0] * q[1] - p[1] * q[0]) == 1 for p, q in zip(seq, seq[1:]))

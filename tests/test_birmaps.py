@@ -119,7 +119,7 @@ def test_round_trip_both_directions(a, b):
     pair = product_to_projective(a, b)
     v = verify_birational(pair, samples=100, seed=1)
     assert v.passed and v.checked >= 100 - v.skipped
-    v_back = verify_birational(pair.swap(), samples=100, seed=2)
+    v_back = verify_birational(MapPair(pair.inverse, pair.forward), samples=100, seed=2)
     assert v_back.passed
 
 
@@ -170,7 +170,7 @@ def test_bir_step_round_trips():
     for n, j in [(4, 1), (5, 2), (3, 1), (6, 2)]:
         pair = bir_step(n, j)
         assert verify_birational(pair, samples=100, seed=1).passed
-        assert verify_birational(pair.swap(), samples=100, seed=3).passed
+        assert verify_birational(MapPair(pair.inverse, pair.forward), samples=100, seed=3).passed
 
 
 def test_verify_detects_non_invertible_map():

@@ -12,11 +12,7 @@ import oracles
 from skelcollar.bundles import (
     BoundTooSmall,
     BundleTransition,
-    CollarLineBundle,
-    CollarTopology,
-    SurfaceChartPair,
     collar_iso_certificate,
-    collar_topology,
     compare_line_bundles,
     h0_twist,
     moduli_dimension,
@@ -50,7 +46,7 @@ def mono(**exps):
 
 
 def test_chart_gluing_round_trip():
-    chart = SurfaceChartPair(3)
+    chart = oracles.SurfaceChartPair(3)
     p = mono(z=2, u=-1) + 5 * mono(z=-4, u=3) - mono(u=1)
     assert chart.to_u_side(chart.to_v_side(p)) == p
     q = mono(xi=1, v=2) - 7 * mono(xi=-3, v=-1)
@@ -91,7 +87,7 @@ def test_chart_units_on_the_collar():
 
 
 def test_chart_rejects_foreign_variables():
-    chart = SurfaceChartPair(2)
+    chart = oracles.SurfaceChartPair(2)
     with pytest.raises(ValueError):
         chart.to_u_side(LP.var("z"))
     with pytest.raises(ValueError):
@@ -119,7 +115,7 @@ def test_normal_form_shift_by_one_period():
 
     cert = reduction_certificate(3, 5)
     assert cert.v_frame == ((v_on_overlap,),)
-    assert SurfaceChartPair(3).to_v_side(cert.v_frame[0][0]) == LP.var("v")
+    assert oracles.SurfaceChartPair(3).to_v_side(cert.v_frame[0][0]) == LP.var("v")
     assert cert.u_frame == ((LP.var("u"),),)
 
 
@@ -145,7 +141,7 @@ def test_normal_form_sweep():
     # the reduction of z^-j to z^-(j mod n) is (v^s, u^s), s = (j - j mod n)/n,
     # and the dict-arithmetic oracle accepts it
     for n in range(1, 7):
-        chart = SurfaceChartPair(n)
+        chart = oracles.SurfaceChartPair(n)
         for j in range(-3 * n, 3 * n + 1):
             s = (j - j % n) // n
             cert = reduction_certificate(n, j)
@@ -159,13 +155,19 @@ def test_normal_form_sweep():
 
 
 def test_collar_line_bundle_type():
-    bundle = CollarLineBundle(3, 5)
-    assert bundle.transition() == zp(-5)
-    assert bundle.residue == 2
-    assert bundle.tensor(CollarLineBundle(3, 1)).j == 6
-    assert bundle.tensor(CollarLineBundle(3, 1)).residue == 0
+    # the degree-5 class on the 3-collar is the transition z^-5, its residue
+    # the one class a certificate reaches, and a tensor product the product
+    # of transitions
+    line = BundleTransition.line_class(3, 5)
+    assert line.entries == ((zp(-5),),)
+    reached = [r for r in range(3)
+               if collar_iso_certificate(line, BundleTransition.line_class(3, r)) is not None]
+    assert reached == [2]
+    product = BundleTransition.from_rows(3, [[line.entries[0][0] * zp(-1)]])
+    assert product == BundleTransition.line_class(3, 6)
+    assert collar_iso_certificate(product, BundleTransition.line_class(3, 0)) is not None
     with pytest.raises(ValueError):
-        bundle.tensor(CollarLineBundle(4, 1))
+        collar_iso_certificate(line, BundleTransition.line_class(4, 1))
 
 
 # -- the class group -----------------------------------------------------------
@@ -177,7 +179,7 @@ def test_picard_tensor_wraps_around():
     cert = pic.certificates[4]
     # 2 + 2 = 4 = 1 + 3: one period, so the frames are (v, u)
     assert cert.verify(BundleTransition.line_class(3, 4), BundleTransition.line_class(3, 1))
-    assert SurfaceChartPair(3).to_v_side(cert.v_frame[0][0]) == LP.var("v")
+    assert oracles.SurfaceChartPair(3).to_v_side(cert.v_frame[0][0]) == LP.var("v")
     assert cert.u_frame == ((LP.var("u"),),)
 
 
@@ -223,7 +225,7 @@ def test_picard_is_cyclic_of_order_n():
         for a in range(n):
             assert sorted(pic.table[a]) == list(range(n))
         assert all(pic.tensor_class(0, b) == b for b in range(n))
-        assert CollarLineBundle(n, n + 1).residue == 1 % n
+        reduction_certificate(n, n + 1)
 
 
 def test_picard_associativity_small():
@@ -235,27 +237,6 @@ def test_picard_associativity_small():
                     left = pic.tensor_class(pic.tensor_class(a, b), c)
                     right = pic.tensor_class(a, pic.tensor_class(b, c))
                     assert left == right
-
-
-# -- collar topology -------------------------------------------------------------
-
-
-def test_collar_topology_orders():
-    top = collar_topology(4)
-    assert (top.pi1_order, top.h1_order, top.h2_order) == (4, 4, 4)
-    assert collar_topology(1).pi1_order == 1
-    assert collar_topology(2).h2_order == 2
-
-
-def test_collar_topology_derivation_steps():
-    text = " ".join(collar_topology(3).derivation)
-    assert "duality" in text
-    assert "exponential" in text
-
-
-def test_collar_topology_rejects_mismatched_orders():
-    with pytest.raises(ValueError):
-        CollarTopology(2, 2, 2, 1, ())
 
 
 # -- section counting ------------------------------------------------------------
@@ -273,14 +254,14 @@ def test_h0_line_classes_match_degree_count():
 
 def test_h0_split_formula_for_diagonals():
     for j in range(4):
-        trans = BundleTransition.diagonal(2, j, -j)
+        trans = oracles.diagonal(2, j, -j)
         for m in range(-4, 5):
             expected = max(0, m + j + 1) + max(0, m - j + 1)
             assert h0_twist(trans, m) == expected
 
 
 def test_h0_worked_values():
-    trans = BundleTransition.diagonal(2, 1, -1)
+    trans = oracles.diagonal(2, 1, -1)
     assert h0_twist(trans, -1) == 1
     assert h0_twist(trans, 0) == 2
 
@@ -329,7 +310,7 @@ def test_h0_rejects_negative_fiber_powers():
 
 def test_splitting_diagonal():
     for j in range(4):
-        trans = BundleTransition.diagonal(2, j, -j)
+        trans = oracles.diagonal(2, j, -j)
         assert splitting_type(trans) == (j, -j)
 
 
@@ -345,7 +326,7 @@ def test_splitting_mixing_entry_lowers_type():
 
 
 def test_splitting_requires_trivial_determinant():
-    trans = BundleTransition.diagonal(2, 1, 1)
+    trans = oracles.diagonal(2, 1, 1)
     with pytest.raises(ValueError):
         splitting_type(trans)
     with pytest.raises(ValueError):
@@ -449,40 +430,79 @@ def test_splitting_counts_sections_from_twist_minus_j_minus_1_to_j(monkeypatch, 
 # -- the splitting-raising transformation ----------------------------------------
 
 
+def phi_image(trans):
+    """phi of a canonical transition; its certificate must pass verify and
+    the dict oracle."""
+    image, cert = phi_transform(trans)
+    assert cert.verify(trans, image)
+    assert oracles.certificate_holds(trans.n, *(oracles.zu_matrix(m) for m in (
+        trans.entries, image.entries, cert.u_frame, cert.v_frame
+    )))
+    return image, cert
+
+
 def test_phi_stage_bookkeeping():
-    record = phi_transform(2, 1)
-    labels = [s.label for s in record.stages]
-    assert labels == ["start", "first-transform", "second-transform", "twist-back"]
-    assert [s.summands for s in record.stages] == [(1, -1), (-2, 3), (-1, 5), (-3, 3)]
-    assert [s.chern for s in record.stages] == [0, 1, 4, 0]
-    assert record.splitting_after == 3
-    assert record.collar_class == 1
+    # for n = 2, j = 1 the stages ran from the summands (1, -1) to (-3, 3)
+    # with no net twist and residue 1; the frames V = diag(v, 1/v),
+    # U = diag(u, 1/u) with v = z^2 u now certify that end point, and the
+    # corner p becomes z^n u^2 p
+    image, cert = phi_image(BundleTransition.canonical(2, 1, mono(z=-1, u=1)))
+    v, zero = mono(z=2, u=1), LP.zero()
+    assert cert.v_frame == ((v, zero), (zero, v**-1))
+    assert cert.u_frame == ((LP.var("u"), zero), (zero, mono(u=-1)))
+    assert image == BundleTransition.canonical(2, 3, mono(z=1, u=3))
+    assert splitting_type(image) == (3, -3)
 
 
 def test_phi_trivial_class():
     for n in (1, 2, 4):
-        record = phi_transform(n, 0)
-        assert record.splitting_after == n
-        assert record.collar_class == 0
-        assert record.stages[-1].chern == 0
+        image, _ = phi_image(BundleTransition.canonical(n, 0, LP.const(5)))
+        assert splitting_type(image) == (n, -n)
+        assert image.entries[0][0] == zp(n)
 
 
 def test_phi_iterates_by_full_periods():
-    first = phi_transform(2, 1)
-    second = phi_transform(2, first.splitting_after)
-    assert second.splitting_after == 1 + 2 * 2
-    assert second.collar_class == first.collar_class
+    first, _ = phi_image(BundleTransition.canonical(2, 1, zp(-1) + 3))
+    second, _ = phi_image(first)
+    assert splitting_type(second) == (1 + 2 * 2, -1 - 2 * 2)
+    assert second.entries[0][1] == mono(z=3, u=4) + 3 * mono(z=4, u=4)
+
+
+def random_corner(rng):
+    """Up to four terms z^a u^b with -3 <= a <= 3, 0 <= b <= 2 and small
+    rational coefficients, possibly none."""
+    terms = (
+        LP.monomial({"z": rng.randint(-3, 3), "u": rng.randint(0, 2)},
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 4))
+    )
+    return sum(terms, LP.zero())
 
 
 def test_phi_sweep():
-    for n in range(1, 6):
-        for j in range(6):
-            record = phi_transform(n, j)
-            assert record.splitting_after == j + n
-            assert record.splitting_after % n == j % n
-            assert record.stages[0].summands == (j, -j)
-    with pytest.raises(ValueError):
-        phi_transform(2, -1)
+    # the image restricts to diag(z^(j+n), z^-(j+n)) on the zero section and
+    # splits as (j + n, -j - n): the splitting rises by n, the residue stays
+    rng = random.Random(11)
+    for n in range(1, 5):
+        for j in range(5):
+            image, _ = phi_image(BundleTransition.canonical(n, j, random_corner(rng)))
+            restricted = image.restrict_to_zero_section()
+            assert restricted == oracles.diagonal(n, j + n, -j - n), (n, j)
+            assert splitting_type(image) == (j + n, -j - n), (n, j)
+            assert (j + n) % n == j % n
+
+
+def test_phi_refuses_a_transition_that_is_not_canonical():
+    half = Fraction(1, 2)
+    for trans in (
+        BundleTransition.line_class(2, 1),
+        oracles.diagonal(2, 1, 1),
+        oracles.diagonal(2, -1, 1),
+        BundleTransition.from_rows(2, [[zp(1), LP.zero()], [LP.const(1), zp(-1)]]),
+        BundleTransition.from_rows(2, [[2 * zp(1), LP.zero()], [LP.zero(), zp(-1) * half]]),
+    ):
+        with pytest.raises(ValueError):
+            phi_transform(trans)
 
 
 # -- certificates ------------------------------------------------------------------
@@ -501,7 +521,7 @@ def test_certificate_for_one_period_shift():
     m2 = BundleTransition.line_class(3, 2)
     cert = collar_iso_certificate(m1, m2, bound=1)
     assert cert is not None
-    assert SurfaceChartPair(3).to_v_side(cert.v_frame[0][0]) == LP.var("v")
+    assert oracles.SurfaceChartPair(3).to_v_side(cert.v_frame[0][0]) == LP.var("v")
     assert cert.u_frame == ((LP.var("u"),),)
     # re-verify the identity by raw multiplication
     lhs = m2.entries[0][0] * cert.u_frame[0][0]
@@ -521,8 +541,8 @@ def test_certificate_search_agrees_with_closed_form():
 
 
 def test_certificate_rank_two_diagonal_shift():
-    m1 = BundleTransition.diagonal(2, 1, -1)
-    m2 = BundleTransition.diagonal(2, 3, -3)
+    m1 = oracles.diagonal(2, 1, -1)
+    m2 = oracles.diagonal(2, 3, -3)
     cert = collar_iso_certificate(m1, m2, bound=1)
     assert cert is not None
     assert cert.verify(m1, m2)
@@ -562,8 +582,8 @@ def oracle_holds(cert, m1, m2):
 def test_verify_rejects_a_u_frame_that_is_not_regular():
     # z^-1 is no function on the U chart: B = diag(z, z^-1) has determinant
     # 1 and m2 * B = A * m1 holds, yet no certificate exists
-    m1 = BundleTransition.diagonal(2, 1, -1)
-    m2 = BundleTransition.diagonal(2, 0, 0)
+    m1 = oracles.diagonal(2, 1, -1)
+    m2 = oracles.diagonal(2, 0, 0)
     identity = m2.entries
     forged = bundles.CollarIsoCertificate(2, identity, m1.entries)
     assert poly_mat_mul(m2.entries, forged.u_frame) == poly_mat_mul(forged.v_frame, m1.entries)
@@ -574,8 +594,8 @@ def test_verify_rejects_a_u_frame_that_is_not_regular():
 
 def test_verify_rejects_a_v_frame_that_is_not_regular():
     # the V-frame term z^1 u^0 is xi^-1 on the V chart
-    m1 = BundleTransition.diagonal(2, 0, 0)
-    m2 = BundleTransition.diagonal(2, 1, -1)
+    m1 = oracles.diagonal(2, 0, 0)
+    m2 = oracles.diagonal(2, 1, -1)
     forged = bundles.CollarIsoCertificate(2, m2.entries, m1.entries)
     assert poly_mat_mul(m2.entries, forged.u_frame) == poly_mat_mul(forged.v_frame, m1.entries)
     assert not forged.verify(m1, m2)
@@ -599,7 +619,7 @@ def test_verify_rejects_frames_of_the_wrong_shape():
     # shape is a rejected certificate, not a failed matrix product
     identity = poly_mat_identity(1)
     line = BundleTransition.line_class(2, 0)
-    plane = BundleTransition.diagonal(2, 1, -1)
+    plane = oracles.diagonal(2, 1, -1)
     cert = bundles.CollarIsoCertificate(2, identity, identity)
     assert cert.verify(line, line)
     assert not cert.verify(plane, plane)
@@ -891,7 +911,7 @@ def test_certificate_needs_matching_shape():
         )
     with pytest.raises(ValueError):
         collar_iso_certificate(
-            BundleTransition.line_class(2, 0), BundleTransition.diagonal(2, 1, -1)
+            BundleTransition.line_class(2, 0), oracles.diagonal(2, 1, -1)
         )
 
 
@@ -929,7 +949,6 @@ def test_moduli_dimension_values():
     assert moduli_dimension(2, 3).dimension == 2
     assert moduli_dimension(2, 2).dimension == 0
     empty = moduli_dimension(5, 1)
-    assert empty.is_empty
     assert empty.dimension is None
     assert "negative" in empty.note
 

@@ -233,17 +233,7 @@ def test_family_endpoints_basic():
     fam = deformation_family(ext_class(1, 1, mono(-1)), 1)
     assert fam.splitting_at(0) == (2, -2)
     assert fam.splitting_at(1) == (1, -1)
-    assert fam.tau_symbol == "tau"
     assert fam.top_exponent == 2
-
-
-def test_family_symbolic_matrix_carries_parameter():
-    fam = deformation_family(ext_class(2, 1, mono(-1)), 2)
-    rows = fam.symbolic_matrix()
-    assert rows[0][0] == LP.monomial({"z": 3})
-    assert rows[1][0].is_zero
-    assert rows[1][1] == LP.monomial({"z": -3})
-    assert rows[0][1] == LP.var("tau") * mono(-1)
 
 
 def test_family_profile_constant_off_zero():

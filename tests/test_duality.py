@@ -1,11 +1,12 @@
 """Index pairing, inverse assignment, and commuting-square certificates."""
 
 import json
+import re
 
 import pytest
 
 from oracles import NotAPair, dual_of_bundle_pair
-from skelcollar import deform
+from skelcollar import deform, duality, toric
 from skelcollar.birmaps import IndexOutOfRange
 from skelcollar.bundles import BundleTransition, collar_iso_certificate
 from skelcollar.duality import (
@@ -16,6 +17,7 @@ from skelcollar.duality import (
     square_check,
 )
 from skelcollar.skeleton import skeleton
+from skelcollar.toric import Cone2D, DynkinGraph, ResolutionChain
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +212,61 @@ def test_report_deterministic():
 def test_report_validation():
     with pytest.raises(ValueError):
         duality_report(1)
+
+
+# ---------------------------------------------------------------------------
+# the toric leg
+
+
+def test_toric_leg_holds_wherever_the_duality_cap_admits(monkeypatch):
+    # n = 2..14, the range the CLI cap admits at the default samples; the
+    # squares are stubbed out, so only the rows and the leg are built
+    monkeypatch.setattr(duality, "square_check", lambda n, j, samples, seed: None)
+    for n in range(2, 15):
+        assert len(duality_report(n).entries) == n
+
+
+def _wider_sharp_cone(s):
+    """The cone of 1/(n+1)(1,1) in place of that of 1/n(1,1)."""
+    return Cone2D((1, 0), (-1, s.n + 1)) if s.a == 1 else toric.quotient_cone(s)
+
+
+def _one_minus_three(weight):
+    """minimal_resolution with the first curve of the weight-``weight``
+    chain turned into a (-3)-curve."""
+    def resolve(s):
+        chain = toric.minimal_resolution(s)
+        if s.a != weight:
+            return chain
+        curves = (-3,) + chain.self_intersections[1:]
+        return ResolutionChain(chain.singularity, chain.cone, chain.rays, curves)
+    return resolve
+
+
+def _closed_into_a_cycle(chain):
+    graph = toric.dynkin_dual_graph(chain)
+    return DynkinGraph(graph.vertices, graph.edges + ((0, len(graph.vertices) - 1),))
+
+
+@pytest.mark.parametrize(
+    "name,fake,statement",
+    [
+        ("quotient_cone", _wider_sharp_cone,
+         "the dual of the 1/n(1,1) cone is the 1/n(1,n-1) cone"),
+        ("minimal_resolution", _one_minus_three(1), "1/n(1,1) resolves to one (-n)-curve"),
+        ("minimal_resolution", _one_minus_three(3),
+         "1/n(1,n-1) resolves to (-2)-curves whose torus-fixed points match the skeleton "
+         "components"),
+        ("dynkin_dual_graph", _closed_into_a_cycle,
+         "the dual graph of the 1/n(1,n-1) chain is a path"),
+        # a positive curve ahead of the chain makes the first leading minor positive
+        ("is_negative_definite", lambda curves: toric.is_negative_definite((1,) + tuple(curves)),
+         "both chains are negative definite"),
+    ],
+    ids=["dual-cone", "sharp-curve", "flat-chain", "dual-graph", "sylvester"],
+)
+def test_report_raises_on_a_broken_toric_leg(monkeypatch, name, fake, statement):
+    monkeypatch.setattr(duality, name, fake)
+    expected = re.escape(f"toric leg at n = 4: expected {statement}")
+    with pytest.raises(AssertionError, match=expected):
+        duality_report(4)
