@@ -400,7 +400,10 @@ def _search_certificate(
     transition entry is the entry's terms shifted by the term's exponents,
     so each entry is read once and no product is formed.  Each null vector,
     then sums of pairs of the first ``_PAIR_CAP`` and the sum of all, is
-    tried as a frame pair, and ``verify`` decides.  A 1 x 1 frame is a unit
+    tried as a frame pair, and ``verify`` decides.  A candidate's frame
+    entry is built by one constructor call on its exponent map, {(u, z)
+    exponents of ``shape[c]``: vec[c]}; columns are distinct frame terms,
+    so no key repeats and no Laurent sum is formed.  A 1 x 1 frame is a unit
     only if it is one term.  For rank 1, V * m1 = m2 * U with single-term
     m1 and m2 gives both frames the same number of terms, so a vector
     without exactly two nonzeros is skipped before any frame is built."""
@@ -435,12 +438,12 @@ def _search_certificate(
     def assemble(vec: SparseRow) -> Optional[CollarIsoCertificate]:
         if rank == 1 and len(vec) != 2:
             return None
-        frames = {side: [[LaurentPoly.zero()] * rank for _ in range(rank)] for side in "vu"}
-        for c in sorted(vec):
+        terms = {side: [[{} for _ in range(rank)] for _ in range(rank)] for side in "vu"}
+        for c, x in vec.items():
             side, a, b, z, u = shape[c]
-            basis = LaurentPoly.monomial({U_BASE: z, U_FIBER: u})
-            frames[side][a][b] = frames[side][a][b] + basis * vec[c]
-        return _certificate_from_frames(n, frames["v"], frames["u"], m1, m2)
+            terms[side][a][b][u, z] = x
+        frames = [[[LaurentPoly((U_FIBER, U_BASE), t) for t in row] for row in terms[s]] for s in "vu"]
+        return _certificate_from_frames(n, *frames, m1, m2)
 
     for vec in vectors:
         cert = assemble(vec)

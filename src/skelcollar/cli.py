@@ -39,6 +39,7 @@ from .bundles import (
 from .deform import (
     ClassNotGeneric,
     WindowUnstable,
+    auto_cutoff,
     ext1_basis,
     family_splitting_profile,
     index_step_family,
@@ -595,8 +596,21 @@ def _run_moduli(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
+# bounds the basis window ext1 builds, and builds again at twice the cutoff:
+# its nonempty fiber levels times the 2j - 1 monomials of the widest; at the
+# cap, one level of 19999 took 0.8-1.3 s in-process on 2 vCPUs, --n 1 --j 71
+# (141 levels of up to 141) 0.4 s
+EXT1_MAX_WINDOW_CELLS = 20_000
+
+
 def _run_ext1(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
-    basis = ext1_basis(args.n, args.j, args.cutoff)
+    n, j = args.n, args.j
+    cutoff = auto_cutoff(n, j) if args.cutoff is None else args.cutoff
+    levels = max(0, min(2 * cutoff or 1, (2 * j - 2) // n) + 1)
+    _check_cap(levels * (2 * j - 1), EXT1_MAX_WINDOW_CELLS,
+               f"--n {n} --j {j} needs a basis window of {levels} fiber levels of up to "
+               f"{2 * j - 1} monomials")
+    basis = ext1_basis(n, j, cutoff)
     lines = [f"dimension: {len(basis)}"]
     if basis:
         lines.append("basis monomials: " + ", ".join(str(m) for m in basis))
@@ -608,9 +622,20 @@ def _run_ext1(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
+# bounds the section counts: the two endpoint checks and each tau read a
+# splitting type of at most t = j + s, from section counts at up to 2t + 2
+# twists over windows of up to 2t + 2 z-degrees; at the cap, --n 1 --j 13
+# took 0.6 s in-process on 2 vCPUs
+DEFORM_MAX_SECTION_CELLS = 4_000
+
+
 def _run_deform(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
-    family = index_step_family(args.n, args.j, args.s)
     taus = args.taus if args.taus is not None else (Fraction(0), Fraction(1))
+    types, side = 2 + len(taus), max(0, 2 * (args.j + args.s) + 2)
+    _check_cap(types * side * side, DEFORM_MAX_SECTION_CELLS,
+               f"--n {args.n} --j {args.j} --s {args.s} needs {types} splitting types of "
+               f"{side} twists over windows of {side} z-degrees")
+    family = index_step_family(args.n, args.j, args.s)
     profile = family_splitting_profile(family, taus)
     lines = [f"family entry: {family.entry}"]
     for tau, value in zip(taus, profile):
@@ -670,7 +695,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(rendered)
-    except (BoundTooSmall, WindowUnstable, ClassNotGeneric, DegenerateSampler, IndeterminacyHit) as exc:
+    # an AssertionError is a check inside a report that failed: the program,
+    # not the input, is at fault, and the statement names the check
+    except (AssertionError, BoundTooSmall, WindowUnstable, ClassNotGeneric, DegenerateSampler,
+            IndeterminacyHit) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:

@@ -34,11 +34,9 @@ def _check_pair(n: int, j: int) -> None:
         raise ValueError(f"splitting index must be a nonnegative integer, got {j!r}")
 
 
-def _auto_cutoff(n: int, j: int) -> int:
+def auto_cutoff(n: int, j: int) -> int:
     # fiber levels b can carry basis monomials while n*b <= 2j - 2; the
     # default of 3 is widened when that reaches higher
-    if j == 0:
-        return 3
     return max(3, (2 * j - 2) // n)
 
 
@@ -49,11 +47,12 @@ def _basis_window(n: int, j: int, cutoff: int) -> tuple[LaurentPoly, ...]:
     The transition twist is homogeneous in the fiber variable, so the
     coboundary span splits by fiber level.  At level b the U side covers
     the z-exponents a >= 0 and the V side, after the twist by z^(-2j),
-    covers a <= n*b - 2j; the exponents strictly between are the basis.
+    covers a <= n*b - 2j; the exponents strictly between are the basis,
+    and none lies between once n*b > 2j - 2, so those levels are skipped.
     """
     return tuple(
         LaurentPoly.monomial({U_BASE: a, U_FIBER: b})
-        for b in range(cutoff + 1)
+        for b in range(min(cutoff, (2 * j - 2) // n) + 1)
         for a in range(n * b - 2 * j + 1, 0)
     )
 
@@ -66,7 +65,7 @@ def ext1_basis(n: int, j: int, cutoff: int | None = None) -> tuple[LaurentPoly, 
     """
     _check_pair(n, j)
     if cutoff is None:
-        cutoff = _auto_cutoff(n, j)
+        cutoff = auto_cutoff(n, j)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     base = _basis_window(n, j, cutoff)

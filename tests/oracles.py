@@ -4,8 +4,9 @@ polynomial at a point, and the birational round trip on Fraction points
 through that evaluation, and the splitting type read from the section
 counts at every twist down to the degree cap, the check of a collar
 frame-change certificate on {(z exponent, u exponent): Fraction} dicts,
-and the rows of the certificate search built from Laurent products; the
-Laurent product on {named exponents: Fraction} dicts, projective equality
+and the rows and candidate frames of the certificate search built from
+Laurent products and sums; the Laurent product on {named exponents:
+Fraction} dicts, projective equality
 by every pair of coordinates, the order of a Picard class by repeated
 tensoring, and the skeleton index of a collar residue pair; the two-chart
 cover of the local surface, split rank-2 transitions, the closed-form shape
@@ -327,6 +328,18 @@ def product_certificate_rows(m1, m2, bound):
                     add((i * rank + jj, z, u), coeff)
             columns.append(("u", k, jj, basis))
     return rows, columns
+
+
+def sum_built_frames(vec, columns, rank):
+    """The (V, U) frame pair of a candidate vector of the certificate
+    search, each entry summed one frame term at a time as a Laurent
+    product and sum, in column order; ``columns`` as from
+    ``product_certificate_rows``."""
+    frames = {side: [[LaurentPoly.zero()] * rank for _ in range(rank)] for side in "vu"}
+    for c in sorted(vec):
+        side, a, b, basis = columns[c]
+        frames[side][a][b] = frames[side][a][b] + basis * vec[c]
+    return frames["v"], frames["u"]
 
 
 def named_terms(poly):

@@ -829,6 +829,21 @@ def test_search_rows_by_exponent_shift_match_the_product_rows(case):
     assert seen == [oracles.product_certificate_rows(m1, m2, bound)[0]]
 
 
+def _candidates(vectors):
+    """The search's candidates in its order: each null vector, the sums of
+    pairs of the first ``_PAIR_CAP``, then the sum of all; none without a
+    null vector."""
+    if not vectors:
+        return []
+    head = vectors[: bundles._PAIR_CAP]
+    pairs = [
+        bundles._vector_sum((head[a], head[b]))
+        for a in range(len(head))
+        for b in range(a + 1, len(head))
+    ]
+    return vectors + pairs + [bundles._vector_sum(vectors)]
+
+
 def _line_frames(vec, columns):
     """The 1 x 1 frame pair (U, V) of a null vector as {(z, u): Fraction}
     matrices."""
@@ -877,12 +892,7 @@ def test_rank_one_search_builds_frames_only_for_single_term_vectors(monkeypatch,
         bound = max(n, m1.z_spread() + m2.z_spread()) + 1
     _, columns = oracles.product_certificate_rows(m1, m2, bound)
     (vectors,) = spaces
-    head = vectors[: bundles._PAIR_CAP]
-    candidates = vectors + [
-        bundles._vector_sum((head[a], head[b]))
-        for a in range(len(head))
-        for b in range(a + 1, len(head))
-    ] + [bundles._vector_sum(vectors)]
+    candidates = _candidates(vectors)
     single_term = [
         vec for vec in candidates
         if sorted(columns[c][0] for c in vec) == ["u", "v"]
@@ -902,6 +912,109 @@ def test_rank_one_search_builds_frames_only_for_single_term_vectors(monkeypatch,
         found = (oracles.zu_matrix(cert.u_frame), oracles.zu_matrix(cert.v_frame))
         assert found == _line_frames(expected, columns)
         assert len(built) == single_term.index(expected) + 1
+
+
+def assert_frames_match_the_sum_oracle(m1, m2, bound, vectors=None):
+    """Refuse every candidate, so that the search builds the frames of all
+    of them, and compare each entry with the one summed term by term as a
+    Laurent product and sum.  ``vectors(cols)``, if given, stands in for
+    the null space."""
+    if bound is None:
+        bound = max(m1.n, m1.z_spread() + m2.z_spread()) + 1
+    spaces, built = [], []
+
+    def recording_null_space(pivots, cols):
+        spaces.append(null_space(pivots, cols) if vectors is None else vectors(cols))
+        return spaces[-1]
+
+    def refusing_from_frames(n, v_rows, u_rows, m1, m2):
+        built.append((v_rows, u_rows))
+        return None
+
+    with mock.patch.object(bundles, "null_space", recording_null_space), \
+            mock.patch.object(bundles, "_certificate_from_frames", refusing_from_frames):
+        assert collar_iso_certificate(m1, m2, bound=bound, exhaustive=True) is None
+    candidates = _candidates(spaces[0])
+    if m1.rank == 1:
+        candidates = [vec for vec in candidates if len(vec) == 2]
+    _, columns = oracles.product_certificate_rows(m1, m2, bound)
+    assert len(built) == len(candidates)
+    for frames, vec in zip(built, candidates):
+        assert frames == oracles.sum_built_frames(vec, columns, m1.rank)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CERTIFICATES)
+def test_golden_search_frames_match_the_sum_built_oracle(case):
+    m1, m2 = (
+        BundleTransition.from_rows(case["n"], [[LP.from_json_dict(p) for p in row] for row in rows])
+        for rows in (case["m1"], case["m2"])
+    )
+    assert_frames_match_the_sum_oracle(m1, m2, case["bound"])
+
+
+# rank 1: a line class against one of another degree, and a one-term entry
+# with a fiber factor; rank 2: canonical pairs with scaled, shifted or u terms
+_FRAME_GRID = [
+    (BundleTransition.line_class(n, 0), BundleTransition.line_class(n, n), bound)
+    for n in range(1, 5) for bound in (0, 2, 5)
+] + [
+    (BundleTransition.from_rows(n, [[mono(z=1, u=1)]]), BundleTransition.line_class(n, 2), 4)
+    for n in range(1, 5)
+] + [
+    (BundleTransition.canonical(n, k, mono(z=e)), BundleTransition.canonical(n, k, c * off), bound)
+    for n, k, e, c, off, bound in [
+        (1, 1, -1, 2, zp(-1), 5),
+        (2, 1, -1, 3, zp(-1), 4),
+        (2, 0, 0, 1, mono(u=1), 3),
+        (3, 1, 1, Fraction(1, 2), zp(1) + mono(z=2, u=1), 2),
+        (4, 1, -1, 1, zp(-1), 5),
+        (4, 2, 0, -1, zp(1), 1),
+    ]
+]
+
+
+@pytest.mark.parametrize("m1,m2,bound", _FRAME_GRID)
+def test_grid_search_frames_match_the_sum_built_oracle(m1, m2, bound):
+    assert_frames_match_the_sum_oracle(m1, m2, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=search_pairs(), data=st.data())
+def test_frames_of_random_sparse_vectors_match_the_sum_built_oracle(case, data):
+    # the vectors need not solve the system: building a frame pair reads
+    # only the vector's columns and their frame terms
+    m1, m2, bound = case
+
+    def random_vectors(cols):
+        # rank-1 frames are built only from vectors of two nonzeros
+        sizes = st.just(2) if m1.rank == 1 and data.draw(st.booleans()) else st.integers(1, 6)
+        size = min(cols, data.draw(sizes))
+        vec = st.dictionaries(
+            st.integers(0, cols - 1), st.fractions(-4, 4, max_denominator=5).filter(bool),
+            min_size=size, max_size=size,
+        )
+        return data.draw(st.lists(vec, min_size=1, max_size=4))
+
+    assert_frames_match_the_sum_oracle(m1, m2, bound, vectors=random_vectors)
+
+
+def test_rank_two_search_builds_no_monomial(monkeypatch):
+    # each frame entry is one constructor call on the vector's exponent
+    # map; no frame term is built as a monomial, product or sum
+    calls = []
+    real = LaurentPoly.monomial.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    m1 = BundleTransition.canonical(2, 1, zp(-1))
+    m2 = BundleTransition.canonical(2, 1, 3 * zp(-1))
+    monkeypatch.setattr(LaurentPoly, "monomial", classmethod(counting))
+    # inconclusive at bound 4: every candidate is built and verified
+    assert collar_iso_certificate(m1, m2, bound=4) is None
+    assert collar_iso_certificate(m1, m2) is not None
+    assert calls == []
 
 
 def test_certificate_needs_matching_shape():

@@ -717,6 +717,12 @@ def test_resolve_at_the_matrix_cap_is_answered(capsys):
         (["birstep", "--n", "6", "--j", "0", "--samples", "3119"],
          "--n 6 --j 0 --samples 3119 needs 16 Segre components times 3126 variables and "
          "samples, 50016 cells, over the cap of 50000"),
+        (["ext1", "--n", "1", "--j", "300"],
+         "--n 1 --j 300 needs a basis window of 599 fiber levels of up to 599 monomials, "
+         "358801 cells, over the cap of 20000"),
+        (["deform", "--n", "1", "--j", "200"],
+         "--n 1 --j 200 --s 1 needs 4 splitting types of 404 twists over windows of 404 "
+         "z-degrees, 652864 cells, over the cap of 4000"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -738,6 +744,11 @@ def test_work_over_the_cap_exits_2(capsys, argv, error, fmt):
         # 2 * 5 Segre components
         (["birstep", "--n", "6", "--j", "0", "--samples", "3118"], (6 + 10) * (7 + 3118),
          cli.BIRMAP_MAX_SEGRE_CELLS),
+        # fiber levels 0..140 carry 141, 140, ..., 1 basis monomials
+        (["ext1", "--n", "1", "--j", "71"], 141 * 141, cli.EXT1_MAX_WINDOW_CELLS),
+        # the endpoints and 8 taus read splitting types of at most 9
+        (["deform", "--n", "1", "--j", "8", "--taus", "0,1,1/2,2,3,1/3,5,-1"], 10 * 20 * 20,
+         cli.DEFORM_MAX_SECTION_CELLS),
     ],
 )
 def test_work_at_the_cap_is_answered(capsys, argv, cells, cap):
@@ -751,8 +762,22 @@ def test_work_at_the_cap_is_answered(capsys, argv, cells, cap):
         assert doc["residual_zero"] is True
     elif argv[0] == "duality":
         assert doc["all_ok"] is True and doc["squares"][0]["bir_checked"] == 9992
+    elif argv[0] == "ext1":
+        assert doc["dimension"] == 141 * 142 // 2
+    elif argv[0] == "deform":
+        assert [p["splitting"] for p in doc["profile"]] == [9, 8, 8, 8, 8, 8, 8, 8]
     else:
         assert (doc["passed"], doc["checked"]) == (True, int(argv[-1]))
+
+
+def test_ext1_never_visits_fiber_levels_without_basis_monomials(capsys):
+    # above n*b = 2j - 2 no exponent lies strictly between the two cuts, so a
+    # huge cutoff costs no more than the automatic one
+    huge = run(capsys, ["ext1", "--n", "1", "--j", "3", "--cutoff", str(10**18), "--format", "json"])
+    auto = run(capsys, ["ext1", "--n", "1", "--j", "3", "--format", "json"])
+    assert huge[0] == auto[0] == EXIT_OK
+    assert json.loads(huge[1])["basis"] == json.loads(auto[1])["basis"]
+    assert json.loads(auto[1])["dimension"] == 5 + 4 + 3 + 2 + 1
 
 
 def test_duality_cap_admits_the_scaling_curve_to_n_12():
@@ -779,6 +804,9 @@ _CAPPED = {
     ("collar", "pic"): ("--n",),
     ("collar", "iso"): ("--n", "--j1", "--j2"),
     ("duality",): ("--n", "--samples"),
+    # --cutoff stays out: below the automatic one it fails the window check (exit 3)
+    ("ext1",): ("--n", "--j"),
+    ("deform",): ("--n", "--j", "--s"),
 }
 
 
@@ -861,6 +889,25 @@ def test_failed_duality_square_names_its_first_witness(capsys, monkeypatch):
     assert code == EXIT_VERIFY
     failures = [square["failure"] for square in json.loads(out)["squares"]]
     assert all(f"first at {drawn}, which comes back as (" in f for f in failures)
+
+
+@pytest.mark.parametrize(
+    "argv,module,name,stub,statement",
+    [
+        (["duality", "--n", "3"], duality, "is_negative_definite", lambda chain: False,
+         "toric leg at n = 3: expected both chains are negative definite"),
+        (["collar", "pic", "--n", "3"], bundles, "collar_iso_certificate",
+         lambda m1, m2: None, "no certificate reduces class 0 to 0 mod 3"),
+    ],
+    ids=["toric-leg", "picard-certificate"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_failed_check_inside_a_report_exits_3(capsys, monkeypatch, argv, module, name, stub,
+                                                 statement, fmt):
+    # the program, not the input, is at fault: exit 3 with the statement, no traceback
+    monkeypatch.setattr(module, name, stub)
+    code, out, err = run(capsys, argv + ["--format", fmt])
+    assert (code, out, err) == (EXIT_VERIFY, "", f"verification failed: {statement}\n")
 
 
 # -- every argv exits 0, 2 or 3 -------------------------------------------------------

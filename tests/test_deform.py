@@ -10,7 +10,7 @@ from skelcollar.deform import (
     ClassNotGeneric,
     DeformationFamily,
     WindowUnstable,
-    _auto_cutoff,
+    auto_cutoff,
     deformation_family,
     ext1_basis,
     ext_class,
@@ -90,7 +90,7 @@ def assert_matches_elimination(n, j, cutoff):
 def test_closed_form_matches_elimination_grid():
     for n in range(1, 7):
         for j in range(0, 7):
-            for cutoff in range(0, 2 * _auto_cutoff(n, j) + 1):
+            for cutoff in range(0, 2 * auto_cutoff(n, j) + 1):
                 assert_matches_elimination(n, j, cutoff)
 
 

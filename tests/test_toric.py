@@ -222,13 +222,3 @@ def test_dynkin_graph_single_vertex():
         g = dynkin_dual_graph(minimal_resolution(s))
         assert len(g.vertices) == 1
         assert g.edges == ()
-
-
-def test_no_smaller_invariant_monomials():
-    # brute force over monomials a^i b^j of positive degree below n
-    for n in range(2, 9):
-        for i in range(n):
-            for j in range(n - i):
-                if i + j == 0:
-                    continue
-                assert (i + j) % n != 0
