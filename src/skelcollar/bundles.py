@@ -185,9 +185,9 @@ def _add_entry(
         row.pop(col, None)
 
 
-def _section_count(trans: BundleTransition, twist: int, u_cutoff: int, window: int) -> int:
+def _section_count(trans: BundleTransition, twist: int, window: int) -> int:
     """Dimension of pairs (s_U, s_V) with s_V = z^(-twist) * M * s_U, both
-    sides polynomial vectors with z- and fiber-degrees inside the window.
+    sides u-free polynomial vectors with z-degrees inside the window.
 
     The V side never couples: the coefficient of xi^k v^m in component r is
     read off from the single overlap monomial z^(n m - k) u^m, so it absorbs
@@ -199,28 +199,22 @@ def _section_count(trans: BundleTransition, twist: int, u_cutoff: int, window: i
     rank = trans.rank
     n = trans.n
     z_neg_twist = _z_power(-twist)
-    width = (window + 1) * (u_cutoff + 1)
     rows: dict[tuple[int, int, int], SparseRow] = {}
     for c in range(rank):
-        for k, b in product(range(window + 1), range(u_cutoff + 1)):
-            col_id = (k * (u_cutoff + 1) + b) * rank + c
-            basis = LaurentPoly.monomial({U_BASE: k, U_FIBER: b})
+        for k in range(window + 1):
+            col_id = k * rank + c
+            basis = LaurentPoly.monomial({U_BASE: k})
             for r in range(rank):
                 contrib = z_neg_twist * trans.entries[r][c] * basis
                 for e, m, coeff in zu_terms(contrib):
                     if not 0 <= n * m - e <= window:
                         _add_entry(rows, (r, e, m), col_id, coeff)
-    return rank * width - len(echelon(rows))
+    return rank * (window + 1) - len(echelon(rows))
 
 
-def h0_twist(
-    trans: BundleTransition,
-    twist: int,
-    u_cutoff: int = 0,
-    window: int | None = None,
-) -> int:
+def h0_twist(trans: BundleTransition, twist: int, window: int | None = None) -> int:
     """Count section pairs of the twisted bundle by brute-force linear
-    algebra over a bounded degree window.
+    algebra over a bounded degree window, at fiber degree 0.
 
     The window is doubled once as a self-check; a changed answer raises
     BoundTooSmall instead of returning either value.
@@ -229,14 +223,12 @@ def h0_twist(
         for p in row:
             if p.min_exponent(U_FIBER) < 0:
                 raise ValueError("section counting needs nonnegative fiber powers")
-    if u_cutoff < 0:
-        raise ValueError("fiber cutoff must be nonnegative")
     if window is None:
-        window = trans.z_spread() + abs(twist) + trans.n * u_cutoff + 1
+        window = trans.z_spread() + abs(twist) + 1
     if window < 0:
         raise ValueError("window must be nonnegative")
-    first = _section_count(trans, twist, u_cutoff, window)
-    second = _section_count(trans, twist, u_cutoff, 2 * window + 1)
+    first = _section_count(trans, twist, window)
+    second = _section_count(trans, twist, 2 * window + 1)
     if first != second:
         raise BoundTooSmall(
             f"section count at twist {twist} moved from {first} to {second} "

@@ -5,9 +5,10 @@ families that trade splitting type against deformation.
 A class for the pair (n, j) is a Laurent polynomial in (z, u) living on the
 chart overlap, taken modulo everything that extends to the U chart and
 everything that extends to the V chart after the transition twist by
-z^(-2j).  Placing such a representative in the off-diagonal corner of
+z^(-2j).  Placing such a representative p in the off-diagonal corner of
 [[z^(j+s), tau * p], [0, z^(-j-s)]] produces a family that is split at
-tau = 0 and drops to splitting type j at tau = 1 when p is generic.
+tau = 0 and lands at tau = 1 on splitting type
+min({-a : z^a u^0 is a term of p} | {j+s}).
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from typing import Optional, Sequence
 
 from .bundles import U_BASE, U_FIBER, BundleTransition, splitting_type, zu_terms
 from .exact import LaurentPoly, Record, Scalar, as_fraction
-
-
-class WindowUnstable(RuntimeError):
-    """Doubling the degree window changed the computed basis."""
 
 
 class ClassNotGeneric(ValueError):
@@ -34,58 +31,34 @@ def _check_pair(n: int, j: int) -> None:
         raise ValueError(f"splitting index must be a nonnegative integer, got {j!r}")
 
 
-def auto_cutoff(n: int, j: int) -> int:
-    # fiber levels b can carry basis monomials while n*b <= 2j - 2; the
-    # default of 3 is widened when that reaches higher
-    return max(3, (2 * j - 2) // n)
-
-
-def _basis_window(n: int, j: int, cutoff: int) -> tuple[LaurentPoly, ...]:
-    """Monomials z^a u^b with 0 <= b <= cutoff and n*b - 2j < a < 0, sorted
-    by fiber exponent then base exponent.
+def ext1_basis(n: int, j: int) -> tuple[LaurentPoly, ...]:
+    """Monomial basis of the extension group for the pair (n, j): the
+    monomials z^a u^b with b >= 0 and n*b - 2j < a < 0, sorted by fiber
+    exponent then base exponent.
 
     The transition twist is homogeneous in the fiber variable, so the
     coboundary span splits by fiber level.  At level b the U side covers
     the z-exponents a >= 0 and the V side, after the twist by z^(-2j),
     covers a <= n*b - 2j; the exponents strictly between are the basis,
-    and none lies between once n*b > 2j - 2, so those levels are skipped.
+    and none lies between once n*b > 2j - 2, so the levels stop at
+    (2j - 2) // n.
     """
+    _check_pair(n, j)
     return tuple(
         LaurentPoly.monomial({U_BASE: a, U_FIBER: b})
-        for b in range(min(cutoff, (2 * j - 2) // n) + 1)
+        for b in range((2 * j - 2) // n + 1)
         for a in range(n * b - 2 * j + 1, 0)
     )
 
 
-def ext1_basis(n: int, j: int, cutoff: int | None = None) -> tuple[LaurentPoly, ...]:
-    """Monomial basis of the extension group for the pair (n, j).
-
-    The window is doubled once as a self-check; a changed basis raises
-    WindowUnstable instead of returning either answer.
-    """
-    _check_pair(n, j)
-    if cutoff is None:
-        cutoff = auto_cutoff(n, j)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    base = _basis_window(n, j, cutoff)
-    doubled = _basis_window(n, j, 2 * cutoff if cutoff else 1)
-    if base != doubled:
-        raise WindowUnstable(
-            f"basis for (n={n}, j={j}) changed when the cutoff grew past {cutoff}"
-        )
-    return base
-
-
 class ExtClass(Record):
-    """A reduced overlap representative with its coordinates relative to the
-    computed monomial basis; no term lies in the coboundary span."""
+    """A reduced overlap representative with its coordinates relative to
+    ext1_basis(n, j); no term lies in the coboundary span."""
 
     n: int
     j: int
     representative: LaurentPoly
     coordinates: tuple[Fraction, ...]
-    basis: tuple[LaurentPoly, ...]
 
     @property
     def is_zero(self) -> bool:
@@ -95,10 +68,10 @@ class ExtClass(Record):
 def ext_class(n: int, j: int, p: LaurentPoly) -> ExtClass:
     """Reduce p modulo the coboundary span and record its coordinates.
 
-    The basis covers fiber levels b up to the auto cutoff, at least
-    (2j - 2) // n; above it n*b - 2j >= -1, so no exponent lies strictly
-    between the V-side cut n*b - 2j and the U-side cut 0, and every term
-    outside the basis is a coboundary."""
+    The basis covers fiber levels b up to (2j - 2) // n; above it
+    n*b - 2j >= -1, so no exponent lies strictly between the V-side cut
+    n*b - 2j and the U-side cut 0, and every term outside the basis is a
+    coboundary."""
     _check_pair(n, j)
     if not set(p.variables) <= {U_BASE, U_FIBER}:
         raise ValueError(f"representative uses variables outside (z, u): {p}")
@@ -121,7 +94,6 @@ def ext_class(n: int, j: int, p: LaurentPoly) -> ExtClass:
         j=j,
         representative=kept,
         coordinates=tuple(coords),
-        basis=basis,
     )
 
 
@@ -173,16 +145,14 @@ class DeformationFamily(Record):
 def deformation_family(source: ExtClass, s: int) -> DeformationFamily:
     """Build the family for a class, checking both endpoints.
 
-    At tau = 0 the matrix is split of type j+s.  At tau = 1 a nonzero class
-    must reproduce splitting type j; any other value raises ClassNotGeneric
+    At tau = 0 the matrix is split of type j+s.  At tau = 1 the family
+    lands on min({-a : z^a u^0 is a term of the class} | {j+s}); a nonzero
+    class must land on j, and any other value raises ClassNotGeneric
     (reported, not repaired).  The zero class gives the split family.
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError("deformation step must be a positive integer")
-    if source.is_zero:
-        included = ext_class(source.n, source.j + s, LaurentPoly.zero())
-    else:
-        included = include_class(source, s)
+    included = include_class(source, s)
     family = DeformationFamily(
         n=source.n,
         j=source.j,

@@ -163,6 +163,18 @@ def hj_expansion(n: int, q: int) -> list[int]:
             return out
 
 
+def hj_length(n: int, q: int) -> int:
+    """len(hj_expansion(n, q)) in O(log n) steps: each odd-position term of the
+    regular continued fraction of n/q counts 1, each even-position term c counts c - 1."""
+    if not (0 < q < n) or gcd(n, q) != 1:
+        raise InvalidInput(f"need 0 < q < n coprime, got n={n}, q={q}")
+    length, odd = 0, True
+    while q:
+        length += 1 if odd else n // q - 1
+        n, q, odd = q, n % q, not odd
+    return length
+
+
 class ResolutionChain(Record):
     """Exceptional data of the minimal resolution of a quotient singularity.
 

@@ -289,16 +289,6 @@ def test_h0_explicit_window_too_small():
         h0_twist(trans, -2, window=1)
 
 
-def test_h0_with_fiber_cutoff():
-    # sections of the trivial class on the surface: monomials z^a u^b with
-    # 0 <= a <= n*b, counted level by level
-    for n in (2, 3):
-        trans = BundleTransition.line_class(n, 0)
-        for cutoff in range(3):
-            expected = sum(n * b + 1 for b in range(cutoff + 1))
-            assert h0_twist(trans, 0, u_cutoff=cutoff) == expected
-
-
 def test_h0_rejects_negative_fiber_powers():
     trans = BundleTransition(1, ((mono(u=-1),),))
     with pytest.raises(ValueError):

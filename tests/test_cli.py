@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from skelcollar import bundles, cli, duality
+from skelcollar import bundles, cli, deform, duality
 from skelcollar.birmaps import point_text, projectively_equal
 from skelcollar.bundles import BundleTransition, splitting_type
 from skelcollar.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
@@ -364,10 +364,30 @@ def test_birstep_round_trip(capsys):
     assert "samples checked: 15" in out
 
 
-def test_duality_failure_exit_code(capsys):
-    code, _, err = run(capsys, ["ext1", "--n", "1", "--j", "3", "--cutoff", "3"])
-    assert code == EXIT_VERIFY
-    assert "verification failed" in err
+def test_ext1_takes_no_cutoff(capsys):
+    # the basis is a closed form with no window to set
+    code, out, err = run(capsys, ["ext1", "--n", "1", "--j", "3", "--cutoff", "3"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --cutoff 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n,j,entry", [(1, 3, "z^-3"), (2, 0, "1")])
+def test_default_deform_profile_reuses_the_checked_endpoints(capsys, monkeypatch, n, j, entry):
+    # the builder checks tau = 0 and tau = 1 (j = 0 takes its own branch);
+    # the default report reads them from family.endpoints, so those are the
+    # only splitting types counted
+    calls = []
+    real = deform.splitting_type
+    monkeypatch.setattr(deform, "splitting_type", lambda trans: calls.append(1) or real(trans))
+    argv = ["deform", "--n", str(n), "--j", str(j)]
+    code, out, err = run(capsys, argv)
+    assert (code, err, len(calls)) == (EXIT_OK, "", 2)
+    recounted = run(capsys, argv + ["--taus", "0,1"])
+    assert len(calls) == 6
+    assert out.splitlines()[1:] == recounted[1].splitlines()[1:] == [
+        f"family entry: {entry}", f"tau = 0: splitting {j + 1}", f"tau = 1: splitting {j}",
+    ]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -584,7 +604,7 @@ def test_golden_set_is_complete():
     assert TEXT_GOLDEN_NAMES == sorted([
         "skeleton_n3", "potential_n3", "resolve_n5_a2", "fan_n5_a2_dual",
         "birmap_a1_b2", "birstep_n4_j1_seed7", "collar_pic_n3",
-        "collar_iso_n3_j1-7_j2-1_bound2", "moduli-dim_n3_j4", "ext1_n3_j2_cutoff6",
+        "collar_iso_n3_j1-7_j2-1_bound2", "moduli-dim_n3_j4", "ext1_n3_j2",
         "deform_n3_j2_s2", "duality_n3_seed2",
     ] + splitting_cases)
     commands = {tuple(takewhile(lambda word: not word.startswith("--"), golden_argv(name)))
@@ -687,8 +707,24 @@ def test_resolve_over_the_matrix_cap_exits_2(capsys, fmt):
     code, out, err = run(capsys, ["resolve", "--n", "202", "--a", "201", "--format", fmt])
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (
-        "error: --n 202 --a 201 needs an intersection matrix of 40401 cells, "
+        "error: --n 202 --a 201 needs an intersection matrix of 201 x 201, 40401 cells, "
         "over the cap of 40000\n"
+    )
+
+
+def test_resolve_refuses_before_building_the_chain(capsys, monkeypatch):
+    # n / (n - 1) has n - 1 coefficients; the cap is checked on their count
+    def built(singularity):
+        raise AssertionError(f"built the chain of {singularity}")
+
+    monkeypatch.setattr(cli, "minimal_resolution", built)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["resolve", "--n", "1000000", "--a", "999999"])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: --n 1000000 --a 999999 needs an intersection matrix of 999999 x 999999, "
+        "999998000001 cells, over the cap of 40000\n"
     )
 
 
@@ -771,12 +807,10 @@ def test_work_at_the_cap_is_answered(capsys, argv, cells, cap):
 
 
 def test_ext1_never_visits_fiber_levels_without_basis_monomials(capsys):
-    # above n*b = 2j - 2 no exponent lies strictly between the two cuts, so a
-    # huge cutoff costs no more than the automatic one
-    huge = run(capsys, ["ext1", "--n", "1", "--j", "3", "--cutoff", str(10**18), "--format", "json"])
+    # above n*b = 2j - 2 no exponent lies strictly between the two cuts, so
+    # the basis of (1, 3) stops at fiber level 4
     auto = run(capsys, ["ext1", "--n", "1", "--j", "3", "--format", "json"])
-    assert huge[0] == auto[0] == EXIT_OK
-    assert json.loads(huge[1])["basis"] == json.loads(auto[1])["basis"]
+    assert auto[0] == EXIT_OK
     assert json.loads(auto[1])["dimension"] == 5 + 4 + 3 + 2 + 1
 
 
@@ -804,8 +838,8 @@ _CAPPED = {
     ("collar", "pic"): ("--n",),
     ("collar", "iso"): ("--n", "--j1", "--j2"),
     ("duality",): ("--n", "--samples"),
-    # --cutoff stays out: below the automatic one it fails the window check (exit 3)
     ("ext1",): ("--n", "--j"),
+    ("resolve",): ("--n", "--a"),
     ("deform",): ("--n", "--j", "--s"),
 }
 

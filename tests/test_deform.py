@@ -1,4 +1,4 @@
-"""Extension-group windows, class inclusion, and splitting-type families."""
+"""Extension-group bases, class inclusion, and splitting-type families."""
 
 from fractions import Fraction
 
@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from skelcollar.deform import (
     ClassNotGeneric,
     DeformationFamily,
-    WindowUnstable,
-    auto_cutoff,
     deformation_family,
     ext1_basis,
     ext_class,
@@ -39,17 +37,17 @@ def gap_count(n, j):
     return total
 
 
-def eliminated_window(n, j, cutoff):
+def eliminated_window(n, j, window):
     # reference route: at each fiber level, echelon the coboundary
     # generators (U side a >= 0, twisted V side a <= n*b - 2j) inside the
     # window and keep the non-pivot monomials, b ascending then a ascending;
     # the generator rows are integral unit vectors, so they go to the
     # dense integer elimination of the test oracle directly
-    z_lo = -2 * j - n * cutoff
-    z_hi = 2 * j + n * cutoff
+    z_lo = -2 * j - n * window
+    z_hi = 2 * j + n * window
     width = z_hi - z_lo + 1
     out = []
-    for b in range(cutoff + 1):
+    for b in range(window + 1):
         generators = set(range(0, z_hi + 1))
         generators.update(range(z_lo, min(-2 * j + n * b, z_hi) + 1))
         rows = []
@@ -65,22 +63,10 @@ def eliminated_window(n, j, cutoff):
     return tuple(out)
 
 
-def eliminated_basis(n, j, cutoff):
-    # ext1_basis through the reference route: None where doubling the
-    # window changes the answer, which ext1_basis must report loudly
-    base = eliminated_window(n, j, cutoff)
-    if base != eliminated_window(n, j, 2 * cutoff if cutoff else 1):
-        return None
-    return base
-
-
-def assert_matches_elimination(n, j, cutoff):
-    expected = eliminated_basis(n, j, cutoff)
-    if expected is None:
-        with pytest.raises(WindowUnstable):
-            ext1_basis(n, j, cutoff)
-    else:
-        assert ext1_basis(n, j, cutoff) == expected
+def last_level(n, j):
+    # fiber levels above (2j - 2) // n carry no basis monomial, so the
+    # reference route must agree with the closed form at any window above it
+    return max(0, (2 * j - 2) // n)
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +76,18 @@ def assert_matches_elimination(n, j, cutoff):
 def test_closed_form_matches_elimination_grid():
     for n in range(1, 7):
         for j in range(0, 7):
-            for cutoff in range(0, 2 * auto_cutoff(n, j) + 1):
-                assert_matches_elimination(n, j, cutoff)
+            for window in range(last_level(n, j) + 1, last_level(n, j) + 4):
+                assert ext1_basis(n, j) == eliminated_window(n, j, window), (n, j, window)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=9),
     j=st.integers(min_value=0, max_value=9),
-    cutoff=st.integers(min_value=0, max_value=8),
+    extra=st.integers(min_value=1, max_value=8),
 )
-def test_closed_form_matches_elimination_property(n, j, cutoff):
-    assert_matches_elimination(n, j, cutoff)
+def test_closed_form_matches_elimination_property(n, j, extra):
+    assert ext1_basis(n, j) == eliminated_window(n, j, last_level(n, j) + extra)
 
 
 def test_dimension_matches_monomial_gap_count():
@@ -136,31 +122,11 @@ def test_zero_index_group_vanishes():
         assert ext1_basis(n, 0) == ()
 
 
-def test_small_cutoff_is_loud():
-    # for n = 1, j = 3 the fiber level b = 4 still carries a monomial, so a
-    # cutoff of 3 changes under doubling instead of silently truncating
-    with pytest.raises(WindowUnstable):
-        ext1_basis(1, 3, cutoff=3)
-    basis = ext1_basis(1, 3, cutoff=4)
-    assert len(basis) == gap_count(1, 3) == 15
-    assert ext1_basis(1, 3) == basis
-
-
-def test_doubling_leaves_default_basis_fixed():
-    for n in range(1, 5):
-        for j in range(0, 4):
-            basis = ext1_basis(n, j)
-            cutoff = max(3, (2 * j - 2) // n) if j else 3
-            assert ext1_basis(n, j, cutoff=2 * cutoff) == basis
-
-
 def test_basis_input_validation():
     with pytest.raises(ValueError):
         ext1_basis(0, 1)
     with pytest.raises(ValueError):
         ext1_basis(2, -1)
-    with pytest.raises(ValueError):
-        ext1_basis(2, 1, cutoff=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +138,8 @@ def test_reduction_drops_both_coboundary_sides():
     p = mono(3) + mono(-4) + mono(-1, coeff=Fraction(5, 2)) + mono(-1, 1, coeff=7)
     cls = ext_class(2, 2, p)
     assert cls.representative == mono(-1, coeff=Fraction(5, 2)) + mono(-1, 1, coeff=7)
-    assert cls.basis == ext1_basis(2, 2)
+    basis = ext1_basis(2, 2)
+    assert sum((c * m for c, m in zip(cls.coordinates, basis)), LP.zero()) == cls.representative
     assert cls.coordinates == (0, 0, Fraction(5, 2), 7)
 
 

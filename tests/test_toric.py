@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import cofactor_det, cone_contains, hj_evaluate, is_unimodular_subdivision
 from skelcollar.toric import (
@@ -13,6 +15,7 @@ from skelcollar.toric import (
     QuotientSingularity,
     dynkin_dual_graph,
     hj_expansion,
+    hj_length,
     is_negative_definite,
     leading_principal_minors,
     minimal_resolution,
@@ -123,15 +126,19 @@ def test_hj_known_values():
     assert hj_expansion(5, 1) == [5]
     assert hj_expansion(5, 4) == [2, 2, 2, 2]
     assert hj_expansion(7, 3) == [3, 2, 2]
+    # the length needs no expansion: n / (n - 1) has n - 1 coefficients
+    assert hj_length(10**18, 10**18 - 1) == 10**18 - 1
+    assert hj_length(10**18, 1) == 1
 
 
 def test_hj_validation():
-    with pytest.raises(InvalidInput):
-        hj_expansion(4, 2)
-    with pytest.raises(InvalidInput):
-        hj_expansion(3, 0)
-    with pytest.raises(InvalidInput):
-        hj_expansion(3, 3)
+    for expand in (hj_expansion, hj_length):
+        with pytest.raises(InvalidInput):
+            expand(4, 2)
+        with pytest.raises(InvalidInput):
+            expand(3, 0)
+        with pytest.raises(InvalidInput):
+            expand(3, 3)
 
 
 def test_hj_round_trip_all_small():
@@ -140,6 +147,16 @@ def test_hj_round_trip_all_small():
             coeffs = hj_expansion(n, q)
             assert all(c >= 2 for c in coeffs)
             assert hj_evaluate(coeffs) == Fraction(n, q)
+            assert hj_length(n, q) == len(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=2, max_value=10**4), data=st.data())
+def test_hj_length_counts_the_expansion(n, data):
+    # the continued-fraction length against the walk it replaces in the cap
+    q = data.draw(st.integers(min_value=1, max_value=n - 1))
+    assume(gcd(n, q) == 1)
+    assert hj_length(n, q) == len(hj_expansion(n, q))
 
 
 def test_resolution_inverse_weight_chain():
