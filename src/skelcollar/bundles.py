@@ -5,11 +5,13 @@ Everything is phrased through explicit transition data on the two-chart
 cover: U carries (z, u), V carries (xi, v), glued by xi = 1/z and
 v = z^n u.  A transition matrix M sends U-side section data to the V side,
 so the single entry z^(-d) describes the degree-d line bundle.  Section
-counts, splitting types, residue classes mod n, frame-change certificates,
-and the dimension formula for rank-2 moduli all reduce to exact linear
-algebra over these Laurent representations.  Every isomorphism over the
-collar, of line bundles in the Picard table as of rank-2 transitions, is
-certified the same way: a CollarIsoCertificate, checked by its verify.
+counts, splitting types, residue classes mod n and frame-change
+certificates reduce to exact linear algebra over these Laurent
+representations.  The dimension of rank-2 moduli is the cited closed form
+2j - n - 2 (Ballico, Gasparim and Koppe 2009), not a linear-algebra
+result.  Every isomorphism over the collar, of line bundles in the Picard
+table as of rank-2 transitions, is certified the same way: a
+CollarIsoCertificate, checked by its verify.
 """
 
 from __future__ import annotations
@@ -393,12 +395,15 @@ def _search_certificate(
     so each entry is read once and no product is formed.  Each null vector,
     then sums of pairs of the first ``_PAIR_CAP`` and the sum of all, is
     tried as a frame pair, and ``verify`` decides.  A candidate's frame
-    entry is built by one constructor call on its exponent map, {(u, z)
-    exponents of ``shape[c]``: vec[c]}; columns are distinct frame terms,
-    so no key repeats and no Laurent sum is formed.  A 1 x 1 frame is a unit
+    entries are first exponent maps, {(u, z) exponents of ``shape[c]``:
+    vec[c]}; columns are distinct frame terms, so no key repeats.  Frames
+    are built, one constructor call per entry, only for candidates that
+    pass verify's determinant test on those maps.  A 1 x 1 frame is a unit
     only if it is one term.  For rank 1, V * m1 = m2 * U with single-term
     m1 and m2 gives both frames the same number of terms, so a vector
-    without exactly two nonzeros is skipped before any frame is built."""
+    without exactly two nonzeros is skipped.  For rank 2,
+    ``_unit_determinants`` forms both determinants on the maps and skips a
+    candidate unless they are the units verify asks for."""
     n = m1.n
     rank = m1.rank
     monomials = list(product(range(bound + 1), range(-bound, bound + 1)))
@@ -434,6 +439,8 @@ def _search_certificate(
         for c, x in vec.items():
             side, a, b, z, u = shape[c]
             terms[side][a][b][u, z] = x
+        if rank == 2 and not _unit_determinants(n, terms):
+            return None
         frames = [[[LaurentPoly((U_FIBER, U_BASE), t) for t in row] for row in terms[s]] for s in "vu"]
         return _certificate_from_frames(n, *frames, m1, m2)
 
@@ -452,16 +459,38 @@ def _search_certificate(
     return assemble(_vector_sum(vectors))
 
 
+def _accumulate(total: dict, key: object, x: Fraction) -> None:
+    """Add a nonzero x at key, dropping the entry if it cancels."""
+    s = total.get(key, _F0) + x
+    if s:
+        total[key] = s
+    else:
+        del total[key]
+
+
 def _vector_sum(vectors: Sequence[SparseRow]) -> SparseRow:
     total: SparseRow = {}
     for vec in vectors:
         for c, x in vec.items():
-            s = total.get(c, _F0) + x
-            if s:
-                total[c] = s
-            else:
-                del total[c]
+            _accumulate(total, c, x)
     return total
+
+
+def _unit_determinants(n: int, terms: dict[str, list[list[dict]]]) -> bool:
+    """The determinant test of ``CollarIsoCertificate.verify`` on a 2 x 2
+    frame pair given as exponent maps {(u, z): coefficient} per entry:
+    t00 t11 - t01 t10, formed exactly with cancelled terms dropped, is one
+    term z^0 u^b on the U side and one term z^(n b) u^b on the V side."""
+    for side, slope in (("u", 0), ("v", n)):
+        (t00, t01), (t10, t11) = terms[side]
+        det: dict[tuple[int, int], Fraction] = {}
+        for p, q in ((t00, t11), ({k: -x for k, x in t01.items()}, t10)):
+            for (u1, z1), x in p.items():
+                for (u2, z2), y in q.items():
+                    _accumulate(det, (u1 + u2, z1 + z2), x * y)
+        if [z - slope * u for u, z in det] != [0]:
+            return False
+    return True
 
 
 def collar_iso_certificate(

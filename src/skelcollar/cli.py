@@ -620,7 +620,7 @@ def _run_ext1(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
 # bounds the section counts: the two endpoint checks and each tau read a
 # splitting type of at most t = j + s, from section counts at up to 2t + 2
 # twists over windows of up to 2t + 2 z-degrees; at the cap, --n 1 --j 13
-# took 0.6 s in-process on 2 vCPUs (the default taus, read from the endpoints, count too)
+# took 0.6 s in-process on 2 vCPUs (taus 0 and 1, read from the endpoints, count too)
 DEFORM_MAX_SECTION_CELLS = 4_000
 
 
@@ -631,8 +631,10 @@ def _run_deform(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
                f"--n {args.n} --j {args.j} --s {args.s} needs {types} splitting types of "
                f"{side} twists over windows of {side} z-degrees")
     family = index_step_family(args.n, args.j, args.s)
-    # the builder checked the default taus, 0 and 1, as the family endpoints
-    profile = family.endpoints if args.taus is None else family_splitting_profile(family, taus)
+    # the builder checked tau = 0 and tau = 1 as the family endpoints
+    checked = dict(zip((0, 1), family.endpoints))
+    counted = iter(family_splitting_profile(family, [tau for tau in taus if tau not in checked]))
+    profile = [checked[tau] if tau in checked else next(counted) for tau in taus]
     lines = [f"family entry: {family.entry}"]
     for tau, value in zip(taus, profile):
         lines.append(f"tau = {tau}: splitting {value}")

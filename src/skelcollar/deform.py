@@ -168,9 +168,16 @@ def deformation_family(source: ExtClass, s: int) -> DeformationFamily:
     observed = family.splitting_at(1)
     expected = (top, -top) if source.is_zero else (source.j, -source.j)
     if observed != expected:
+        free = [a for a, b, _ in zu_terms(family.entry) if b == 0]
+        if free and -max(free) <= top:
+            why = f"its u-free term z^{max(free)} sets the type to {-max(free)}"
+        elif free:
+            why = f"its u-free terms z^a all have -a > j + s, so it stays at j + s = {top}"
+        else:
+            why = f"it has no u-free term, so it stays at j + s = {top}"
         raise ClassNotGeneric(
-            f"class for (n={source.n}, j={source.j}) deforms to splitting "
-            f"{observed[0]} at tau = 1, not {expected[0]}"
+            f"class for (n={source.n}, j={source.j}) lands on splitting type "
+            f"{observed[0]} at tau = 1, not {expected[0]}: {why}"
         )
     return family.replace(endpoints=(at_zero[0], observed[0]))
 

@@ -291,13 +291,19 @@ def certificate_holds(n, m1, m2, u_frame, v_frame):
         return False
     if any(n * b - a < 0 for row in v_frame for poly in row for a, b in poly):
         return False
+    if not unit_determinants(n, u_frame, v_frame):
+        return False
+    return _dict_matmul(m2, u_frame) == _dict_matmul(v_frame, m1)
+
+
+def unit_determinants(n, u_frame, v_frame):
+    """det U = c u^b and det V = c z^(n b) u^b, one term each, for dict
+    matrices over the n-collar."""
     det_u, det_v = _dict_det(u_frame), _dict_det(v_frame)
     if len(det_u) != 1 or len(det_v) != 1:
         return False
     ((au, _),), ((av, bv),) = det_u, det_v
-    if au != 0 or av != n * bv:
-        return False
-    return _dict_matmul(m2, u_frame) == _dict_matmul(v_frame, m1)
+    return au == 0 and av == n * bv
 
 
 def product_certificate_rows(m1, m2, bound):

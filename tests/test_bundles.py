@@ -904,33 +904,57 @@ def test_rank_one_search_builds_frames_only_for_single_term_vectors(monkeypatch,
         assert len(built) == single_term.index(expected) + 1
 
 
+def _zu_maps(terms):
+    """The search's exponent maps {(u, z): x} of one frame as the oracle's
+    {(z, u): x} dicts."""
+    return [[{(z, u): x for (u, z), x in t.items()} for t in row] for row in terms]
+
+
 def assert_frames_match_the_sum_oracle(m1, m2, bound, vectors=None):
-    """Refuse every candidate, so that the search builds the frames of all
-    of them, and compare each entry with the one summed term by term as a
-    Laurent product and sum.  ``vectors(cols)``, if given, stands in for
-    the null space."""
+    """Refuse every candidate, so that the search assembles all of them,
+    and compare each with its frames summed term by term as Laurent
+    products and sums.  For rank 2 that is the exponent maps of every
+    candidate, which the determinant screen reads, and the frames built for
+    the candidates whose summed frames have unit determinants; for rank 1,
+    the frames of every vector of two nonzeros.  ``vectors(cols)``, if
+    given, stands in for the null space."""
     if bound is None:
         bound = max(m1.n, m1.z_spread() + m2.z_spread()) + 1
-    spaces, built = [], []
+    spaces, screened, built = [], [], []
+    real_screen = bundles._unit_determinants
 
     def recording_null_space(pivots, cols):
         spaces.append(null_space(pivots, cols) if vectors is None else vectors(cols))
         return spaces[-1]
+
+    def recording_screen(n, terms):
+        screened.append(terms)
+        return real_screen(n, terms)
 
     def refusing_from_frames(n, v_rows, u_rows, m1, m2):
         built.append((v_rows, u_rows))
         return None
 
     with mock.patch.object(bundles, "null_space", recording_null_space), \
+            mock.patch.object(bundles, "_unit_determinants", recording_screen), \
             mock.patch.object(bundles, "_certificate_from_frames", refusing_from_frames):
         assert collar_iso_certificate(m1, m2, bound=bound, exhaustive=True) is None
     candidates = _candidates(spaces[0])
-    if m1.rank == 1:
-        candidates = [vec for vec in candidates if len(vec) == 2]
     _, columns = oracles.product_certificate_rows(m1, m2, bound)
-    assert len(built) == len(candidates)
-    for frames, vec in zip(built, candidates):
-        assert frames == oracles.sum_built_frames(vec, columns, m1.rank)
+    frames = [oracles.sum_built_frames(vec, columns, m1.rank) for vec in candidates]
+    if m1.rank == 1:
+        assert screened == []
+        frames = [pair for pair, vec in zip(frames, candidates) if len(vec) == 2]
+    else:
+        assert len(screened) == len(candidates)
+        for terms, (v_rows, u_rows) in zip(screened, frames):
+            assert _zu_maps(terms["v"]) == oracles.zu_matrix(v_rows)
+            assert _zu_maps(terms["u"]) == oracles.zu_matrix(u_rows)
+        frames = [
+            (v_rows, u_rows) for v_rows, u_rows in frames
+            if oracles.unit_determinants(m1.n, oracles.zu_matrix(u_rows), oracles.zu_matrix(v_rows))
+        ]
+    assert built == frames
 
 
 @pytest.mark.parametrize("case", GOLDEN_CERTIFICATES)
@@ -988,6 +1012,82 @@ def test_frames_of_random_sparse_vectors_match_the_sum_built_oracle(case, data):
     assert_frames_match_the_sum_oracle(m1, m2, bound, vectors=random_vectors)
 
 
+_RANK_TWO_SEARCHES = [
+    tuple(BundleTransition.from_rows(
+        case["n"], [[LP.from_json_dict(p) for p in row] for row in case[key]]
+    ) for key in ("m1", "m2"))
+    for case in GOLDEN_CERTIFICATES if len(case["m1"]) == 2
+]
+
+
+@pytest.mark.parametrize("bound", [None, 1, 4])
+@pytest.mark.parametrize("pair", range(len(_RANK_TWO_SEARCHES)))
+def test_rank_two_search_builds_frames_only_for_unit_determinant_candidates(monkeypatch, pair, bound):
+    # verify's first test is the determinant, so the search builds frames
+    # only for the candidates whose frames have unit determinants on both
+    # charts, and still returns the first candidate whose frames hold
+    m1, m2 = _RANK_TWO_SEARCHES[pair]
+    spaces, built = [], []
+    real_null_space, real_from_frames = bundles.null_space, bundles._certificate_from_frames
+
+    def recording_null_space(pivots, cols):
+        spaces.append(real_null_space(pivots, cols))
+        return spaces[-1]
+
+    def recording_from_frames(n, v_rows, u_rows, m1, m2):
+        built.append((oracles.zu_matrix(u_rows), oracles.zu_matrix(v_rows)))
+        return real_from_frames(n, v_rows, u_rows, m1, m2)
+
+    monkeypatch.setattr(bundles, "null_space", recording_null_space)
+    monkeypatch.setattr(bundles, "_certificate_from_frames", recording_from_frames)
+    cert = collar_iso_certificate(m1, m2, bound=bound, exhaustive=True)
+
+    n = m1.n
+    if bound is None:
+        bound = max(n, m1.z_spread() + m2.z_spread()) + 1
+    _, columns = oracles.product_certificate_rows(m1, m2, bound)
+    (vectors,) = spaces
+    frames = [
+        (oracles.zu_matrix(u_rows), oracles.zu_matrix(v_rows))
+        for v_rows, u_rows in (oracles.sum_built_frames(vec, columns, 2) for vec in _candidates(vectors))
+    ]
+    units = [uv for uv in frames if oracles.unit_determinants(n, *uv)]
+    m1_terms, m2_terms = oracles.zu_matrix(m1.entries), oracles.zu_matrix(m2.entries)
+    expected = next(
+        (uv for uv in frames if oracles.certificate_holds(n, m1_terms, m2_terms, *uv)), None
+    )
+    if expected is None:
+        assert cert is None
+        assert built == units
+    else:
+        assert (oracles.zu_matrix(cert.u_frame), oracles.zu_matrix(cert.v_frame)) == expected
+        assert built == units[: units.index(expected) + 1]
+    assert len(units) < len(frames)
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_pairs())
+def test_screened_search_returns_what_verifying_every_candidate_returns(case):
+    # the oracle builds every candidate's frames as Laurent sums and
+    # verifies each in the search's order; the search skips candidates
+    # before building their frames, so it must reach the same answer
+    m1, m2, bound = case
+    spaces = []
+
+    def recording_null_space(pivots, cols):
+        spaces.append(null_space(pivots, cols))
+        return spaces[-1]
+
+    with mock.patch.object(bundles, "null_space", recording_null_space):
+        cert = collar_iso_certificate(m1, m2, bound=bound, exhaustive=True)
+    _, columns = oracles.product_certificate_rows(m1, m2, bound)
+    built = (
+        bundles.CollarIsoCertificate(m1.n, *(tuple(map(tuple, rows)) for rows in frames))
+        for frames in (oracles.sum_built_frames(vec, columns, m1.rank) for vec in _candidates(spaces[0]))
+    )
+    assert cert == next((c for c in built if c.verify(m1, m2)), None)
+
+
 def test_rank_two_search_builds_no_monomial(monkeypatch):
     # each frame entry is one constructor call on the vector's exponent
     # map; no frame term is built as a monomial, product or sum
@@ -1001,7 +1101,8 @@ def test_rank_two_search_builds_no_monomial(monkeypatch):
     m1 = BundleTransition.canonical(2, 1, zp(-1))
     m2 = BundleTransition.canonical(2, 1, 3 * zp(-1))
     monkeypatch.setattr(LaurentPoly, "monomial", classmethod(counting))
-    # inconclusive at bound 4: every candidate is built and verified
+    # inconclusive at bound 4: every candidate is screened on its exponent
+    # maps, and those with unit determinants are built and verified
     assert collar_iso_certificate(m1, m2, bound=4) is None
     assert collar_iso_certificate(m1, m2) is not None
     assert calls == []

@@ -375,18 +375,22 @@ def test_ext1_takes_no_cutoff(capsys):
 @pytest.mark.parametrize("n,j,entry", [(1, 3, "z^-3"), (2, 0, "1")])
 def test_default_deform_profile_reuses_the_checked_endpoints(capsys, monkeypatch, n, j, entry):
     # the builder checks tau = 0 and tau = 1 (j = 0 takes its own branch);
-    # the default report reads them from family.endpoints, so those are the
-    # only splitting types counted
+    # the report reads them from family.endpoints, default or passed in
+    # --taus, and counts only the other taus
     calls = []
     real = deform.splitting_type
     monkeypatch.setattr(deform, "splitting_type", lambda trans: calls.append(1) or real(trans))
     argv = ["deform", "--n", str(n), "--j", str(j)]
-    code, out, err = run(capsys, argv)
-    assert (code, err, len(calls)) == (EXIT_OK, "", 2)
-    recounted = run(capsys, argv + ["--taus", "0,1"])
-    assert len(calls) == 6
-    assert out.splitlines()[1:] == recounted[1].splitlines()[1:] == [
-        f"family entry: {entry}", f"tau = 0: splitting {j + 1}", f"tau = 1: splitting {j}",
+    counted = []
+    for taus in ([], ["--taus", "0,1"], ["--taus", "0,1,1/3"], ["--taus", "1/3,1,0,1"]):
+        calls.clear()
+        code, out, err = run(capsys, argv + taus)
+        assert (code, err) == (EXIT_OK, "")
+        counted.append((len(calls) - 2, out.splitlines()[1:]))
+    lines = [f"family entry: {entry}", f"tau = 0: splitting {j + 1}", f"tau = 1: splitting {j}"]
+    third = f"tau = 1/3: splitting {j}"
+    assert counted == [
+        (0, lines), (0, lines), (1, lines + [third]), (1, [lines[0], third, lines[2], lines[1], lines[2]]),
     ]
 
 

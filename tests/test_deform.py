@@ -1,5 +1,6 @@
 """Extension-group bases, class inclusion, and splitting-type families."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -223,19 +224,34 @@ def test_zero_class_family_stays_split():
 
 def test_shallow_class_is_rejected():
     # z^-1 deforms to splitting 1, not the declared 2
-    with pytest.raises(ClassNotGeneric):
+    with pytest.raises(ClassNotGeneric, match=re.escape(
+        "class for (n=2, j=2) lands on splitting type 1 at tau = 1, not 2: "
+        "its u-free term z^-1 sets the type to 1"
+    )):
         deformation_family(ext_class(2, 2, mono(-1)), 1)
 
 
 def test_deep_class_is_rejected():
     # z^-3 pins splitting 3 even inside the wider matrix
-    with pytest.raises(ClassNotGeneric):
+    with pytest.raises(ClassNotGeneric, match=re.escape(
+        "class for (n=1, j=2) lands on splitting type 3 at tau = 1, not 2: "
+        "its u-free term z^-3 sets the type to 3"
+    )):
         deformation_family(ext_class(1, 2, mono(-3)), 1)
+    # z^-5 lies below z^-(j+s), so the family keeps its top exponent 4
+    with pytest.raises(ClassNotGeneric, match=re.escape(
+        "class for (n=1, j=3) lands on splitting type 4 at tau = 1, not 3: "
+        "its u-free terms z^a all have -a > j + s, so it stays at j + s = 4"
+    )):
+        deformation_family(ext_class(1, 3, mono(-5)), 1)
 
 
 def test_fiber_class_is_rejected():
     # a representative divisible by u dies along the zero section
-    with pytest.raises(ClassNotGeneric):
+    with pytest.raises(ClassNotGeneric, match=re.escape(
+        "class for (n=2, j=2) lands on splitting type 3 at tau = 1, not 2: "
+        "it has no u-free term, so it stays at j + s = 3"
+    )):
         deformation_family(ext_class(2, 2, mono(-1, 1)), 1)
 
 
