@@ -11,7 +11,9 @@ representations.  The dimension of rank-2 moduli is the cited closed form
 2j - n - 2 (Ballico, Gasparim and Koppe 2009), not a linear-algebra
 result.  Every isomorphism over the collar, of line bundles in the Picard
 table as of rank-2 transitions, is certified the same way: a
-CollarIsoCertificate, checked by its verify.
+CollarIsoCertificate, checked by its verify.  Two canonical rank-2 shapes
+get theirs in closed form, from Gasparim's normal form (J. Algebra 1998);
+a bounded kernel search is the fallback.
 """
 
 from __future__ import annotations
@@ -326,6 +328,13 @@ class CollarIsoCertificate(Record):
         return poly_mat_mul(m2.entries, self.u_frame) == poly_mat_mul(self.v_frame, m1.entries)
 
 
+def _canonical_corner(trans: BundleTransition) -> Optional[tuple[int, LaurentPoly]]:
+    """(j, p) if trans is [[z^j, p], [0, z^-j]] with j >= 0, else None."""
+    j, p = trans.entries[0][0].max_exponent(U_BASE), trans.entries[0][-1]
+    shape = ((_z_power(j), p), (LaurentPoly.zero(), _z_power(-j)))
+    return (j, p) if j >= 0 and trans.entries == shape else None
+
+
 def phi_transform(trans: BundleTransition) -> tuple[BundleTransition, CollarIsoCertificate]:
     """The collar's identification of splitting type j with j + n.
 
@@ -335,10 +344,10 @@ def phi_transform(trans: BundleTransition) -> tuple[BundleTransition, CollarIsoC
     collar, and the new corner vanishes on the zero section whenever p is
     regular there, so the image splits as (j + n, -j - n) with the same
     residue j mod n."""
-    n, p = trans.n, trans.entries[0][-1]
-    j = trans.entries[0][0].max_exponent(U_BASE)
-    if trans.rank != 2 or j < 0 or trans != BundleTransition.canonical(n, j, p):
+    shape = _canonical_corner(trans)
+    if shape is None:
         raise ValueError("phi takes a canonical [[z^j, p], [0, z^-j]] with j >= 0")
+    (j, p), n = shape, trans.n
     u, v = LaurentPoly.var(U_FIBER), LaurentPoly.monomial({U_BASE: n, U_FIBER: 1})
     zero = LaurentPoly.zero()
     frames = (((v, zero), (zero, v**-1)), ((u, zero), (zero, u**-1)))
@@ -493,6 +502,65 @@ def _unit_determinants(n: int, terms: dict[str, list[list[dict]]]) -> bool:
     return True
 
 
+def _split_corner(n: int, j: int, p: LaurentPoly) -> tuple[dict, ...]:
+    """Split the corner p of M = [[z^j, p], [0, z^-j]] into its class, the
+    terms c z^a u^b with n b - j < a < j keyed (a, b), and coboundaries: a
+    term with a >= j goes into y = c z^(a-j) u^b, one with a <= n b - j into
+    x = -c z^(a+j) u^b, both keyed (u, z).  Then [[1, x], [0, 1]] M
+    [[1, -y], [0, 1]] is the same shape with the class as corner."""
+    cls, x, y = {}, {}, {}
+    for a, b, c in zu_terms(p):
+        if a >= j:
+            y[b, a - j] = c
+        elif a <= n * b - j:
+            x[b, a + j] = -c
+        else:
+            cls[a, b] = c
+    return cls, x, y
+
+
+def _adjugate(frame: PolyMatrix) -> PolyMatrix:
+    """The inverse of a 2 x 2 frame of determinant 1."""
+    (a, b), (c, d) = frame
+    return ((d, -b), (-c, a))
+
+
+def _normal_form_certificate(
+    m1: BundleTransition, m2: BundleTransition
+) -> Optional[CollarIsoCertificate]:
+    """Closed-form certificate for two canonical [[z^j, p], [0, z^-j]] whose
+    top exponents differ by a multiple of n, or None (Gasparim's normal
+    form).  The lower shape is first raised by powers of phi, with frames F.
+    ``_split_corner`` gives unipotent frames V_i, U_i that reduce corner i to
+    its class.  If the classes are q = c p, or both zero with c = 1, then
+    V = V_2^-1 diag(c, 1) V_1 and U = U_2^-1 diag(c, 1) U_1, times F on the
+    right if m1 was raised, or F^-1 on the left if m2 was.  ``verify``
+    decides, as for every certificate."""
+    n, shapes = m1.n, [_canonical_corner(m) for m in (m1, m2)]
+    if None in shapes or (shapes[1][0] - shapes[0][0]) % n:
+        return None
+    steps, identity = (shapes[1][0] - shapes[0][0]) // n, poly_mat_identity(2)
+    raised, low, lift = [m1, m2], int(steps < 0), (identity, identity)
+    for _ in range(abs(steps)):
+        raised[low], phi = phi_transform(raised[low])
+        lift = (poly_mat_mul(phi.v_frame, lift[0]), poly_mat_mul(phi.u_frame, lift[1]))
+    j = max(shapes[0][0], shapes[1][0])
+    (cls1, *frames1), (cls2, *frames2) = (_split_corner(n, j, m.entries[0][1]) for m in raised)
+    if cls1.keys() != cls2.keys():
+        return None
+    c = next((cls2[k] / x for k, x in cls1.items()), Fraction(1))
+    if any(cls2[k] != c * x for k, x in cls1.items()):
+        return None
+    frames = []
+    for e1, e2, f in zip(frames1, frames2, lift):
+        corner = c * LaurentPoly((U_FIBER, U_BASE), e1) - LaurentPoly((U_FIBER, U_BASE), e2)
+        frame = ((LaurentPoly.const(c), corner), identity[1])
+        if steps:
+            frame = poly_mat_mul(frame, f) if steps > 0 else poly_mat_mul(_adjugate(f), frame)
+        frames.append(frame)
+    return _certificate_from_frames(n, *frames, m1, m2)
+
+
 def collar_iso_certificate(
     m1: BundleTransition,
     m2: BundleTransition,
@@ -501,11 +569,13 @@ def collar_iso_certificate(
 ) -> Optional[CollarIsoCertificate]:
     """Search for frame changes identifying two transitions over the collar.
 
-    Returns None when nothing is found within the bound: that outcome is
-    inconclusive, never a disproof.  Disproofs come from the residue
-    invariant carried by the line-bundle classes.  Single-term rank-1
-    inputs are resolved by exponent bookkeeping unless ``exhaustive`` asks
-    for the full kernel search.
+    Unless ``exhaustive`` asks for the full kernel search, single-term
+    rank-1 inputs are resolved by exponent bookkeeping, and two canonical
+    rank-2 shapes by ``_normal_form_certificate``; that closed form has no
+    bound, and a shape it leaves open falls through to the search.
+    ``bound`` limits only the search.  None means nothing was found: that
+    outcome is inconclusive, never a disproof.  Disproofs come from the
+    residue invariant carried by the line-bundle classes.
     """
     if m1.n != m2.n:
         raise ValueError("certificate search needs a common collar")
@@ -523,6 +593,9 @@ def collar_iso_certificate(
                 return cert
         if rank == 1 and m1.entries[0][0].is_monomial() and m2.entries[0][0].is_monomial():
             return _monomial_line_certificate(m1, m2, bound)
+        cert = _normal_form_certificate(m1, m2)
+        if cert is not None:
+            return cert
     return _search_certificate(m1, m2, bound)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -713,10 +713,12 @@ def test_verify_agrees_with_the_dict_oracle(case, data):
         assert verdict == expected
 
 
-# the benchmark's 13 kernel-search shapes at seed 1 (rank-2 pairs with the
+# the benchmark's 13 certificate requests at seed 1 (rank-2 pairs with the
 # default or a tight bound, exhaustive line pairs) and the frames recorded
-# from the dense-elimination search; null marks the two isomorphic pairs
-# it finds no certificate for
+# for them.  The five rank-2 pairs are canonical shapes of one j, answered
+# by the normal form; "search_certificate" pins what the kernel search
+# returns for each through exhaustive=True, with null for the two
+# isomorphic pairs it finds no certificate for
 GOLDEN_CERTIFICATES = json.loads(
     (Path(__file__).parent / "golden" / "certificates.json").read_text(encoding="utf-8")
 )
@@ -742,6 +744,23 @@ def test_certificate_search_matches_golden(case):
     assert found == case["certificate"]
 
 
+@pytest.mark.parametrize("case", [case for case in GOLDEN_CERTIFICATES if "search_certificate" in case])
+def test_kernel_search_keeps_its_golden_answers(case):
+    # the normal form answers these pairs; the search behind it, reached
+    # through exhaustive=True, returns the recorded frames or null
+    m1, m2 = (
+        BundleTransition.from_rows(case["n"], [[LP.from_json_dict(p) for p in row] for row in rows])
+        for rows in (case["m1"], case["m2"])
+    )
+    cert = collar_iso_certificate(m1, m2, bound=case["bound"], exhaustive=True)
+    found = None if cert is None else {
+        key: [[p.to_json_dict() for p in row] for row in getattr(cert, key)]
+        for key in ("u_frame", "v_frame")
+    }
+    assert found == case["search_certificate"]
+    assert case["certificate"] is not None
+
+
 def test_certificate_search_never_builds_a_dense_matrix(monkeypatch):
     # each search hands sparse rows, no zero stored, to the one elimination
     # kernel, and every null-space vector it gets back solves them
@@ -759,10 +778,13 @@ def test_certificate_search_never_builds_a_dense_matrix(monkeypatch):
     monkeypatch.setattr(bundles, "null_space", recording_null_space)
     m1 = BundleTransition.canonical(2, 1, LP.monomial({"z": -1}))
     m2 = BundleTransition.canonical(2, 1, LP.monomial({"z": -1}, 3))
-    assert collar_iso_certificate(m1, m2) is not None
+    assert collar_iso_certificate(m1, m2, exhaustive=True) is not None
     line1, line2 = BundleTransition.line_class(2, 0), BundleTransition.line_class(2, 2)
     assert collar_iso_certificate(line1, line2, bound=1, exhaustive=True) is not None
     assert collar_iso_certificate(line1, line2, bound=0, exhaustive=True) is None
+    # the normal form certifies the rank-2 pair, even at bound 4 where the
+    # search finds nothing, and hands no system to the kernel
+    assert collar_iso_certificate(m1, m2, bound=4).verify(m1, m2)
 
     assert [basis is not None for _, basis in systems] == [True] * 3
     for rows, basis in systems:
@@ -1103,9 +1125,92 @@ def test_rank_two_search_builds_no_monomial(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "monomial", classmethod(counting))
     # inconclusive at bound 4: every candidate is screened on its exponent
     # maps, and those with unit determinants are built and verified
-    assert collar_iso_certificate(m1, m2, bound=4) is None
-    assert collar_iso_certificate(m1, m2) is not None
+    assert collar_iso_certificate(m1, m2, bound=4, exhaustive=True) is None
+    assert collar_iso_certificate(m1, m2, exhaustive=True) is not None
     assert calls == []
+    # the normal form certifies the pair at bound 4: V = [[1, 2], [0, 1]]
+    # clears the coboundary z^-1 of both corners, with U the identity
+    cert = collar_iso_certificate(m1, m2, bound=4)
+    assert cert.v_frame == ((LP.const(1), LP.const(2)), (LP.zero(), LP.const(1)))
+    assert cert.u_frame == poly_mat_identity(2)
+    assert cert.verify(m1, m2) and oracle_holds(cert, m1, m2)
+
+
+@st.composite
+def normal_form_pairs(draw):
+    """Two canonical shapes on one collar whose corners are one class q and
+    c * q, each plus its own coboundary terms: c z^a u^b with a >= j (U
+    side) or a <= n b - j (V side).  The second shape is raised by 0, 1 or
+    2 powers of phi, which multiply its class by (z^n u^2)^k, and the pair
+    is drawn in either order."""
+    n, j, k = draw(st.integers(1, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    levels = [b for b in range(-1, 3) if n * b - j + 1 < j]
+    cls = []
+    for b in draw(st.lists(st.sampled_from(levels), max_size=3)) if levels else []:
+        cls.append((draw(st.integers(n * b - j + 1, j - 1)), b, draw(COEFFS)))
+    c = draw(COEFFS)
+
+    def coboundary(top):
+        out = []
+        for b, gap, above in draw(st.lists(st.tuples(
+            st.integers(-2, 2), st.integers(0, 3), st.booleans()), max_size=3
+        )):
+            out.append((top + gap if above else n * b - top - gap, b, draw(COEFFS)))
+        return zu_poly(out)
+
+    q = zu_poly(cls)
+    m1 = BundleTransition.canonical(n, j, q + coboundary(j))
+    raised = c * q * mono(z=n * k, u=2 * k)
+    m2 = BundleTransition.canonical(n, j + k * n, raised + coboundary(j + k * n))
+    return (m1, m2) if draw(st.booleans()) else (m2, m1)
+
+
+# n = 1: the class 1 of (1, 2), with a coboundary on each side, at the two
+# cuts a = j and a = n b - j, against twice its phi image 2 z u^2 at (1, 3),
+# in both orders
+_PHI_PAIR = (
+    BundleTransition.canonical(1, 2, LP.const(1) + zp(2) + mono(z=-1, u=1)),
+    BundleTransition.canonical(1, 3, 2 * mono(z=1, u=2) + mono(z=-5, u=-1) + mono(z=4, u=-2)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(normal_form_pairs())
+@example(_PHI_PAIR)
+@example(_PHI_PAIR[::-1])
+def test_normal_form_certifies_proportional_classes(pair):
+    # the closed form answers every such pair, so the search is never reached
+    m1, m2 = pair
+    with mock.patch.object(bundles, "_search_certificate", side_effect=AssertionError("searched")):
+        cert = collar_iso_certificate(m1, m2)
+    assert cert is not None
+    assert cert.verify(m1, m2)
+    assert oracle_holds(cert, m1, m2)
+
+
+@pytest.mark.parametrize(
+    "m1,m2,bound",
+    [
+        # not isomorphic: the class z^-1 of (2, 2) against the zero class
+        (BundleTransition.canonical(2, 2, zp(-1)), BundleTransition.canonical(2, 2), None),
+        (BundleTransition.canonical(1, 2, zp(-1)), BundleTransition.canonical(1, 2, zp(-1) + zp(1)), None),
+        # classes that are not proportional, yet the search certifies them
+        (BundleTransition.canonical(3, 2, zp(-1) + zp(1)),
+         BundleTransition.canonical(3, 2, zp(-1) + 2 * zp(1)), None),
+        (BundleTransition.canonical(1, 1, mono(u=-1)), BundleTransition.canonical(1, 1, mono(z=-1, u=-1)), 2),
+        # one phi step apart, with the classes z^2 u^2 and 1 after it
+        (BundleTransition.canonical(2, 1, LP.const(1)), BundleTransition.canonical(2, 3, LP.const(1)), 1),
+        # top exponents not a multiple of n apart, and a lower triangular shape
+        (BundleTransition.canonical(3, 1), BundleTransition.canonical(3, 2), 1),
+        (BundleTransition.from_rows(2, [[zp(1), LP.zero()], [zp(-1), zp(-1)]]),
+         BundleTransition.canonical(2, 1, zp(-1)), 2),
+    ],
+)
+def test_pairs_the_normal_form_leaves_open_reach_the_search(m1, m2, bound):
+    assert bundles._normal_form_certificate(m1, m2) is None
+    assert collar_iso_certificate(m1, m2, bound=bound) == collar_iso_certificate(
+        m1, m2, bound=bound, exhaustive=True
+    )
 
 
 def test_certificate_needs_matching_shape():
