@@ -37,8 +37,6 @@ from .exact import (
 U_BASE = "z"
 U_FIBER = "u"
 
-_F0 = Fraction(0)
-
 
 class BoundTooSmall(RuntimeError):
     """A degree window was too narrow for the answer to have stabilised."""
@@ -176,17 +174,17 @@ def zu_terms(p: LaurentPoly) -> Iterator[tuple[int, int, Fraction]]:
         yield (exps[zi] if zi is not None else 0, exps[ui] if ui is not None else 0, coeff)
 
 
-def _add_entry(
-    rows: dict[tuple[int, int, int], SparseRow], key: tuple[int, int, int], col: int, value: Fraction
-) -> None:
-    """Add value at one column of the sparse row keyed (row, z exponent,
-    u exponent), dropping an entry that cancels."""
-    row = rows.setdefault(key, {})
-    total = row.get(col, _F0) + value
-    if total:
-        row[col] = total
+def _accumulate(total: dict, key: object, x: Fraction) -> None:
+    """Add x at key, dropping the entry if it cancels.  x must be nonzero:
+    a first write stores x as it is, with no arithmetic."""
+    if key not in total:
+        total[key] = x
+        return
+    s = total[key] + x
+    if s:
+        total[key] = s
     else:
-        row.pop(col, None)
+        del total[key]
 
 
 def _section_count(trans: BundleTransition, twist: int, window: int) -> int:
@@ -197,22 +195,24 @@ def _section_count(trans: BundleTransition, twist: int, window: int) -> int:
     read off from the single overlap monomial z^(n m - k) u^m, so it absorbs
     that bucket whenever k lands inside the window and the solution count is
     the U-side unknowns minus the rank of the leftover bucket constraints.
-    Both products of a row are by one term, so ``LaurentPoly.__mul__``
-    forms each as an exponent shift.
+    The degree k is the outer loop, so the basis monomial z^k is built once
+    per degree; column k * rank + c is z^k in component c.  Both products of
+    a row are by one term, so ``LaurentPoly.__mul__`` forms each as an
+    exponent shift.
     """
     rank = trans.rank
     n = trans.n
     z_neg_twist = _z_power(-twist)
     rows: dict[tuple[int, int, int], SparseRow] = {}
-    for c in range(rank):
-        for k in range(window + 1):
+    for k in range(window + 1):
+        basis = _z_power(k)
+        for c in range(rank):
             col_id = k * rank + c
-            basis = LaurentPoly.monomial({U_BASE: k})
             for r in range(rank):
                 contrib = z_neg_twist * trans.entries[r][c] * basis
                 for e, m, coeff in zu_terms(contrib):
                     if not 0 <= n * m - e <= window:
-                        _add_entry(rows, (r, e, m), col_id, coeff)
+                        _accumulate(rows.setdefault((r, e, m), {}), col_id, coeff)
     return rank * (window + 1) - len(echelon(rows))
 
 
@@ -466,15 +466,6 @@ def _search_certificate(
             if cert is not None:
                 return cert
     return assemble(_vector_sum(vectors))
-
-
-def _accumulate(total: dict, key: object, x: Fraction) -> None:
-    """Add a nonzero x at key, dropping the entry if it cancels."""
-    s = total.get(key, _F0) + x
-    if s:
-        total[key] = s
-    else:
-        del total[key]
 
 
 def _vector_sum(vectors: Sequence[SparseRow]) -> SparseRow:

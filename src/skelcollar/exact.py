@@ -558,11 +558,15 @@ def echelon(rows: Mapping[object, Mapping[int, Fraction]]) -> dict[int, SparseRo
                 break
             factor = row[lead] / pivot[lead]
             for cid, value in pivot.items():
-                updated = row.get(cid, _ZERO) - factor * value
+                if cid not in row:
+                    # both factors are nonzero, so the new cell is too
+                    row[cid] = -factor * value
+                    continue
+                updated = row[cid] - factor * value
                 if updated:
                     row[cid] = updated
                 else:
-                    row.pop(cid, None)
+                    del row[cid]
     return pivots
 
 

@@ -2,7 +2,8 @@
 cofactor expansion of a determinant, term-by-term evaluation of a Laurent
 polynomial at a point, and the birational round trip on Fraction points
 through that evaluation, and the splitting type read from the section
-counts at every twist down to the degree cap, the check of a collar
+counts at every twist down to the degree cap, the rows of one section
+count built from Laurent products column by column, the check of a collar
 frame-change certificate on {(z exponent, u exponent): Fraction} dicts,
 and the rows and candidate frames of the certificate search built from
 Laurent products and sums; the Laurent product on {named exponents:
@@ -221,6 +222,27 @@ def full_walk_splitting_type(trans, counts=None):
         if count(m) != max(0, m + j + 1) + max(0, m - j + 1):
             raise ValueError(f"section counts do not match any split pair at twist {m}")
     return (j, -j)
+
+
+def product_section_rows(trans, twist, window):
+    """The rows of the section count of ``h0_twist`` at one window, built
+    column by column: for each component c and degree k the basis monomial
+    z^k is built anew, and each product z^(-twist) * M[r][c] * z^k is added
+    term by term into rows that start at zero.  A term z^e u^m of row r
+    lands in row (r, e, m), column k * rank + c, unless the V side absorbs
+    it (0 <= n m - e <= window)."""
+    n, rank = trans.n, trans.rank
+    z_neg_twist = LaurentPoly.monomial({U_BASE: -twist})
+    rows = {}
+    for c in range(rank):
+        for k in range(window + 1):
+            basis = LaurentPoly.monomial({U_BASE: k})
+            for r in range(rank):
+                product = zu_matrix([[z_neg_twist * trans.entries[r][c] * basis]])[0][0]
+                for (e, m), coeff in product.items():
+                    if not 0 <= n * m - e <= window:
+                        _add_term(rows.setdefault((r, e, m), {}), k * rank + c, coeff)
+    return rows
 
 
 def zu_matrix(rows):

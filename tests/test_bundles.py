@@ -295,6 +295,95 @@ def test_h0_rejects_negative_fiber_powers():
         h0_twist(trans, 0)
 
 
+@st.composite
+def accumulation_sequences(draw):
+    """(key, nonzero Fraction) writes over a few keys.  A write may cancel
+    its key's running sum exactly, and later writes refill a cancelled key."""
+    writes, sums = [], {}
+    for _ in range(draw(st.integers(0, 24))):
+        key = draw(st.integers(0, 3))
+        if sums.get(key) and draw(st.booleans()):
+            x = -sums[key]
+        else:
+            x = draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+        writes.append((key, x))
+        sums[key] = sums.get(key, 0) + x
+    return writes
+
+
+@given(accumulation_sequences())
+@example([(0, Fraction(1)), (0, Fraction(2))])
+@example([(1, Fraction(1, 2)), (1, Fraction(-1, 2))])
+@example([(1, Fraction(1, 2)), (1, Fraction(-1, 2)), (1, Fraction(3))])
+def test_accumulate_matches_a_plain_sum_with_zeros_dropped(writes):
+    total = {}
+    for key, x in writes:
+        bundles._accumulate(total, key, x)
+    sums = {}
+    for key, x in writes:
+        sums[key] = sums.get(key, 0) + x
+    assert total == {key: x for key, x in sums.items() if x}
+
+
+_FIBER_TERM = st.tuples(
+    st.integers(-3, 3), st.integers(0, 2), st.fractions(-3, 3, max_denominator=3).filter(bool)
+)
+
+
+@st.composite
+def section_transitions(draw):
+    """Rank-1 single terms c z^a u^b, and rank-2 canonical
+    [[z^j, p], [0, z^-j]] shapes, half of them sheared on the left by
+    [[1, 0], [s, 1]] as the golden sheared-n2 is; p and s may carry fiber
+    powers u^b, b >= 0."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return BundleTransition.from_rows(n, [[zu_poly([draw(_FIBER_TERM)])]])
+    j = draw(st.integers(0, 3))
+    top = [zp(j), zu_poly(draw(st.lists(_FIBER_TERM, max_size=3)))]
+    bottom = [LP.zero(), zp(-j)]
+    if draw(st.booleans()):
+        s = zu_poly(draw(st.lists(_FIBER_TERM, min_size=1, max_size=2)))
+        bottom = [s * t + b for t, b in zip(top, bottom)]
+    return BundleTransition.from_rows(n, [top, bottom])
+
+
+_SHEARED_N2 = json.loads(
+    (Path(__file__).parent / "golden" / "matrices" / "sheared-n2.json").read_text(encoding="utf-8")
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(section_transitions(), st.integers(-4, 4), st.one_of(st.none(), st.integers(0, 6)))
+@example(
+    BundleTransition.from_rows(
+        _SHEARED_N2["n"], [[LP.from_json_dict(p) for p in row] for row in _SHEARED_N2["matrix"]]
+    ),
+    -2,
+    None,
+)
+def test_section_count_rows_match_the_column_by_column_oracle(trans, twist, window):
+    # h0_twist counts at its window and at the doubled one; each count hands
+    # the kernel the rows the oracle builds with one monomial per column
+    seen = []
+
+    def recording_echelon(rows):
+        seen.append(rows)
+        return echelon(rows)
+
+    with mock.patch.object(bundles, "echelon", recording_echelon):
+        try:
+            h0_twist(trans, twist, window)
+        except BoundTooSmall:
+            pass
+    first = trans.z_spread() + abs(twist) + 1 if window is None else window
+    expected = [oracles.product_section_rows(trans, twist, w) for w in (first, 2 * first + 1)]
+    assert [sorted(rows) for rows in seen] == [sorted(rows) for rows in expected]
+    for rows, oracle_rows in zip(seen, expected):
+        for key in oracle_rows:
+            assert rows[key] == oracle_rows[key], key
+
+
 # -- splitting types ---------------------------------------------------------------
 
 

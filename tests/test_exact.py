@@ -1,7 +1,9 @@
 """Core arithmetic: Laurent polynomials and exact linear algebra."""
 
+import contextlib
 import json
 import random
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -440,10 +442,39 @@ def rational_matrices(draw):
     return [rows[i] for i in order], cols
 
 
+class _Overran(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Raise _Overran in the test if the body runs past ``seconds``, so an
+    elimination that never empties a row fails instead of hanging."""
+
+    def overran(signum, frame):
+        raise _Overran
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @given(rational_matrices())
+# the second row's update cancels the cell it holds at column 1 exactly
+@example(([[Fraction(1), Fraction(2), Fraction(0)], [Fraction(2), Fraction(4), Fraction(1)]], 3))
+# the second row's update fills column 1, which it does not hold
+@example(([[Fraction(1), Fraction(3), Fraction(0)], [Fraction(2), Fraction(0), Fraction(1)]], 3))
 def test_kernel_matches_dense_oracle(case):
     rows, cols = case
-    pivots = echelon(sparse(rows))
+    try:
+        with _alarm(5):
+            pivots = echelon(sparse(rows))
+    except _Overran:
+        pytest.fail("echelon ran past the 5 s alarm")
     expected_pivots, expected_kernel = dense_kernel(rows, cols)
     assert tuple(sorted(pivots)) == expected_pivots
     rank, kernel = kernel_of(rows, cols)

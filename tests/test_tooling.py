@@ -139,7 +139,7 @@ def test_settable_value_count_reads_defaults_and_dataclass_fields():
 # a ratchet on net source lines, as `wc -l src/skelcollar/*.py` counts them:
 # lines may be removed, and the cap lowered with them, but growth needs the
 # cap raised on purpose, with the reason given in CHANGES.md
-SOURCE_LINES_CAP = 3657
+SOURCE_LINES_CAP = 3652
 
 
 def test_source_lines_do_not_grow():
