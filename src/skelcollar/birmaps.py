@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .exact import LaurentPoly, Record, ZeroIntoNegativePower
+from .exact import LaurentPoly, Record, VerificationFailed, ZeroIntoNegativePower
 
 # exact homogeneous coordinates, one tuple per factor
 Point = tuple[tuple[int | Fraction, ...], ...]
@@ -38,11 +38,11 @@ Point = tuple[tuple[int | Fraction, ...], ...]
 Term = tuple[int | Fraction, tuple[tuple[int, int], ...]]
 
 
-class IndeterminacyHit(ValueError):
+class IndeterminacyHit(VerificationFailed, ValueError):
     """Raised when a point lands on the locus where a map is undefined."""
 
 
-class DegenerateSampler(ValueError):
+class DegenerateSampler(VerificationFailed, ValueError):
     """Raised when every drawn sample hit an indeterminacy locus."""
 
 

@@ -27,6 +27,7 @@ from .exact import (
     PolyMatrix,
     Record,
     SparseRow,
+    VerificationFailed,
     echelon,
     null_space,
     poly_mat_det,
@@ -38,7 +39,7 @@ U_BASE = "z"
 U_FIBER = "u"
 
 
-class BoundTooSmall(RuntimeError):
+class BoundTooSmall(VerificationFailed, RuntimeError):
     """A degree window was too narrow for the answer to have stabilised."""
 
 

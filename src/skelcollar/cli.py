@@ -8,7 +8,10 @@ parameters (including the seed) so a result can be reproduced from the
 report alone; JSON reports carry the same data in a "config" object, and
 both keep a fixed cutoff key, auto, for compatibility with earlier reports.
 Exit codes: 0 on success, 2 for usage and input errors, 3 when a
-verification step fails or cannot stabilise.
+verification step fails or cannot stabilise (an `AssertionError` or an
+`exact.VerificationFailed`).  A call costs mostly this module's import, so
+it loads only `exact` and `bundles`; every other handler imports the
+library module it runs.
 """
 
 from __future__ import annotations
@@ -21,39 +24,14 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .birmaps import (
-    DegenerateSampler,
-    IndeterminacyHit,
-    bir_step,
-    point_text,
-    product_to_projective,
-    verify_birational,
-)
 from .bundles import (
-    BoundTooSmall,
     BundleTransition,
     compare_line_bundles,
     moduli_dimension,
     picard_group,
     splitting_type,
 )
-from .deform import (
-    ClassNotGeneric,
-    ext1_basis,
-    family_splitting_profile,
-    index_step_family,
-)
-from .duality import describe_classification, duality_report
-from .exact import LaurentPoly
-from .potential import (
-    SymplecticStructure,
-    action_vector_field,
-    hamiltonian_residual,
-    solve_potential,
-    symbolic_test_field,
-)
-from .skeleton import AffineFiber, TwistedBundle, ZeroSection, skeleton
-from .toric import QuotientSingularity, hj_length, minimal_resolution, quotient_cone
+from .exact import LaurentPoly, VerificationFailed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -236,6 +214,7 @@ def _config_json(args: argparse.Namespace) -> dict:
 
 
 def _classification_json(c: object) -> dict:
+    from .skeleton import AffineFiber, TwistedBundle, ZeroSection
     if isinstance(c, AffineFiber):
         return {"kind": "affine_fiber", "dim": c.dim}
     if isinstance(c, ZeroSection):
@@ -340,6 +319,7 @@ SKELETON_MAX_TRANSITION_CELLS = 10_000
 
 
 def _run_skeleton(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    from .skeleton import describe_classification, skeleton
     n = args.n
     _check_cap((n + 1) * n * n, SKELETON_MAX_TRANSITION_CELLS,
                f"--n {n} needs {n + 1} fiber transitions of {n} x {n}")
@@ -369,6 +349,13 @@ POTENTIAL_MAX_TERM_CELLS = 5_000
 
 
 def _run_potential(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    from .potential import (
+        SymplecticStructure,
+        action_vector_field,
+        hamiltonian_residual,
+        solve_potential,
+        symbolic_test_field,
+    )
     n = args.n
     _check_cap((n + 1) * (2 * n + 1), POTENTIAL_MAX_TERM_CELLS,
                f"--n {n} needs a potential of {n + 1} terms over {2 * n + 1} variables")
@@ -400,6 +387,7 @@ RESOLVE_MAX_MATRIX_CELLS = 40_000
 
 
 def _run_resolve(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    from .toric import QuotientSingularity, hj_length, minimal_resolution
     singularity = QuotientSingularity(args.n, args.a)
     curves = hj_length(args.n, args.a) if args.n > 1 else 0  # before building the chain
     _check_cap(curves ** 2, RESOLVE_MAX_MATRIX_CELLS,
@@ -428,6 +416,7 @@ def _run_resolve(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
 
 
 def _run_fan(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    from .toric import QuotientSingularity, quotient_cone
     cone = quotient_cone(QuotientSingularity(args.n, args.a))
     dual = cone.dual()
     lines = [
@@ -445,6 +434,7 @@ def _run_fan(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
 
 
 def _verdict_result(verdict, source: str) -> tuple[int, dict, str, Figure]:
+    from .birmaps import point_text
     code = EXIT_OK if verdict.passed else EXIT_VERIFY
     status = "passed" if verdict.passed else "FAILED"
     lines = [
@@ -479,6 +469,7 @@ BIRMAP_MAX_SEGRE_CELLS = 50_000
 
 
 def _run_birmap(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    from .birmaps import product_to_projective, verify_birational
     components, reads = (args.a + 1) * (args.b + 1), args.a + args.b + 2 + args.samples
     _check_cap(components * reads, BIRMAP_MAX_SEGRE_CELLS,
                f"--a {args.a} --b {args.b} --samples {args.samples} needs {components} "
@@ -489,6 +480,7 @@ def _run_birmap(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
 
 
 def _run_birstep(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    from .birmaps import bir_step, verify_birational
     n, j, samples = args.n, args.j, args.samples
     components, reads = (j + 1) * (n - j) + (j + 2) * (n - j - 1), n + 1 + samples
     _check_cap(components * reads, BIRMAP_MAX_SEGRE_CELLS,
@@ -600,6 +592,7 @@ EXT1_MAX_WINDOW_CELLS = 20_000
 
 
 def _run_ext1(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    from .deform import ext1_basis
     n, j = args.n, args.j
     levels = max(0, (2 * j - 2) // n + 1)
     _check_cap(levels * (2 * j - 1), EXT1_MAX_WINDOW_CELLS,
@@ -625,6 +618,7 @@ DEFORM_MAX_SECTION_CELLS = 4_000
 
 
 def _run_deform(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    from .deform import family_splitting_profile, index_step_family
     taus = args.taus if args.taus is not None else (Fraction(0), Fraction(1))
     types, side = 2 + len(taus), max(0, 2 * (args.j + args.s) + 2)
     _check_cap(types * side * side, DEFORM_MAX_SECTION_CELLS,
@@ -654,6 +648,7 @@ DUALITY_MAX_SQUARE_CELLS = 20_000
 
 
 def _run_duality(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
+    from .duality import duality_report
     n, samples = args.n, args.samples
     _check_cap((n - 1) * (4 * n + samples) * n, DUALITY_MAX_SQUARE_CELLS,
                f"--n {n} --samples {samples} needs {n - 1} squares of {4 * n} section "
@@ -693,13 +688,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(rendered)
-    # an AssertionError is a check inside a report that failed: the program,
-    # not the input, is at fault, and the statement names the check
-    except (AssertionError, BoundTooSmall, ClassNotGeneric, DegenerateSampler,
-            IndeterminacyHit) as exc:
+    # an AssertionError or a VerificationFailed is a failed check of the program's
+    # own answer: the program, not the input, is at fault, and the message names it
+    except (AssertionError, VerificationFailed) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.output is None:

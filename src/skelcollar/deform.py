@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bundles import U_BASE, U_FIBER, BundleTransition, splitting_type, zu_terms
-from .exact import LaurentPoly, Record, Scalar, as_fraction
+from .exact import LaurentPoly, Record, Scalar, VerificationFailed, as_fraction
 
 
-class ClassNotGeneric(ValueError):
+class ClassNotGeneric(VerificationFailed, ValueError):
     """The class fails to represent a bundle of the declared splitting type."""
 
 

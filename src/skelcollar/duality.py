@@ -18,13 +18,7 @@ from typing import Optional
 from .birmaps import IndexOutOfRange, Verdict, bir_step, point_text, verify_birational
 from .deform import index_step_family
 from .exact import Record
-from .skeleton import (
-    AffineFiber,
-    SkeletonComponent,
-    TwistedBundle,
-    ZeroSection,
-    skeleton,
-)
+from .skeleton import SkeletonComponent, describe_classification, skeleton
 from .toric import (
     QuotientSingularity,
     dynkin_dual_graph,
@@ -45,20 +39,6 @@ def dual_of_lagrangian(n: int, j: int) -> tuple[int, int]:
     if not 0 <= j <= n - 1:
         raise IndexOutOfRange(f"no skeleton component {j} for collar parameter {n}")
     return (j % n, (-j) % n)
-
-
-def describe_classification(c: object) -> str:
-    if isinstance(c, AffineFiber):
-        return f"affine fiber of dimension {c.dim}"
-    if isinstance(c, ZeroSection):
-        return f"zero section of dimension {c.dim}"
-    if isinstance(c, TwistedBundle):
-        twists = ", ".join(str(t) for t in c.twists)
-        return (
-            f"rank-{c.rank} bundle over a dimension-{c.base_dim} base, "
-            f"fiber twists ({twists})"
-        )
-    return str(c)
 
 
 class DualityEntry(Record):

@@ -46,6 +46,10 @@ class NotInvertible(ValueError):
     """Raised when inverting a Laurent polynomial that is not a single term."""
 
 
+class VerificationFailed(Exception):
+    """A check of the program's own answer failed or could not settle."""
+
+
 Scalar = int | Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -189,6 +189,20 @@ class TwistedBundle(Record):
 Classification = AffineFiber | ZeroSection | TwistedBundle
 
 
+def describe_classification(c: object) -> str:
+    if isinstance(c, AffineFiber):
+        return f"affine fiber of dimension {c.dim}"
+    if isinstance(c, ZeroSection):
+        return f"zero section of dimension {c.dim}"
+    if isinstance(c, TwistedBundle):
+        twists = ", ".join(str(t) for t in c.twists)
+        return (
+            f"rank-{c.rank} bundle over a dimension-{c.base_dim} base, "
+            f"fiber twists ({twists})"
+        )
+    return str(c)
+
+
 class SkeletonComponent(Record):
     """One component of the skeleton: the closure of a stable manifold."""
 

@@ -22,12 +22,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from skelcollar import bundles, cli, deform, duality
+from skelcollar import birmaps, bundles, cli, deform, duality, toric
 from skelcollar.birmaps import point_text, projectively_equal
 from skelcollar.bundles import BundleTransition, splitting_type
 from skelcollar.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from skelcollar.deform import ext1_basis
-from skelcollar.exact import LaurentPoly
+from skelcollar.exact import LaurentPoly, VerificationFailed
 from skelcollar.toric import QuotientSingularity, quotient_cone
 
 
@@ -721,7 +721,7 @@ def test_resolve_refuses_before_building_the_chain(capsys, monkeypatch):
     def built(singularity):
         raise AssertionError(f"built the chain of {singularity}")
 
-    monkeypatch.setattr(cli, "minimal_resolution", built)
+    monkeypatch.setattr(toric, "minimal_resolution", built)
     start = time.perf_counter()
     code, out, err = run(capsys, ["resolve", "--n", "1000000", "--a", "999999"])
     assert time.perf_counter() - start < 0.5
@@ -882,7 +882,7 @@ def test_large_sizes_exit_0_or_2_under_an_alarm(data):
 )
 def test_failed_round_trip_names_its_first_witness(capsys, monkeypatch, argv, target):
     monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
-    monkeypatch.setattr(cli, target, lambda *args: oracles.broken_pair())
+    monkeypatch.setattr(birmaps, target, lambda *args: oracles.broken_pair())
     expected = oracles.verify_birational(oracles.broken_pair(), samples=12, seed=3)
     point, image = expected.failures[0]
 
@@ -946,6 +946,56 @@ def test_a_failed_check_inside_a_report_exits_3(capsys, monkeypatch, argv, modul
     monkeypatch.setattr(module, name, stub)
     code, out, err = run(capsys, argv + ["--format", fmt])
     assert (code, out, err) == (EXIT_VERIFY, "", f"verification failed: {statement}\n")
+
+
+# each library check that can fail on the program's own answer, its former
+# base, and a call that raises it from the handler's own module lookup
+_VERIFICATION_FAILURES = [
+    (bundles.BoundTooSmall, RuntimeError,
+     ["splitting", "--matrix", str(MATRIX_DIR / "twist3.json")], cli, "splitting_type"),
+    (deform.ClassNotGeneric, ValueError, ["deform", "--n", "2", "--j", "1"],
+     deform, "index_step_family"),
+    (birmaps.IndeterminacyHit, ValueError, ["birstep", "--n", "3", "--j", "0"],
+     birmaps, "verify_birational"),
+    (birmaps.DegenerateSampler, ValueError, ["birmap", "--a", "1", "--b", "1"],
+     birmaps, "product_to_projective"),
+]
+
+
+def test_every_verification_failure_keeps_its_former_base():
+    # an `except` or `pytest.raises` on the former base still catches each one
+    for cls, base, *_ in _VERIFICATION_FAILURES:
+        assert issubclass(cls, base), cls
+    assert set(VerificationFailed.__subclasses__()) == {f[0] for f in _VERIFICATION_FAILURES}
+
+
+@pytest.mark.parametrize("cls,base,argv,module,name", _VERIFICATION_FAILURES,
+                         ids=lambda v: v.__name__ if isinstance(v, type) else None)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_verification_failure_from_the_library_exits_3(capsys, monkeypatch, cls, base, argv,
+                                                         module, name, fmt):
+    def failing(*args, **kwargs):
+        raise cls(f"stub {cls.__name__}")
+
+    monkeypatch.setattr(module, name, failing)
+    code, out, err = run(capsys, argv + ["--format", fmt])
+    assert (code, out, err) == (EXIT_VERIFY, "", f"verification failed: stub {cls.__name__}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_plain_value_error_from_a_handler_exits_2(capsys, monkeypatch, tmp_path, fmt):
+    def failing(n, j):
+        raise ValueError("stub input error")
+
+    monkeypatch.setattr(deform, "ext1_basis", failing)
+    code, out, err = run(capsys, ["ext1", "--n", "2", "--j", "2", "--format", fmt])
+    assert (code, out, err) == (EXIT_USAGE, "", "error: stub input error\n")
+    # a file that is not JSON at all raises json.JSONDecodeError, a ValueError
+    path = tmp_path / "not.json"
+    path.write_text("{not json")
+    code, out, err = run(capsys, ["splitting", "--matrix", str(path), "--format", fmt])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: Expecting property name enclosed in double quotes")
 
 
 # -- every argv exits 0, 2 or 3 -------------------------------------------------------

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import skelcollar
 
 PACKAGE_DIR = Path(skelcollar.__file__).parent
@@ -139,7 +141,7 @@ def test_settable_value_count_reads_defaults_and_dataclass_fields():
 # a ratchet on net source lines, as `wc -l src/skelcollar/*.py` counts them:
 # lines may be removed, and the cap lowered with them, but growth needs the
 # cap raised on purpose, with the reason given in CHANGES.md
-SOURCE_LINES_CAP = 3652
+SOURCE_LINES_CAP = 3645
 
 
 def test_source_lines_do_not_grow():
@@ -147,17 +149,65 @@ def test_source_lines_do_not_grow():
     assert total <= SOURCE_LINES_CAP, total
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # one CLI call costs mostly its import; dataclasses (which imports
-    # inspect, ast and dis) and its generated methods were most of it
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _package_path_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE_DIR.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     ))
-    probe = "import sys, skelcollar.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # one CLI call costs mostly its import; dataclasses (which imports
+    # inspect, ast and dis) and its generated methods were most of it, and
+    # of the package only what `main` and most handlers need is loaded
+    probe = (
+        "import sys, skelcollar.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'skelcollar'))"
     )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_package_path_env(),
+        timeout=60,
+    )
+    loaded = "['skelcollar', 'skelcollar.bundles', 'skelcollar.cli', 'skelcollar.exact']"
+    assert (result.returncode, result.stdout, result.stderr) == (0, f"[]\n{loaded}\n", "")
+
+
+# what one run of `main` adds to the modules `import skelcollar.cli` loads:
+# each handler imports the library modules it runs, and no other
+_TWIST3 = str(Path(__file__).parent / "golden" / "matrices" / "twist3.json")
+_RUN_ADDS = [
+    (["collar", "iso", "--n", "3", "--j1", "1", "--j2", "4"], []),
+    (["collar", "pic", "--n", "3"], []),
+    (["splitting", "--matrix", _TWIST3], []),
+    (["moduli-dim", "--n", "3", "--j", "1"], []),
+    (["resolve", "--n", "5", "--a", "2"], ["toric"]),
+    (["fan", "--n", "5", "--a", "2"], ["toric"]),
+    (["skeleton", "--n", "3"], ["skeleton"]),
+    (["potential", "--n", "2"], ["potential"]),
+    (["birmap", "--a", "1", "--b", "1", "--samples", "5"], ["birmaps"]),
+    (["birstep", "--n", "3", "--j", "0", "--samples", "5"], ["birmaps"]),
+    (["ext1", "--n", "2", "--j", "2"], ["deform"]),
+    (["deform", "--n", "2", "--j", "1"], ["deform"]),
+    (["duality", "--n", "3", "--samples", "5"],
+     ["birmaps", "deform", "duality", "skeleton", "toric"]),
+]
+
+
+@pytest.mark.parametrize("argv,adds", _RUN_ADDS, ids=[
+    " ".join(w for w in argv[:2] if w[0] != "-") for argv, _ in _RUN_ADDS])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, adds):
+    probe = (
+        "import io, json, sys, skelcollar.cli; before = set(sys.modules); "
+        "sys.stdout = io.StringIO(); code = skelcollar.cli.main(json.loads(sys.argv[1])); "
+        "sys.stdout = sys.__stdout__; "
+        "print(code, sorted(m for m in set(sys.modules) - before if m.startswith('skelcollar.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(argv)], capture_output=True, text=True,
+        env=_package_path_env(), timeout=60,
+    )
+    expected = sorted(f"skelcollar.{name}" for name in adds)
+    assert (result.returncode, result.stdout, result.stderr) == (0, f"0 {expected}\n", "")
 
 
 BENCH_KEYS = {"commit", "python", "workloads", "seeds", "medians"}
