@@ -10,8 +10,11 @@ of dimension a+b; the inverse simply reads both factors off the kept
 coordinates.  Chaining one such map forward and another one
 backward walks a projectivized skeleton component to the next one.
 
-Birationality is certified numerically: exact rational sample points are
-pushed around the loop and compared projectively.  The sampler is a fixed
+Birationality is witnessed by a seeded round trip, not proved: exact
+rational sample points are pushed forward, then back, and compared
+projectively, so a pass is reproducible evidence that the round trip
+starting on the source is the identity, and a failure names a point where
+it is not.  The sampler is a fixed
 linear congruential generator over small fractions, so every run of every
 machine draws the same points.  Each factor of a drawn point is scaled by
 the lcm of its denominators before it enters the loop; the integer
@@ -200,11 +203,10 @@ def _stages(m: AnyMap) -> tuple[RationalMap, ...]:
 
 
 class MapPair(Record):
-    """A rational map with a declared inverse, plus bookkeeping notes."""
+    """A rational map with a declared inverse."""
 
     forward: AnyMap
     inverse: AnyMap
-    notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.forward.source_dims != self.inverse.target_dims:
@@ -264,8 +266,7 @@ def product_to_projective(a: int, b: int) -> MapPair:
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError("need a + b >= 1")
     r = (a + 1) * (b + 1) - 1
-    keep = _ptp_keep(a, b)
-    forward = ComposedMap((segre(a, b), linear_projection(r, keep)))
+    forward = ComposedMap((segre(a, b), linear_projection(r, _ptp_keep(a, b))))
     ws = _factor_vars("w", a + b)
     first = (LaurentPoly.var(ws[0]),) + tuple(
         LaurentPoly.var(ws[b + i]) for i in range(1, a + 1)
@@ -278,7 +279,7 @@ def product_to_projective(a: int, b: int) -> MapPair:
         (first, second),
         label=f"split({a},{b})",
     )
-    return MapPair(forward, inverse, notes=(f"keep={keep}",))
+    return MapPair(forward, inverse)
 
 
 def bir_step(n: int, j: int) -> MapPair:
@@ -294,8 +295,7 @@ def bir_step(n: int, j: int) -> MapPair:
     up = product_to_projective(j + 1, n - j - 2)
     forward = ComposedMap(_stages(down.forward) + _stages(up.inverse))
     inverse = ComposedMap(_stages(up.forward) + _stages(down.inverse))
-    notes = down.notes + up.notes + ("twist normalization absorbed by projectivizing",)
-    return MapPair(forward, inverse, notes)
+    return MapPair(forward, inverse)
 
 
 class RationalSampler:

@@ -565,9 +565,10 @@ def collar_iso_certificate(
     rank-1 inputs are resolved by exponent bookkeeping, and two canonical
     rank-2 shapes by ``_normal_form_certificate``; that closed form has no
     bound, and a shape it leaves open falls through to the search.
-    ``bound`` limits only the search.  None means nothing was found: that
-    outcome is inconclusive, never a disproof.  Disproofs come from the
-    residue invariant carried by the line-bundle classes.
+    ``bound`` limits the line frames' exponents and the search.  None
+    means nothing was found: that outcome is inconclusive, never a
+    disproof.  Disproofs come from the residue invariant carried by the
+    line-bundle classes.
     """
     if m1.n != m2.n:
         raise ValueError("certificate search needs a common collar")
@@ -604,24 +605,24 @@ class LineBundleComparison(Record):
     certificate: Optional[CollarIsoCertificate]
 
 
-def compare_line_bundles(
-    n: int, j1: int, j2: int, bound: int | None = None
-) -> LineBundleComparison:
+def compare_line_bundles(n: int, j1: int, j2: int) -> LineBundleComparison:
+    """Compare the degree-j1 and degree-j2 classes; a matching pair is
+    certified by the frames v^b on V and u^b on U, b = (j1 - j2) / n, which
+    the default bound of `collar_iso_certificate` always admits."""
     _check_n(n)
     r1, r2 = j1 % n, j2 % n
     if r1 != r2:
         return LineBundleComparison(n, j1, j2, r1, r2, False, None)
-    if bound is None:
-        bound = abs(j1 - j2) // n + 1
     cert = collar_iso_certificate(
-        BundleTransition.line_class(n, j1),
-        BundleTransition.line_class(n, j2),
-        bound=bound,
+        BundleTransition.line_class(n, j1), BundleTransition.line_class(n, j2)
     )
     if cert is None:
-        raise BoundTooSmall(
-            f"classes {j1} and {j2} share residue {r1} mod {n} but no "
-            f"certificate fit within bound {bound}"
+        b = (j1 - j2) // n
+        v_frame, u_frame = (LaurentPoly.monomial({U_BASE: n * b, U_FIBER: b}),
+                            LaurentPoly.monomial({U_FIBER: b}))
+        raise VerificationFailed(
+            f"classes {j1} and {j2} share residue {r1} mod {n}, but the monomial "
+            f"frames v side {v_frame}, u side {u_frame} fail the certificate check"
         )
     return LineBundleComparison(n, j1, j2, r1, r2, True, cert)
 

@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("skeleton", help="components of the cotangent-space skeleton")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--weights", type=_parse_weights, default=None)
     add_common(p, _run_skeleton, ("text", "json"))
 
     p = sub.add_parser("potential", help="flow potential for the weighted action")
@@ -121,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     # stored as j: headers and JSON configs report it under that key
     iso.add_argument("--j1", dest="j", metavar="J1", type=int, required=True)
     iso.add_argument("--j2", type=int, required=True)
-    iso.add_argument("--bound", type=int, default=None)
     add_common(iso, _run_collar_iso, ("text", "json"))
 
     p = sub.add_parser("splitting", help="splitting type of a rank-2 transition matrix")
@@ -161,7 +159,6 @@ _LOWER_BOUNDS = {
     "b": (0, "nonnegative"),
     "samples": (1, "positive"),
     "s": (1, "positive"),
-    "bound": (0, "nonnegative"),
 }
 
 
@@ -178,7 +175,7 @@ def validate_config(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 # rendering helpers
 
-_HEADER_KEYS = ("n", "a", "b", "j", "j2", "s", "weights", "kappa", "bound", "taus")
+_HEADER_KEYS = ("n", "a", "b", "j", "j2", "s", "weights", "kappa", "taus")
 
 
 def _config_summary(args: argparse.Namespace) -> list[tuple[str, str]]:
@@ -323,7 +320,7 @@ def _run_skeleton(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     n = args.n
     _check_cap((n + 1) * n * n, SKELETON_MAX_TRANSITION_CELLS,
                f"--n {n} needs {n + 1} fiber transitions of {n} x {n}")
-    components = skeleton(args.n, args.weights)
+    components = skeleton(args.n)
     lines = []
     payload = []
     for comp in components:
@@ -514,7 +511,7 @@ def _run_collar_pic(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
 
 
 def _run_collar_iso(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
-    comparison = compare_line_bundles(args.n, args.j, args.j2, bound=args.bound)
+    comparison = compare_line_bundles(args.n, args.j, args.j2)
     lines = [
         f"residues: {comparison.residue1} and {comparison.residue2} (mod {args.n})",
         f"isomorphic on the punctured surface: {'yes' if comparison.isomorphic else 'no'}",

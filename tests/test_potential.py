@@ -17,7 +17,6 @@ from skelcollar.potential import (
     solve_potential,
     symbolic_test_field,
 )
-from skelcollar.skeleton import TorusAction, standard_action
 
 LP = LaurentPoly
 
@@ -31,7 +30,7 @@ def v(name):
 
 
 def test_action_field_standard_weights():
-    f = action_vector_field(standard_action(3))
+    f = action_vector_field((1, 2, 3))
     assert f.components == (
         -v("x1"),
         -2 * v("x2"),
@@ -52,13 +51,13 @@ def test_action_field_single_weight():
     assert f.components == (-v("x1"), v("y1"))
 
 
-def test_action_field_accepts_plain_sequences_and_actions():
-    assert action_vector_field((4, 7)) == action_vector_field(TorusAction((4, 7)))
+def test_action_field_accepts_any_weight_sequence():
+    assert action_vector_field((4, 7)) == action_vector_field([Fraction(4), 7])
 
 
 def test_solve_potential_standard_weights():
     for n in (1, 2, 3):
-        x = action_vector_field(standard_action(n))
+        x = action_vector_field(tuple(range(1, n + 1)))
         pot = solve_potential(x, SymplecticStructure(n), kappa=2)
         expected = v("c")
         for i in range(1, n + 1):
@@ -91,7 +90,7 @@ def test_solve_potential_rejects_mismatched_field():
 
 def test_residual_vanishes_symbolically():
     for n in (1, 2, 3):
-        x = action_vector_field(standard_action(n))
+        x = action_vector_field(tuple(range(1, n + 1)))
         omega = SymplecticStructure(n)
         pot = solve_potential(x, omega)
         z = symbolic_test_field(n)
@@ -128,7 +127,7 @@ def test_residual_trivial_case():
 
 def test_perturbed_coefficient_leaves_residual():
     n = 2
-    x = action_vector_field(standard_action(n))
+    x = action_vector_field(tuple(range(1, n + 1)))
     omega = SymplecticStructure(n)
     pot = solve_potential(x, omega)
     perturbed = Potential(pot.h + v("x1") * v("y1"), "c", pot.kappa)
@@ -139,7 +138,7 @@ def test_perturbed_coefficient_leaves_residual():
 
 def test_symplectic_gradient_recovers_scaled_field():
     for n in (1, 2, 4):
-        x = action_vector_field(standard_action(n))
+        x = action_vector_field(tuple(range(1, n + 1)))
         omega = SymplecticStructure(n)
         pot = solve_potential(x, omega, kappa=2)
         # the field Y with dh(Z) = omega(Y, Z) is (dh/dy_i ; -dh/dx_i)
@@ -151,7 +150,7 @@ def test_symplectic_gradient_recovers_scaled_field():
 def test_critical_points_are_isolated_at_origin():
     # the linear system dh = 0 in the 2n coordinates has full rank
     for n in (1, 2, 3):
-        x = action_vector_field(standard_action(n))
+        x = action_vector_field(tuple(range(1, n + 1)))
         omega = SymplecticStructure(n)
         pot = solve_potential(x, omega)
         names = [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)]

@@ -10,15 +10,13 @@ from skelcollar.skeleton import (
     ActionChartExpr,
     AffineFiber,
     CotangentAtlas,
-    NonIsolatedFixedPoint,
-    TorusAction,
     TwistedBundle,
     UnrecognizedForm,
     ZeroSection,
     act,
+    classify_component,
     skeleton,
     stable_manifold,
-    standard_action,
 )
 
 LP = LaurentPoly
@@ -98,7 +96,7 @@ def test_cocycle_condition(n):
 
 def test_act_on_chart_zero_matches_weight_convention():
     atlas = CotangentAtlas(3)
-    expr = act(atlas, standard_action(3), 0)
+    expr = act(atlas, 0)
     assert expr.base[0] == (LP.const(1), 0)
     for k in (1, 2, 3):
         assert expr.base[k] == (v(f"x{k}"), -k)
@@ -108,7 +106,7 @@ def test_act_on_chart_zero_matches_weight_convention():
 
 def test_act_on_chart_two_dimension_three():
     atlas = CotangentAtlas(3)
-    expr = act(atlas, standard_action(3), 2)
+    expr = act(atlas, 2)
     x1, x2, x3 = v("x1"), v("x2"), v("x3")
     y1, y2, y3 = v("y1"), v("y2"), v("y3")
     inv = x2**-1
@@ -128,14 +126,13 @@ def test_act_is_compatible_with_chart_zero_action(n):
     # rescaling chart-0 coordinates by the action and re-expressing must
     # match multiplying each chart-j expression by its recorded t-power
     atlas = CotangentAtlas(n)
-    action = standard_action(n)
     t = v("t")
     rescale = {}
     for k in range(1, n + 1):
         rescale[f"x{k}"] = t**-k * v(f"x{k}")
         rescale[f"y{k}"] = t**k * v(f"y{k}")
     for chart in range(n + 1):
-        expr = act(atlas, action, chart)
+        expr = act(atlas, chart)
         for coeff, weight in list(expr.base) + list(expr.fiber):
             assert coeff.substitute(rescale) == t**weight * coeff
 
@@ -143,7 +140,7 @@ def test_act_is_compatible_with_chart_zero_action(n):
 def test_act_at_t_one_is_chart_embedding():
     atlas = CotangentAtlas(2)
     for chart in range(3):
-        expr = act(atlas, standard_action(2), chart)
+        expr = act(atlas, chart)
         base_coeffs = tuple(c for c, _ in expr.base)
         assert base_coeffs == atlas.embedding_base(chart)
         fiber_coeffs = tuple(c for c, _ in expr.fiber)
@@ -152,7 +149,6 @@ def test_act_at_t_one_is_chart_embedding():
 
 def test_stable_manifold_forced_sets_dimension_three():
     atlas = CotangentAtlas(3)
-    action = standard_action(3)
     expected = {
         0: {"x1", "x2", "x3"},
         1: {"x2", "x3", "y1"},
@@ -160,7 +156,7 @@ def test_stable_manifold_forced_sets_dimension_three():
         3: {"y1", "y2", "y3"},
     }
     for j, forced in expected.items():
-        comp = stable_manifold(atlas, action, j)
+        comp = stable_manifold(atlas, j)
         assert comp.forced == frozenset(forced)
 
 
@@ -211,22 +207,24 @@ def test_components_are_middle_dimensional_and_disjoint(n):
         seen.add(comp.forced)
 
 
-def test_any_increasing_positive_weights_classify_identically():
-    comps = skeleton(3, weights=(2, 5, 9))
-    for j, comp in enumerate(comps):
-        assert comp.classification == closed_form(3, j)
-        assert comp.forced == skeleton(3)[j].forced
-
-
-def test_nonisolated_weights_rejected():
-    with pytest.raises(NonIsolatedFixedPoint):
-        TorusAction((1, 1, 2))
-    with pytest.raises(NonIsolatedFixedPoint):
-        TorusAction((0, 1, 2))
-
-
 def test_unrecognized_form_for_decreasing_weights():
+    # weights -1, -2, -3 would scale every fiber coordinate of chart 0 by a
+    # power <= 0 and force all of them, the zero section's set, at the
+    # affine fiber's fixed point; that set is off the pattern
     atlas = CotangentAtlas(3)
-    action = TorusAction((-1, -2, -3))
-    with pytest.raises(UnrecognizedForm):
-        stable_manifold(atlas, action, 0)
+    with pytest.raises(UnrecognizedForm, match="does not match"):
+        classify_component(atlas, 0, frozenset({"y1", "y2", "y3"}))
+    # nor is a forced set of the right size with one variable swapped
+    with pytest.raises(UnrecognizedForm, match="does not match"):
+        classify_component(atlas, 1, frozenset({"x2", "x3", "y2"}))
+
+
+def test_unrecognized_form_for_a_surviving_block_off_the_diagonal():
+    # component 1 of P^3 keeps fiber slots 2 and 3; a transition that mixes
+    # them is rejected although the forced set is the expected one
+    atlas = CotangentAtlas(3)
+    t = atlas.transition(0, 1)
+    x1, zero = v("x1"), LP.zero()
+    atlas._transitions[(0, 1)] = (t[0], (zero, x1, x1), t[2])
+    with pytest.raises(UnrecognizedForm, match="not diagonal"):
+        classify_component(atlas, 1, frozenset({"x2", "x3", "y1"}))

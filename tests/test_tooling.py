@@ -72,7 +72,7 @@ def test_trusted_constructor_is_private_to_exact():
 
 # a ratchet: settable values may be removed, and the cap lowered with them,
 # but a new one needs the cap raised on purpose
-SETTABLE_VALUES_CAP = 24
+SETTABLE_VALUES_CAP = 21
 
 
 def _name(node):
@@ -141,7 +141,7 @@ def test_settable_value_count_reads_defaults_and_dataclass_fields():
 # a ratchet on net source lines, as `wc -l src/skelcollar/*.py` counts them:
 # lines may be removed, and the cap lowered with them, but growth needs the
 # cap raised on purpose, with the reason given in CHANGES.md
-SOURCE_LINES_CAP = 3645
+SOURCE_LINES_CAP = 3612
 
 
 def test_source_lines_do_not_grow():
