@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -36,8 +35,6 @@ from .exact import LaurentPoly, VerificationFailed
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
-
-SEED_ENV = "SKELCOLLAR_SEED"
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -359,7 +356,7 @@ def _run_potential(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     weights = args.weights if args.weights is not None else tuple(range(1, args.n + 1))
     field = action_vector_field(weights)
     omega = SymplecticStructure(args.n)
-    pot = solve_potential(field, omega, args.kappa if args.kappa is not None else 2)
+    pot = solve_potential(weights, args.kappa if args.kappa is not None else 2)
     residual = hamiltonian_residual(pot, field, omega, symbolic_test_field(args.n))
     ok = residual.is_zero
     code = EXIT_OK if ok else EXIT_VERIFY
@@ -677,10 +674,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    env_seed = os.environ.get(SEED_ENV)
     try:
-        if env_seed is not None:
-            args.seed = int(env_seed)
         code, rendered = dispatch(args)
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as handle:

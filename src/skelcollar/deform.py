@@ -9,12 +9,14 @@ z^(-2j).  Placing such a representative p in the off-diagonal corner of
 [[z^(j+s), tau * p], [0, z^(-j-s)]] produces a family that is split at
 tau = 0 and lands at tau = 1 on splitting type
 min({-a : z^a u^0 is a term of p} | {j+s}).
+
+Every family, from a class or from the index step with corner z^(-j), goes
+through one builder that counts both endpoint splitting types.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .bundles import U_BASE, U_FIBER, BundleTransition, splitting_type, zu_terms
 from .exact import LaurentPoly, Record, Scalar, VerificationFailed, as_fraction
@@ -52,13 +54,12 @@ def ext1_basis(n: int, j: int) -> tuple[LaurentPoly, ...]:
 
 
 class ExtClass(Record):
-    """A reduced overlap representative with its coordinates relative to
-    ext1_basis(n, j); no term lies in the coboundary span."""
+    """A reduced overlap representative for the pair (n, j): every term is
+    a monomial of ext1_basis(n, j), so no term lies in the coboundary span."""
 
     n: int
     j: int
     representative: LaurentPoly
-    coordinates: tuple[Fraction, ...]
 
     @property
     def is_zero(self) -> bool:
@@ -66,35 +67,20 @@ class ExtClass(Record):
 
 
 def ext_class(n: int, j: int, p: LaurentPoly) -> ExtClass:
-    """Reduce p modulo the coboundary span and record its coordinates.
+    """Reduce p modulo the coboundary span: keep exactly the terms z^a u^b
+    with n*b - 2j < a < 0, the window ext1_basis(n, j) enumerates.
 
-    The basis covers fiber levels b up to (2j - 2) // n; above it
-    n*b - 2j >= -1, so no exponent lies strictly between the V-side cut
-    n*b - 2j and the U-side cut 0, and every term outside the basis is a
+    A term with a >= 0 extends over U and one with a <= n*b - 2j is the
+    twisted image of a V-side monomial, so every dropped term is a
     coboundary."""
     _check_pair(n, j)
     if not set(p.variables) <= {U_BASE, U_FIBER}:
         raise ValueError(f"representative uses variables outside (z, u): {p}")
     if p.min_exponent(U_FIBER) < 0:
         raise ValueError("representative needs nonnegative fiber powers")
-    basis = ext1_basis(n, j)
-    positions: dict[tuple[int, int], int] = {}
-    for i, mono in enumerate(basis):
-        positions[(mono.max_exponent(U_BASE), mono.max_exponent(U_FIBER))] = i
-
-    coords = [Fraction(0)] * len(basis)
-    kept = LaurentPoly.zero()
-    for a, b, coeff in zu_terms(p):
-        spot = positions.get((a, b))
-        if spot is not None:
-            coords[spot] += coeff
-            kept = kept + LaurentPoly.monomial({U_BASE: a, U_FIBER: b}, coeff)
-    return ExtClass(
-        n=n,
-        j=j,
-        representative=kept,
-        coordinates=tuple(coords),
-    )
+    kept = sum((LaurentPoly.monomial({U_BASE: a, U_FIBER: b}, coeff)
+                for a, b, coeff in zu_terms(p) if n * b - 2 * j < a < 0), LaurentPoly.zero())
+    return ExtClass(n=n, j=j, representative=kept)
 
 
 def include_class(cls: ExtClass, s: int) -> ExtClass:
@@ -116,19 +102,14 @@ def include_class(cls: ExtClass, s: int) -> ExtClass:
 
 
 class DeformationFamily(Record):
-    """The family [[z^(j+s), tau * p], [0, z^(-j-s)]] over the parameter tau.
-
-    ``endpoints`` holds the splitting types the builder observed and
-    checked at tau = 0 and tau = 1.
-    """
+    """The family [[z^(j+s), tau * p], [0, z^(-j-s)]] over the parameter tau;
+    ``endpoints`` holds the splitting types its builder checked at tau = 0, 1."""
 
     n: int
     j: int
     s: int
     entry: LaurentPoly
-    source: Optional[ExtClass]
-    included: Optional[ExtClass]
-    endpoints: Optional[tuple[int, int]] = None
+    endpoints: tuple[int, int]
 
     @property
     def top_exponent(self) -> int:
@@ -142,6 +123,31 @@ class DeformationFamily(Record):
         return splitting_type(self.matrix_at(tau))
 
 
+def _family(n: int, j: int, s: int, entry: LaurentPoly, lands: int) -> DeformationFamily:
+    """The family with corner ``entry``, after checking that it is split of
+    type j+s at tau = 0 and has splitting type ``lands`` at tau = 1."""
+    if not isinstance(s, int) or s < 1:
+        raise ValueError("deformation step must be a positive integer")
+    top = j + s
+    at_zero = splitting_type(BundleTransition.canonical(n, top))
+    if at_zero != (top, -top):
+        raise AssertionError("the tau = 0 member must be split")
+    observed = splitting_type(BundleTransition.canonical(n, top, off=entry))
+    if observed != (lands, -lands):
+        free = [a for a, b, _ in zu_terms(entry) if b == 0]
+        if free and -max(free) <= top:
+            why = f"its u-free term z^{max(free)} sets the type to {-max(free)}"
+        elif free:
+            why = f"its u-free terms z^a all have -a > j + s, so it stays at j + s = {top}"
+        else:
+            why = f"it has no u-free term, so it stays at j + s = {top}"
+        raise ClassNotGeneric(
+            f"class for (n={n}, j={j}) lands on splitting type "
+            f"{observed[0]} at tau = 1, not {lands}: {why}"
+        )
+    return DeformationFamily(n, j, s, entry, (top, lands))
+
+
 def deformation_family(source: ExtClass, s: int) -> DeformationFamily:
     """Build the family for a class, checking both endpoints.
 
@@ -150,66 +156,22 @@ def deformation_family(source: ExtClass, s: int) -> DeformationFamily:
     class must land on j, and any other value raises ClassNotGeneric
     (reported, not repaired).  The zero class gives the split family.
     """
-    if not isinstance(s, int) or s < 1:
-        raise ValueError("deformation step must be a positive integer")
     included = include_class(source, s)
-    family = DeformationFamily(
-        n=source.n,
-        j=source.j,
-        s=s,
-        entry=included.representative,
-        source=source,
-        included=included,
-    )
-    top = family.top_exponent
-    at_zero = family.splitting_at(0)
-    if at_zero != (top, -top):
-        raise AssertionError("the tau = 0 member must be split")
-    observed = family.splitting_at(1)
-    expected = (top, -top) if source.is_zero else (source.j, -source.j)
-    if observed != expected:
-        free = [a for a, b, _ in zu_terms(family.entry) if b == 0]
-        if free and -max(free) <= top:
-            why = f"its u-free term z^{max(free)} sets the type to {-max(free)}"
-        elif free:
-            why = f"its u-free terms z^a all have -a > j + s, so it stays at j + s = {top}"
-        else:
-            why = f"it has no u-free term, so it stays at j + s = {top}"
-        raise ClassNotGeneric(
-            f"class for (n={source.n}, j={source.j}) lands on splitting type "
-            f"{observed[0]} at tau = 1, not {expected[0]}: {why}"
-        )
-    return family.replace(endpoints=(at_zero[0], observed[0]))
+    lands = source.j + s if source.is_zero else source.j
+    return _family(source.n, source.j, s, included.representative, lands)
 
 
 def index_step_family(n: int, j: int, s: int = 1) -> DeformationFamily:
     """The family stepping splitting type j+s down to j along tau.
 
-    For j >= 1 the generic representative z^(-j) drives the family; the
-    extension group at j = 0 is empty, so that step is built directly with
-    a constant off-diagonal entry, which the endpoint checks validate.
+    Its corner is z^(-j) for every j >= 0.  For j >= 1 that monomial is its
+    own nonzero class in the (n, j) group and in every wider window, and
+    its u-free term sets the type to j; at j = 0 the group is empty and the
+    corner is the constant 1, which trivialises the family at tau = 1.  The
+    endpoint checks validate both.
     """
     _check_pair(n, j)
-    if j >= 1:
-        source = ext_class(n, j, LaurentPoly.monomial({U_BASE: -j}))
-        return deformation_family(source, s)
-    if not isinstance(s, int) or s < 1:
-        raise ValueError("deformation step must be a positive integer")
-    family = DeformationFamily(
-        n=n,
-        j=0,
-        s=s,
-        entry=LaurentPoly.const(1),
-        source=None,
-        included=None,
-    )
-    at_zero = family.splitting_at(0)
-    if at_zero != (s, -s):
-        raise AssertionError("the tau = 0 member must be split")
-    at_one = family.splitting_at(1)
-    if at_one != (0, 0):
-        raise AssertionError("the constant entry must trivialise at tau = 1")
-    return family.replace(endpoints=(at_zero[0], at_one[0]))
+    return _family(n, j, s, LaurentPoly.monomial({U_BASE: -j}), j)
 
 
 def family_splitting_profile(

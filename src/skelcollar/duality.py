@@ -5,10 +5,11 @@ components to the splitting-type families on the collar.
 For a collar parameter n the skeleton side is the cotangent bundle of
 projective (n-1)-space with its n components, and the collar side is the
 set of n residue classes of line-bundle pairs (j mod n, -j mod n).  Each
-square couples one step map on the skeleton side with one one-parameter
-family on the collar side and checks that both reach the same row.  Every
-report first checks the toric duality between the quotients 1/n(1,1) and
-1/n(1,n-1) that the correspondence is built from.
+square couples the step map from component j to j+1 with the index-step
+family on the collar side, whose certified endpoints must step the
+splitting from j+1 down to j, so both reach row j+1.  Every report first
+checks the toric duality between the quotients 1/n(1,1) and 1/n(1,n-1)
+that the correspondence is built from.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class SquareReport(Record):
 
     n: int
     j: int
-    step: int
     bir_verdict: Verdict
     lower_pair: tuple[int, int]
     upper_pair: tuple[int, int]
@@ -72,25 +72,15 @@ class SquareReport(Record):
             raise AssertionError("verdict must match the failure record")
 
 
-def square_check(
-    n: int, j: int, samples: int = 40, seed: int = 1, step: int = 1
-) -> SquareReport:
-    """Verify one square: the sampled round trip of the step map, the
-    family endpoints, and that both paths out of row j name row j+1.
-
-    ``step`` is the index step used on the collar side; any value other
-    than 1 makes the family land on the wrong row, so the verdict records
-    a genuine failure rather than being defined as true.
-    """
+def square_check(n: int, j: int, samples: int = 40, seed: int = 1) -> SquareReport:
+    """Verify one square: the sampled round trip of the step map, and the
+    family endpoints, which must step the collar splitting from j+1 to j.
+    ``def_pair`` is the residue pair of the certified top endpoint."""
     _check_collar(n)
     if not 0 <= j <= n - 2:
         raise IndexOutOfRange(f"no square at index {j} for collar parameter {n}")
     bir_verdict = verify_birational(bir_step(n, j), samples=samples, seed=seed)
-    lower_pair = dual_of_lagrangian(n, j)
-    upper_pair = dual_of_lagrangian(n, j + 1)
-    family = index_step_family(n, j, step)
-    def_endpoints = family.endpoints
-    def_pair = ((j + step) % n, (-(j + step)) % n)
+    def_endpoints = index_step_family(n, j).endpoints
 
     failure: Optional[str] = None
     if not bir_verdict.passed:
@@ -100,25 +90,19 @@ def square_check(
             f"{bir_verdict.checked} samples, first at {point_text(point)}, "
             f"which comes back as {point_text(image)}"
         )
-    elif def_endpoints != (j + step, j):
+    elif def_endpoints != (j + 1, j):
         failure = (
             f"family endpoints {def_endpoints} do not step the splitting "
-            f"from {j + step} to {j}"
-        )
-    elif def_pair != upper_pair:
-        failure = (
-            f"family source names residue pair {def_pair} but the step map "
-            f"lands on {upper_pair}"
+            f"from {j + 1} to {j}"
         )
     return SquareReport(
         n=n,
         j=j,
-        step=step,
         bir_verdict=bir_verdict,
-        lower_pair=lower_pair,
-        upper_pair=upper_pair,
+        lower_pair=dual_of_lagrangian(n, j),
+        upper_pair=dual_of_lagrangian(n, j + 1),
         def_endpoints=def_endpoints,
-        def_pair=def_pair,
+        def_pair=(def_endpoints[0] % n, -def_endpoints[0] % n),
         verdict=failure is None,
         failure=failure,
     )
@@ -150,7 +134,7 @@ class DualityReport(Record):
             "squares": [
                 {
                     "j": s.j,
-                    "step": s.step,
+                    "step": 1,
                     "bir_checked": s.bir_verdict.checked,
                     "bir_skipped": s.bir_verdict.skipped,
                     "bir_passed": s.bir_verdict.passed,

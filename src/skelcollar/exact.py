@@ -107,10 +107,6 @@ class Record:
 
     __delattr__ = __setattr__
 
-    def replace(self, **changes) -> Record:
-        """A copy with the named fields changed, checked as a new record."""
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
-
 
 class LaurentPoly:
     """Sparse Laurent polynomial with Fraction coefficients.

@@ -17,10 +17,6 @@ from typing import Sequence
 from .exact import LaurentPoly, Record, Scalar, as_fraction
 
 
-class NotHamiltonian(ValueError):
-    """Raised when the field is not the diagonal gradient shape solvable here."""
-
-
 def base_var(i: int) -> LaurentPoly:
     return LaurentPoly.var(f"x{i}")
 
@@ -104,49 +100,14 @@ def action_vector_field(weights: Sequence[Scalar]) -> VectorField:
     return VectorField(tuple(comps))
 
 
-def _diagonal_weights(x_field: VectorField) -> tuple[Fraction, ...]:
-    """Recover w_i from a field of the shape (-w_i x_i ; +w_i y_i)."""
-    n = x_field.n
-    weights = []
-    for i in range(1, n + 1):
-        cx = x_field.x_components[i - 1]
-        cy = x_field.y_components[i - 1]
-        wx = _linear_coefficient(cx, f"x{i}")
-        wy = _linear_coefficient(cy, f"y{i}")
-        if wx is None or wy is None or -wx != wy:
-            raise NotHamiltonian(
-                f"component {i} is not a matched diagonal pair: ({cx}, {cy})"
-            )
-        weights.append(wy)
-    return tuple(weights)
-
-
-def _linear_coefficient(p: LaurentPoly, var: str) -> Fraction | None:
-    """Coefficient c when p = c*var (including c = 0); None otherwise."""
-    if p.is_zero:
-        return Fraction(0)
-    if p.variables != (var,):
-        return None
-    if set(p.terms) != {(1,)}:
-        return None
-    return p.terms[(1,)]
-
-
-def solve_potential(
-    x_field: VectorField, omega: SymplecticStructure, kappa: Scalar = 2
-) -> Potential:
-    """Potential h with dh(Z) = kappa * omega(X, Z) for every field Z.
-
-    For the diagonal field of weights w this is
-    h = -kappa * sum_i w_i x_i y_i + c, the constant kept symbolic.
-    """
-    if x_field.n != omega.n:
-        raise ValueError("field and form dimension mismatch")
+def solve_potential(weights: Sequence[Scalar], kappa: Scalar = 2) -> Potential:
+    """Potential h = c - kappa * sum_i w_i x_i y_i of the action of the given
+    weights, c kept symbolic: dh(Z) = kappa * omega(X, Z) for every field Z,
+    X the action field of the same weights, as hamiltonian_residual checks."""
     kappa = as_fraction(kappa)
-    weights = _diagonal_weights(x_field)
     h = LaurentPoly.var("c")
     for i, w in enumerate(weights, start=1):
-        h = h - kappa * w * base_var(i) * fiber_var(i)
+        h = h - kappa * as_fraction(w) * base_var(i) * fiber_var(i)
     return Potential(h, "c", kappa)
 
 

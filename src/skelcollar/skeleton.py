@@ -118,7 +118,6 @@ class ActionChartExpr(Record):
     coordinate; coefficients are chart-0 expressions, and at t = 1 they
     reproduce the chart embedding."""
 
-    chart: int
     base_slots: tuple[int, ...]
     base: tuple[tuple[LaurentPoly, int], ...]
     fiber_slots: tuple[int, ...]
@@ -137,7 +136,7 @@ def act(atlas: CotangentAtlas, chart: int) -> ActionChartExpr:
     fiber = tuple(
         (coeff, m - chart) for m, coeff in zip(slots, atlas.embedding_fiber(chart))
     )
-    return ActionChartExpr(chart, tuple(range(atlas.n + 1)), base, slots, fiber)
+    return ActionChartExpr(tuple(range(atlas.n + 1)), base, slots, fiber)
 
 
 class AffineFiber(Record):
@@ -176,7 +175,6 @@ class SkeletonComponent(Record):
 
     j: int
     n: int
-    constraints: tuple[LaurentPoly, ...]
     forced: frozenset[str]
     free_base: tuple[str, ...]
     free_fiber: tuple[str, ...]
@@ -304,7 +302,7 @@ def stable_manifold(atlas: CotangentAtlas, j: int) -> SkeletonComponent:
     )
     classification = classify_component(atlas, j, forced)
     return SkeletonComponent(
-        j, n, tuple(constraints), forced, free_base, free_fiber, classification
+        j, n, forced, free_base, free_fiber, classification
     )
 
 

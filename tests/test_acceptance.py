@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 from oracles import closed_form
+from skelcollar import deform, duality
 from skelcollar.birmaps import MapPair, _ptp_keep, product_to_projective, verify_birational
 from skelcollar.bundles import compare_line_bundles, moduli_dimension, picard_group
 from skelcollar.cli import EXIT_OK, main
@@ -65,7 +66,7 @@ def test_weighted_potential_closed_form():
         weights = tuple(range(1, n + 1))
         field = action_vector_field(weights)
         omega = SymplecticStructure(n)
-        pot = solve_potential(field, omega, 2)
+        pot = solve_potential(weights, 2)
         expected = LaurentPoly.var("c")
         for i in range(1, n + 1):
             expected = expected + LaurentPoly.monomial(
@@ -161,7 +162,7 @@ def test_product_collapse_round_trips_and_keep_sets():
     assert time.monotonic() - start < 10.0
 
 
-def test_duality_pipeline_and_falsifiability(capsys):
+def test_duality_pipeline_and_falsifiability(capsys, monkeypatch):
     start = time.monotonic()
     for n in range(2, 9):
         code = main(["duality", "--n", str(n)])
@@ -172,9 +173,12 @@ def test_duality_pipeline_and_falsifiability(capsys):
 
     honest = square_check(6, 2)
     assert honest.verdict is True
-    corrupted = square_check(6, 2, step=2)
+    # a collar family two rows up must fail the square, not pass by definition
+    monkeypatch.setattr(duality, "index_step_family",
+                        lambda n, j: deform.index_step_family(n, j, 2))
+    corrupted = square_check(6, 2)
     assert corrupted.verdict is False
-    assert corrupted.failure is not None
+    assert corrupted.failure == "family endpoints (4, 2) do not step the splitting from 3 to 2"
     assert time.monotonic() - start < 120.0
 
 

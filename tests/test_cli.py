@@ -62,21 +62,6 @@ def test_header_reports_effective_parameters(capsys):
     assert "cutoff=auto" in header
 
 
-def test_env_seed_overrides_flag(capsys, monkeypatch):
-    monkeypatch.setenv("SKELCOLLAR_SEED", "31")
-    code, out, _ = run(capsys, ["birmap", "--a", "1", "--b", "1", "--samples", "5", "--seed", "9"])
-    assert code == EXIT_OK
-    assert "seed=31" in out.splitlines()[0]
-    assert "seed=9" not in out
-
-
-def test_env_seed_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("SKELCOLLAR_SEED", "pi")
-    code, _, err = run(capsys, ["birmap", "--a", "1", "--b", "1"])
-    assert code == EXIT_USAGE
-    assert "error" in err
-
-
 def test_repeated_runs_are_byte_identical(capsys):
     argv = ["duality", "--n", "3", "--samples", "8", "--format", "json"]
     code1, out1, _ = run(capsys, argv)
@@ -374,7 +359,7 @@ def test_ext1_takes_no_cutoff(capsys):
 
 @pytest.mark.parametrize("n,j,entry", [(1, 3, "z^-3"), (2, 0, "1")])
 def test_default_deform_profile_reuses_the_checked_endpoints(capsys, monkeypatch, n, j, entry):
-    # the builder checks tau = 0 and tau = 1 (j = 0 takes its own branch);
+    # the builder checks tau = 0 and tau = 1 (for j = 0 the corner z^0 is 1);
     # the report reads them from family.endpoints, default or passed in
     # --taus, and counts only the other taus
     calls = []
@@ -626,7 +611,7 @@ def test_golden_set_is_complete():
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_report_matches_golden(capsys, monkeypatch, name):
+def test_report_matches_golden(capsys, name):
     # duality, birmap and birstep were captured before sample points went
     # through the maps as integer homogeneous coordinates; skeleton, resolve,
     # fan, ext1 and deform before the Sylvester minors became continuants;
@@ -634,7 +619,6 @@ def test_report_matches_golden(capsys, monkeypatch, name):
     # parser's namespace replaced the CLI's own config record; the other
     # splitting fixtures before the twist walk stopped at the first empty
     # twist
-    monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
     code, out, err = run(capsys, golden_argv(name))
     assert (code, err) == (EXIT_OK, "")
     assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
@@ -648,8 +632,7 @@ def test_figure_matches_golden(capsys, name):
 
 
 @pytest.mark.parametrize("name", TEXT_GOLDEN_NAMES)
-def test_text_report_matches_golden(capsys, monkeypatch, name):
-    monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
+def test_text_report_matches_golden(capsys, name):
     code, out, err = run(capsys, golden_argv(name, "text"))
     assert (code, err) == (EXIT_OK, "")
     assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
@@ -887,7 +870,6 @@ def test_large_sizes_exit_0_or_2_under_an_alarm(data):
     ],
 )
 def test_failed_round_trip_names_its_first_witness(capsys, monkeypatch, argv, target):
-    monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
     monkeypatch.setattr(birmaps, target, lambda *args: oracles.broken_pair())
     expected = oracles.verify_birational(oracles.broken_pair(), samples=12, seed=3)
     point, image = expected.failures[0]
@@ -919,7 +901,6 @@ def test_successful_round_trip_has_no_witness_key(capsys):
 
 
 def test_failed_duality_square_names_its_first_witness(capsys, monkeypatch):
-    monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
     monkeypatch.setattr(duality, "bir_step", lambda n, j: oracles.broken_pair())
     expected = oracles.verify_birational(oracles.broken_pair(), samples=10, seed=4)
     drawn = point_text(expected.failures[0][0])
@@ -1070,7 +1051,6 @@ def _argvs(draw, tmp_dir):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_argv_exits_0_2_or_3_without_traceback(tmp_path, monkeypatch, data):
-    monkeypatch.delenv("SKELCOLLAR_SEED", raising=False)
     monkeypatch.chdir(tmp_path)  # an odd value after --output names a file here
     one, zero = LaurentPoly.const(1).to_json_dict(), LaurentPoly.zero().to_json_dict()
     twist = LaurentPoly.monomial({"z": 2}).to_json_dict()

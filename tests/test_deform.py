@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skelcollar.bundles import zu_terms
 from skelcollar.deform import (
     ClassNotGeneric,
     DeformationFamily,
@@ -139,15 +140,46 @@ def test_reduction_drops_both_coboundary_sides():
     p = mono(3) + mono(-4) + mono(-1, coeff=Fraction(5, 2)) + mono(-1, 1, coeff=7)
     cls = ext_class(2, 2, p)
     assert cls.representative == mono(-1, coeff=Fraction(5, 2)) + mono(-1, 1, coeff=7)
-    basis = ext1_basis(2, 2)
-    assert sum((c * m for c, m in zip(cls.coordinates, basis)), LP.zero()) == cls.representative
-    assert cls.coordinates == (0, 0, Fraction(5, 2), 7)
+    assert ext1_basis(2, 2)[2:] == (mono(-1), mono(-1, 1))
 
 
 def test_zero_class():
     cls = ext_class(3, 1, LP.zero())
     assert cls.is_zero
-    assert cls.coordinates == (0,)
+    assert cls.representative == LP.zero()
+
+
+def basis_terms(n, j, p):
+    # reference route: the terms of p whose monomial ext1_basis lists
+    basis = set(ext1_basis(n, j))
+    return sum((mono(a, b, c) for a, b, c in zu_terms(p) if mono(a, b) in basis), LP.zero())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    j=st.integers(min_value=0, max_value=8),
+    terms=st.dictionaries(
+        st.tuples(st.integers(min_value=-20, max_value=6), st.integers(min_value=0, max_value=5)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+        max_size=8,
+    ),
+)
+def test_reduction_keeps_exactly_the_basis_terms(n, j, terms):
+    p = sum((mono(a, b, c) for (a, b), c in terms.items()), LP.zero())
+    cls = ext_class(n, j, p)
+    assert cls.representative == basis_terms(n, j, p)
+    assert cls.is_zero == (not any(mono(a, b) in ext1_basis(n, j) for a, b in terms))
+
+
+def test_negative_index_monomial_is_its_own_nonzero_class():
+    # z^-j is the corner of every index-step family
+    for n in range(1, 7):
+        for j in range(1, 9):
+            cls = ext_class(n, j, mono(-j))
+            assert not cls.is_zero, (n, j)
+            assert cls.representative == mono(-j) == basis_terms(n, j, mono(-j)), (n, j)
+            assert index_step_family(n, j).entry == cls.representative, (n, j)
 
 
 def test_class_input_validation():
@@ -161,30 +193,28 @@ def test_inclusion_keeps_representative():
     cls = ext_class(1, 1, mono(-1, coeff=3))
     wider = include_class(cls, 1)
     assert wider.j == 2
-    assert wider.representative == cls.representative
-    assert wider.coordinates == (0, 0, 3, 0, 0, 0)
+    assert wider.representative == cls.representative == mono(-1, coeff=3)
+    assert ext1_basis(1, 2)[2] == mono(-1)
 
 
 def test_inclusion_is_injective_on_basis():
     for n in range(1, 4):
         for j in range(1, 3):
             for s in (1, 2):
-                hit = set()
+                wider = ext1_basis(n, j + s)
                 for m in ext1_basis(n, j):
                     image = include_class(ext_class(n, j, m), s)
                     assert not image.is_zero
-                    nonzero = [i for i, c in enumerate(image.coordinates) if c]
-                    assert len(nonzero) == 1
-                    hit.add(nonzero[0])
-                assert len(hit) == len(ext1_basis(n, j))
+                    assert image.representative == m
+                    assert m in wider
 
 
 def test_inclusion_composes():
     cls = ext_class(2, 2, mono(-2) + mono(-1, 1, coeff=Fraction(1, 3)))
     once_twice = include_class(include_class(cls, 1), 1)
     straight = include_class(cls, 2)
-    assert once_twice.representative == straight.representative
-    assert once_twice.coordinates == straight.coordinates
+    assert once_twice == straight
+    assert straight.representative == cls.representative
 
 
 def test_inclusion_validation():
@@ -264,18 +294,18 @@ def test_family_validation():
 def test_index_step_family_positive_index():
     fam = index_step_family(2, 1)
     assert fam.s == 1
-    assert fam.source is not None
     assert fam.entry == mono(-1)
+    assert fam.endpoints == (2, 1)
     assert family_splitting_profile(fam, (0, 1)) == (2, 1)
 
 
 def test_index_step_family_at_zero():
-    # the extension group at j = 0 is empty, so the step is built directly
-    # from a constant entry and checked through the same endpoint oracle
+    # the extension group at j = 0 is empty; the corner z^0 is the constant
+    # 1, checked by the same endpoint counts as every other family
     for s in (1, 2):
         fam = index_step_family(2, 0, s)
-        assert fam.source is None
         assert fam.entry == LP.const(1)
+        assert fam.endpoints == (s, 0)
         assert family_splitting_profile(fam, (0, 1)) == (s, 0)
 
 
@@ -325,6 +355,6 @@ def test_builders_record_checked_endpoints():
 def test_family_record_shape():
     fam = index_step_family(3, 1)
     assert isinstance(fam, DeformationFamily)
-    assert (fam.n, fam.j, fam.s) == (3, 1, 1)
-    assert fam.included is not None
-    assert fam.included.j == 2
+    assert DeformationFamily._fields == ("n", "j", "s", "entry", "endpoints")
+    assert (fam.n, fam.j, fam.s, fam.entry, fam.endpoints) == (3, 1, 1, mono(-1), (2, 1))
+    assert fam.top_exponent == 2

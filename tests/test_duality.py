@@ -112,14 +112,21 @@ def test_squares_all_verify_at_six():
         assert square_check(6, j, samples=20).verdict
 
 
-def test_wrong_step_flips_the_verdict():
-    report = square_check(6, 0, step=2)
+def step_two_family(n, j):
+    # the collar family two rows up, in place of the index step of one
+    return deform.index_step_family(n, j, 2)
+
+
+def test_wrong_step_flips_the_verdict(monkeypatch):
+    assert square_check(6, 0).verdict
+    monkeypatch.setattr(duality, "index_step_family", step_two_family)
+    report = square_check(6, 0)
     assert not report.verdict
-    assert report.failure is not None
-    assert "residue pair" in report.failure
+    assert report.failure == "family endpoints (2, 0) do not step the splitting from 1 to 0"
     assert report.def_endpoints == (2, 0)
-    ok = square_check(6, 0, step=1)
-    assert ok.verdict
+    assert report.def_pair == (2, 4)
+    doc = DualityReport(n=6, entries=(), squares=(report,)).to_json_dict()
+    assert doc["squares"][0]["verdict"] is False and doc["all_ok"] is False
 
 
 def test_square_checks_family_endpoints_once(monkeypatch):
@@ -133,11 +140,11 @@ def test_square_checks_family_endpoints_once(monkeypatch):
         return real(trans)
 
     monkeypatch.setattr(deform, "splitting_type", counted)
-    for n, j, step in ((2, 0, 1), (4, 1, 1), (5, 3, 1), (6, 2, 2)):
+    for n, j in ((2, 0), (4, 1), (5, 3)):
         del calls[:]
-        report = square_check(n, j, samples=5, step=step)
+        report = square_check(n, j, samples=5)
         assert len(calls) == 2
-        assert report.def_endpoints == (j + step, j)
+        assert report.def_endpoints == (j + 1, j)
 
 
 def test_square_index_range():
@@ -153,7 +160,6 @@ def test_square_report_consistency_guard():
         SquareReport(
             n=report.n,
             j=report.j,
-            step=report.step,
             bir_verdict=report.bir_verdict,
             lower_pair=report.lower_pair,
             upper_pair=report.upper_pair,

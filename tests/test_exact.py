@@ -628,10 +628,9 @@ def test_record_defaults_apply():
 def test_record_post_init_runs_after_the_fields_are_set():
     interval = _Interval(3)
     assert (interval.lo, interval.hi, interval.width) == (3, 10, 7)
-    assert interval.replace(hi=5).width == 2
-    assert interval.width == 7
+    assert _Interval(3, hi=5).width == 2
     with pytest.raises(ValueError, match="empty interval"):
-        interval.replace(hi=1)
+        _Interval(3, hi=1)
     with pytest.raises(ValueError, match="unit monomial"):
         BundleTransition(2, ((LP.var("z") + 1,),))
 
