@@ -110,7 +110,7 @@ class RationalMap(Record):
     target_dims: tuple[int, ...]
     source_vars: tuple[tuple[str, ...], ...]
     components: tuple[tuple[LaurentPoly, ...], ...]
-    label: str = ""
+    label: str
 
     def __post_init__(self) -> None:
         if len(self.source_vars) != len(self.source_dims):
@@ -160,9 +160,7 @@ class RationalMap(Record):
         for factor in self._plan:
             vals = tuple(_run_terms(terms, coords) for terms in factor)
             if not any(vals):
-                raise IndeterminacyHit(
-                    f"{self.label or 'map'}: sample on the indeterminacy locus"
-                )
+                raise IndeterminacyHit(f"{self.label}: sample on the indeterminacy locus")
             image.append(vals)
         return tuple(image)
 
@@ -305,7 +303,7 @@ class RationalSampler:
     INC = 1442695040888963407
     MOD = 1 << 64
 
-    def __init__(self, seed: int = 1) -> None:
+    def __init__(self, seed: int) -> None:
         self.state = seed % self.MOD
 
     def _step(self) -> int:
@@ -355,7 +353,7 @@ class Verdict(Record):
     passed: bool
     checked: int
     skipped: int
-    failures: tuple[tuple[Point, Point], ...] = ()
+    failures: tuple[tuple[Point, Point], ...]
 
 
 def _integral_point(point: Point) -> Point:
@@ -372,7 +370,7 @@ def _integral_point(point: Point) -> Point:
 _RETRIES = 10
 
 
-def verify_birational(pair: MapPair, samples: int = 100, seed: int = 1) -> Verdict:
+def verify_birational(pair: MapPair, samples: int, seed: int) -> Verdict:
     """Push exact sample points through forward then inverse and compare
     projectively; indeterminacy hits are retried with fresh points and
     counted as skipped only if every retry hits.

@@ -60,14 +60,13 @@ class PicardGroup(Record):
     """Isomorphism classes of collar line bundles with the tensor operation.
 
     Classes are labelled by residues 0..n-1, and the tensor of classes a and
-    b is the class (a + b) mod n.  ``certificates[d]``, for each degree
-    d = 0..2n-2 that a sum a + b reaches, is the frame-change certificate
-    identifying the degree-d bundle with the degree d mod n one: v^s on the
-    V side and u^s on the U side, with s = d div n.  Distinct classes are
-    told apart by the residue of the degree mod n."""
+    b is the class (a + b) mod n.  ``picard_group`` certifies, for each
+    degree d = 0..2n-2 that a sum a + b reaches, that the degree-d bundle is
+    the degree d mod n one: v^s on the V side and u^s on the U side, with
+    s = d div n.  Distinct classes are told apart by the residue of the
+    degree mod n."""
 
     n: int
-    certificates: tuple["CollarIsoCertificate", ...]
 
     @property
     def classes(self) -> tuple[int, ...]:
@@ -83,15 +82,13 @@ class PicardGroup(Record):
 
 def picard_group(n: int) -> PicardGroup:
     _check_n(n)
-    certs = []
     for d in range(2 * n - 1):
         cert = collar_iso_certificate(
             BundleTransition.line_class(n, d), BundleTransition.line_class(n, d % n)
         )
         if cert is None:
             raise AssertionError(f"no certificate reduces class {d} to {d % n} mod {n}")
-        certs.append(cert)
-    return PicardGroup(n, tuple(certs))
+    return PicardGroup(n)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +214,9 @@ def _section_count(trans: BundleTransition, twist: int, window: int) -> int:
     return rank * (window + 1) - len(echelon(rows))
 
 
-def h0_twist(trans: BundleTransition, twist: int, window: int | None = None) -> int:
+def h0_twist(trans: BundleTransition, twist: int) -> int:
     """Count section pairs of the twisted bundle by brute-force linear
-    algebra over a bounded degree window, at fiber degree 0.
+    algebra over the degree window z spread + |twist| + 1, at fiber degree 0.
 
     The window is doubled once as a self-check; a changed answer raises
     BoundTooSmall instead of returning either value.
@@ -228,10 +225,7 @@ def h0_twist(trans: BundleTransition, twist: int, window: int | None = None) -> 
         for p in row:
             if p.min_exponent(U_FIBER) < 0:
                 raise ValueError("section counting needs nonnegative fiber powers")
-    if window is None:
-        window = trans.z_spread() + abs(twist) + 1
-    if window < 0:
-        raise ValueError("window must be nonnegative")
+    window = trans.z_spread() + abs(twist) + 1
     first = _section_count(trans, twist, window)
     second = _section_count(trans, twist, 2 * window + 1)
     if first != second:
@@ -564,7 +558,9 @@ def collar_iso_certificate(
     Unless ``exhaustive`` asks for the full kernel search, single-term
     rank-1 inputs are resolved by exponent bookkeeping, and two canonical
     rank-2 shapes by ``_normal_form_certificate``; that closed form has no
-    bound, and a shape it leaves open falls through to the search.
+    bound, and a shape it leaves open falls through to the search.  Equal
+    inputs take the same routes: both closed forms give them identity
+    frames, and equal non-canonical rank-2 inputs reach the search.
     ``bound`` limits the line frames' exponents and the search.  None
     means nothing was found: that outcome is inconclusive, never a
     disproof.  Disproofs come from the residue invariant carried by the
@@ -574,17 +570,10 @@ def collar_iso_certificate(
         raise ValueError("certificate search needs a common collar")
     if m1.rank != m2.rank:
         raise ValueError("certificate search needs equal ranks")
-    n = m1.n
-    rank = m1.rank
     if bound is None:
-        bound = max(n, m1.z_spread() + m2.z_spread()) + 1
+        bound = max(m1.n, m1.z_spread() + m2.z_spread()) + 1
     if not exhaustive:
-        if m1.entries == m2.entries:
-            identity = poly_mat_identity(rank)
-            cert = _certificate_from_frames(n, identity, identity, m1, m2)
-            if cert is not None:
-                return cert
-        if rank == 1 and m1.entries[0][0].is_monomial() and m2.entries[0][0].is_monomial():
+        if m1.rank == 1 and m1.entries[0][0].is_monomial() and m2.entries[0][0].is_monomial():
             return _monomial_line_certificate(m1, m2, bound)
         cert = _normal_form_certificate(m1, m2)
         if cert is not None:
@@ -596,9 +585,6 @@ class LineBundleComparison(Record):
     """Verdict for two collar line-bundle classes: the residue invariant
     decides, and a matching pair ships with an explicit certificate."""
 
-    n: int
-    j1: int
-    j2: int
     residue1: int
     residue2: int
     isomorphic: bool
@@ -612,7 +598,7 @@ def compare_line_bundles(n: int, j1: int, j2: int) -> LineBundleComparison:
     _check_n(n)
     r1, r2 = j1 % n, j2 % n
     if r1 != r2:
-        return LineBundleComparison(n, j1, j2, r1, r2, False, None)
+        return LineBundleComparison(r1, r2, False, None)
     cert = collar_iso_certificate(
         BundleTransition.line_class(n, j1), BundleTransition.line_class(n, j2)
     )
@@ -624,7 +610,7 @@ def compare_line_bundles(n: int, j1: int, j2: int) -> LineBundleComparison:
             f"classes {j1} and {j2} share residue {r1} mod {n}, but the monomial "
             f"frames v side {v_frame}, u side {u_frame} fail the certificate check"
         )
-    return LineBundleComparison(n, j1, j2, r1, r2, True, cert)
+    return LineBundleComparison(r1, r2, True, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +621,6 @@ class ModuliDimension(Record):
     """Expected dimension 2j - n - 2 for rank-2 moduli at splitting type j;
     a negative value is reported as empty, not as an error."""
 
-    n: int
-    j: int
     dimension: Optional[int]
     note: str
 
@@ -648,12 +632,10 @@ def moduli_dimension(n: int, j: int) -> ModuliDimension:
     value = 2 * j - n - 2
     if value < 0:
         return ModuliDimension(
-            n=n,
-            j=j,
             dimension=None,
             note=(
                 f"2*{j} - {n} - 2 = {value} is negative: no irreducible "
                 "rank-2 bundles at this splitting type, reported as empty"
             ),
         )
-    return ModuliDimension(n=n, j=j, dimension=value, note="")
+    return ModuliDimension(dimension=value, note="")

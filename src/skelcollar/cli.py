@@ -3,10 +3,14 @@ modules, and text, JSON, and SVG report emission.
 
 `build_parser` is the one place a flag, its default and its handler are
 declared; handlers, checks and headers all read the `argparse.Namespace`
-it returns.  Every text report opens with a header repeating the effective
-parameters (including the seed) so a result can be reproduced from the
-report alone; JSON reports carry the same data in a "config" object, and
-both keep a fixed cutoff key, auto, for compatibility with earlier reports.
+it returns.  The library takes every run parameter (samples, seed, step,
+kappa) as a required argument, so no default is declared twice; a default
+the header must not print (weights, kappa, taus) is filled in by the
+handler that uses it.  Every text report opens with a header repeating the
+effective parameters (including the seed) so a result can be reproduced
+from the report alone; JSON reports carry the same data in a "config"
+object, and both keep a fixed cutoff key, auto, for compatibility with
+earlier reports.
 Exit codes: 0 on success, 2 for usage and input errors, 3 when a
 verification step fails or cannot stabilise (an `AssertionError` or an
 `exact.VerificationFailed`).  A call costs mostly this module's import, so

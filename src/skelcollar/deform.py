@@ -161,7 +161,7 @@ def deformation_family(source: ExtClass, s: int) -> DeformationFamily:
     return _family(source.n, source.j, s, included.representative, lands)
 
 
-def index_step_family(n: int, j: int, s: int = 1) -> DeformationFamily:
+def index_step_family(n: int, j: int, s: int) -> DeformationFamily:
     """The family stepping splitting type j+s down to j along tau.
 
     Its corner is z^(-j) for every j >= 0.  For j >= 1 that monomial is its

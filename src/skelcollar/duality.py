@@ -46,7 +46,6 @@ class DualityEntry(Record):
     """One row of the correspondence: a skeleton component and the residue
     pair of its split collar partner."""
 
-    n: int
     j: int
     component: SkeletonComponent
     collar_pair: tuple[int, int]
@@ -57,7 +56,6 @@ class SquareReport(Record):
     j+1, the residue pairs of both rows, and the family whose endpoints
     step the collar splitting by the same amount."""
 
-    n: int
     j: int
     bir_verdict: Verdict
     lower_pair: tuple[int, int]
@@ -72,15 +70,15 @@ class SquareReport(Record):
             raise AssertionError("verdict must match the failure record")
 
 
-def square_check(n: int, j: int, samples: int = 40, seed: int = 1) -> SquareReport:
+def square_check(n: int, j: int, samples: int, seed: int) -> SquareReport:
     """Verify one square: the sampled round trip of the step map, and the
     family endpoints, which must step the collar splitting from j+1 to j.
     ``def_pair`` is the residue pair of the certified top endpoint."""
     _check_collar(n)
     if not 0 <= j <= n - 2:
         raise IndexOutOfRange(f"no square at index {j} for collar parameter {n}")
-    bir_verdict = verify_birational(bir_step(n, j), samples=samples, seed=seed)
-    def_endpoints = index_step_family(n, j).endpoints
+    bir_verdict = verify_birational(bir_step(n, j), samples, seed)
+    def_endpoints = index_step_family(n, j, 1).endpoints
 
     failure: Optional[str] = None
     if not bir_verdict.passed:
@@ -96,7 +94,6 @@ def square_check(n: int, j: int, samples: int = 40, seed: int = 1) -> SquareRepo
             f"from {j + 1} to {j}"
         )
     return SquareReport(
-        n=n,
         j=j,
         bir_verdict=bir_verdict,
         lower_pair=dual_of_lagrangian(n, j),
@@ -192,7 +189,7 @@ def _check_toric_leg(n: int, components: int) -> None:
             raise AssertionError(f"toric leg at n = {n}: expected {statement}")
 
 
-def duality_report(n: int, samples: int = 40, seed: int = 1) -> DualityReport:
+def duality_report(n: int, samples: int, seed: int) -> DualityReport:
     """Assemble the table of all rows and all squares for one parameter."""
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"the report needs a collar parameter of at least 2, got {n!r}")
@@ -200,18 +197,8 @@ def duality_report(n: int, samples: int = 40, seed: int = 1) -> DualityReport:
     if len(components) != n:
         raise AssertionError("skeleton side must have exactly n components")
     _check_toric_leg(n, len(components))
-    entries = tuple(
-        DualityEntry(
-            n=n,
-            j=j,
-            component=components[j],
-            collar_pair=dual_of_lagrangian(n, j),
-        )
-        for j in range(n)
-    )
+    entries = tuple(DualityEntry(j, components[j], dual_of_lagrangian(n, j)) for j in range(n))
     if sorted(e.collar_pair[0] for e in entries) != list(range(n)):
         raise AssertionError("collar side must cover every residue class once")
-    squares = tuple(
-        square_check(n, j, samples=samples, seed=seed) for j in range(n - 1)
-    )
+    squares = tuple(square_check(n, j, samples, seed) for j in range(n - 1))
     return DualityReport(n=n, entries=entries, squares=squares)

@@ -20,7 +20,7 @@ Everything downstream is built from these pieces.
   with a one-term factor is an exponent shift of the other factor, its
   coefficients scaled only when the term's coefficient is not 1.
 * Matrices of Laurent polynomials are tuples of rows (``PolyMatrix``)
-  with product, substitution and cofactor determinant.
+  with product, substitution and the determinant of sizes 1 and 2.
 * Linear algebra over the rationals has one elimination kernel:
   ``echelon`` reduces sparse rows ``{column: Fraction}``, always pivoting
   on a row's smallest column, and ``null_space`` back-substitutes its
@@ -66,18 +66,17 @@ def as_fraction(value: Scalar | str) -> Fraction:
 class Record:
     """Immutable value type in place of a frozen dataclass, whose import cost
     most of CLI start-up.  Fields are the subclass's own annotations, in order,
-    class attributes their defaults; equality and hash go by type and values."""
+    each required, by position or keyword; equality and hash go by type and
+    values."""
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
         if kwargs or len(args) != len(fields):
-            given = {**dict(zip(fields, args)), **kwargs}
-            values = {**self._defaults, **given}
-            if len(given) < len(args) + len(kwargs) or values.keys() != set(fields):
+            values = {**dict(zip(fields, args)), **kwargs}
+            if len(values) < len(args) + len(kwargs) or values.keys() != set(fields):
                 raise TypeError(f"{type(self).__name__}{fields} got {len(args)} and {sorted(kwargs)}")
             args = [values[f] for f in fields]
         # set one by one, never through __dict__, so that CPython keeps the
@@ -118,9 +117,7 @@ class LaurentPoly:
     __slots__ = ("variables", "terms")
 
     def __init__(
-        self,
-        variables: Iterable[str] = (),
-        terms: Mapping[tuple[int, ...], Scalar] | None = None,
+        self, variables: Iterable[str], terms: Mapping[tuple[int, ...], Scalar]
     ) -> None:
         vars_in = tuple(variables)
         # names are checked before pruning: an unused bad name is still bad
@@ -130,18 +127,17 @@ class LaurentPoly:
         if len(set(vars_in)) != len(vars_in):
             raise ValueError(f"duplicate variable name in {vars_in!r}")
         raw: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != len(vars_in):
-                    raise ValueError("exponent tuple length does not match variables")
-                c = as_fraction(coeff)
-                if c:
-                    acc = raw.get(exps, _ZERO) + c
-                    if acc:
-                        raw[exps] = acc
-                    else:
-                        raw.pop(exps, None)
+        for exps, coeff in terms.items():
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != len(vars_in):
+                raise ValueError("exponent tuple length does not match variables")
+            c = as_fraction(coeff)
+            if c:
+                acc = raw.get(exps, _ZERO) + c
+                if acc:
+                    raw[exps] = acc
+                else:
+                    raw.pop(exps, None)
         # prune unused variables, then sort the survivors
         used = [i for i, v in enumerate(vars_in) if any(e[i] for e in raw)]
         kept = tuple(vars_in[i] for i in used)
@@ -514,22 +510,16 @@ def poly_mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 
 def poly_mat_det(a: PolyMatrix) -> LaurentPoly:
+    """Determinant of a 1 x 1 or 2 x 2 matrix, the only sizes of the
+    transitions and frames the package builds."""
     k = len(a)
     if any(len(row) != k for row in a):
         raise ValueError("determinant of a non-square matrix")
-    if k == 0:
-        return LaurentPoly.const(1)
     if k == 1:
         return a[0][0]
     if k == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    total = LaurentPoly.zero()
-    sign = 1
-    for j in range(k):
-        minor = tuple(row[:j] + row[j + 1 :] for row in a[1:])
-        total = total + sign * a[0][j] * poly_mat_det(minor)
-        sign = -sign
-    return total
+    raise ValueError(f"determinant of a {k} x {k} matrix: only sizes 1 and 2 are supported")
 
 
 # -- sparse exact elimination ---------------------------------------------------

@@ -4,9 +4,10 @@ The symplectic form is the standard pairing of each base coordinate x_i
 with its fiber coordinate y_i.  Differentiating the action at the identity
 gives the diagonal field (-w_1 x_1, ..., -w_n x_n, w_1 y_1, ..., w_n y_n);
 its potential is the bilinear function -kappa * sum w_i x_i y_i plus a free
-constant.  The convention factor kappa is explicit (default 2): the source
-computations carry a factor that a literal real expansion of the form does
-not produce, so the factor is a parameter rather than a silent choice.
+constant.  The convention factor kappa is explicit and required; the CLI
+supplies 2 when ``--kappa`` is absent.  The source computations carry a
+factor that a literal real expansion of the form does not produce, so the
+factor is a parameter rather than a silent choice.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def action_vector_field(weights: Sequence[Scalar]) -> VectorField:
     return VectorField(tuple(comps))
 
 
-def solve_potential(weights: Sequence[Scalar], kappa: Scalar = 2) -> Potential:
+def solve_potential(weights: Sequence[Scalar], kappa: Scalar) -> Potential:
     """Potential h = c - kappa * sum_i w_i x_i y_i of the action of the given
     weights, c kept symbolic: dh(Z) = kappa * omega(X, Z) for every field Z,
     X the action field of the same weights, as hamiltonian_residual checks."""

@@ -183,7 +183,6 @@ class ResolutionChain(Record):
     intersection matrix is tridiagonal, with consecutive curves meeting once.
     """
 
-    singularity: QuotientSingularity
     cone: Cone2D
     rays: tuple[Vec, ...]
     self_intersections: tuple[int, ...]
@@ -210,7 +209,7 @@ def minimal_resolution(s: QuotientSingularity) -> ResolutionChain:
     cone = quotient_cone(s)
     n, a = s.n, s.a
     if n == 1:
-        return ResolutionChain(s, cone, (), ())
+        return ResolutionChain(cone, (), ())
     coeffs = hj_expansion(n, a)
     chain = [(1, 0), (0, 1)]
     for c in coeffs:
@@ -222,9 +221,7 @@ def minimal_resolution(s: QuotientSingularity) -> ResolutionChain:
     if a == n - 1 and n >= 3:
         # move from template coordinates into the stored cone ((n,1),(0,1))
         interior = [(y, x + y) for (x, y) in interior]
-    return ResolutionChain(
-        s, cone, tuple(interior), tuple(-c for c in coeffs)
-    )
+    return ResolutionChain(cone, tuple(interior), tuple(-c for c in coeffs))
 
 
 class DynkinGraph(Record):

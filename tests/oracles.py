@@ -191,7 +191,7 @@ def broken_pair():
     forward = ComposedMap((segre(1, 1), linear_projection(3, (0, 2))))
     one = LaurentPoly.const(1)
     w0, w1 = LaurentPoly.var("w0"), LaurentPoly.var("w1")
-    inverse = RationalMap((1,), (1, 1), (("w0", "w1"),), ((w0, w1), (one, one)))
+    inverse = RationalMap((1,), (1, 1), (("w0", "w1"),), ((w0, w1), (one, one)), "broken")
     return MapPair(forward, inverse)
 
 
@@ -507,11 +507,12 @@ def cone_contains(cone, v):
     return Fraction(v[0] * d - v[1] * c, det) >= 0 and Fraction(a * v[1] - b * v[0], det) >= 0
 
 
-def is_unimodular_subdivision(chain):
-    """Consecutive rays of the resolved fan, cone boundary included, span
-    the lattice.  Rays are stored in sweep order from ray1, except for the
-    weight n - 1 family (n >= 3), whose sweep runs from the (0, 1) side."""
-    cone, s = chain.cone, chain.singularity
+def is_unimodular_subdivision(chain, s):
+    """Consecutive rays of the resolved fan of the singularity ``s``, cone
+    boundary included, span the lattice.  Rays are stored in sweep order
+    from ray1, except for the weight n - 1 family (n >= 3), whose sweep runs
+    from the (0, 1) side."""
+    cone = chain.cone
     seq = (cone.ray1,) + chain.rays + (cone.ray2,)
     if chain.rays and s.a == s.n - 1 and s.n >= 3:
         seq = (cone.ray2,) + chain.rays + (cone.ray1,)

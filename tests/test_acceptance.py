@@ -171,12 +171,12 @@ def test_duality_pipeline_and_falsifiability(capsys, monkeypatch):
         assert "all squares verified: yes" in out, n
         assert out.count("square ") == n - 1, n
 
-    honest = square_check(6, 2)
+    honest = square_check(6, 2, 40, 1)
     assert honest.verdict is True
     # a collar family two rows up must fail the square, not pass by definition
     monkeypatch.setattr(duality, "index_step_family",
-                        lambda n, j: deform.index_step_family(n, j, 2))
-    corrupted = square_check(6, 2)
+                        lambda n, j, s: deform.index_step_family(n, j, s + 1))
+    corrupted = square_check(6, 2, 40, 1)
     assert corrupted.verdict is False
     assert corrupted.failure == "family endpoints (4, 2) do not step the splitting from 3 to 2"
     assert time.monotonic() - start < 120.0

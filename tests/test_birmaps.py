@@ -165,7 +165,7 @@ def test_bir_step_identity_case():
     p = ((F(1),), (F(3), F(11)))
     image = pair.forward.apply(p)
     assert projectively_equal((image[0],), ((F(3), F(11)),))
-    assert verify_birational(pair, samples=50).passed
+    assert verify_birational(pair, samples=50, seed=1).passed
 
 
 def test_bir_step_round_trips():
@@ -176,7 +176,7 @@ def test_bir_step_round_trips():
 
 
 def test_verify_detects_non_invertible_map():
-    verdict = verify_birational(oracles.broken_pair(), samples=30)
+    verdict = verify_birational(oracles.broken_pair(), samples=30, seed=1)
     assert not verdict.passed
     assert verdict.failures
 
@@ -184,7 +184,7 @@ def test_verify_detects_non_invertible_map():
 def test_all_zero_components_rejected():
     zero = LP.zero()
     with pytest.raises(ValueError):
-        RationalMap((1,), (1,), (("y0", "y1"),), ((zero, zero),))
+        RationalMap((1,), (1,), (("y0", "y1"),), ((zero, zero),), "zero")
 
 
 def test_degenerate_sampler():
@@ -192,10 +192,10 @@ def test_degenerate_sampler():
     # claimed inverse is undefined, so every sample is skipped
     y0, y1 = LP.var("y0"), LP.var("y1")
     u2 = LP.var("u2")
-    fwd = RationalMap((1,), (2,), (("y0", "y1"),), ((y0, y1, LP.zero()),))
-    inv = RationalMap((2,), (1,), (("u0", "u1", "u2"),), ((u2, u2),))
+    fwd = RationalMap((1,), (2,), (("y0", "y1"),), ((y0, y1, LP.zero()),), "into u2 = 0")
+    inv = RationalMap((2,), (1,), (("u0", "u1", "u2"),), ((u2, u2),), "undefined on u2 = 0")
     with pytest.raises(DegenerateSampler):
-        verify_birational(MapPair(fwd, inv), samples=10)
+        verify_birational(MapPair(fwd, inv), samples=10, seed=1)
 
 
 def test_sampler_is_deterministic():
@@ -250,7 +250,7 @@ def test_projective_equality_matches_every_pair_of_coordinates(pair):
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -3}])
 def test_verify_rejects_nonpositive_counts(kwargs):
     with pytest.raises(ValueError, match="at least 1") as info:
-        verify_birational(product_to_projective(1, 1), **kwargs)
+        verify_birational(product_to_projective(1, 1), seed=1, **kwargs)
     assert not isinstance(info.value, DegenerateSampler)
 
 
@@ -323,7 +323,7 @@ def test_plan_stays_out_of_equality_hash_and_repr():
 
 def test_name_shared_by_two_factors_takes_the_later_value():
     x1 = LP.var("x1")
-    m = RationalMap((1, 1), (1,), (("x0", "x1"), ("x1", "x2")), ((x1, 2 * x1),))
+    m = RationalMap((1, 1), (1,), (("x0", "x1"), ("x1", "x2")), ((x1, 2 * x1),), "shared")
     point = ((F(2), F(3)), (F(5), F(7)))
     assert m.apply(point) == oracles.apply_map(m, point) == ((F(5), F(10)),)
 
@@ -346,14 +346,14 @@ def test_components_must_be_homogeneous_of_one_degree_per_group(groups, componen
     }
     comps = tuple(tuple(polys[c] for c in factor) for factor in components)
     with pytest.raises(ValueError) as info:
-        RationalMap((1,) * len(groups), (1,), groups, comps)
+        RationalMap((1,) * len(groups), (1,), groups, comps, "mixed")
     assert str(info.value) == error
 
 
 def test_component_outside_source_variables_rejected():
     x = LP.var("x")
     with pytest.raises(ValueError, match="not source variables"):
-        RationalMap((1,), (1,), (("y0", "y1"),), ((x, x),))
+        RationalMap((1,), (1,), (("y0", "y1"),), ((x, x),), "outside")
 
 
 _POINT_VALUES = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 7)])

@@ -177,20 +177,28 @@ def test_collar_line_bundle_type():
 def test_picard_tensor_wraps_around():
     pic = picard_group(3)
     assert pic.tensor_class(2, 2) == 1
-    cert = pic.certificates[4]
+    cert = reduction_certificate(3, 4)
     # 2 + 2 = 4 = 1 + 3: one period, so the frames are (v, u)
     assert cert.verify(BundleTransition.line_class(3, 4), BundleTransition.line_class(3, 1))
     assert oracles.SurfaceChartPair(3).to_v_side(cert.v_frame[0][0]) == LP.var("v")
     assert cert.u_frame == ((LP.var("u"),),)
 
 
-def test_picard_certificates_are_the_collar_iso_frames():
-    # one certificate per degree a + b of the table, 0..2n-2
+def test_picard_certificates_are_the_collar_iso_frames(monkeypatch):
+    # one certificate per degree a + b of the table, 0..2n-2, which the group
+    # builds and checks but does not keep
+    built = []
+    real = bundles.collar_iso_certificate
+
+    def recorded(m1, m2, *args, **kwargs):
+        built.append(real(m1, m2, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(bundles, "collar_iso_certificate", recorded)
     for n in range(1, 6):
-        pic = picard_group(n)
-        assert len(pic.certificates) == 2 * n - 1
-        for d, cert in enumerate(pic.certificates):
-            assert cert == reduction_certificate(n, d)
+        del built[:]
+        assert picard_group(n) == bundles.PicardGroup(n)
+        assert built == [reduction_certificate(n, d) for d in range(2 * n - 1)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -278,16 +286,22 @@ def test_h0_profile_of_mixing_matrix():
     assert h0_twist(trans, 1) == 4
 
 
-def test_h0_explicit_window_too_small():
+def test_h0_raises_when_the_doubled_window_counts_more(monkeypatch):
     # the witness names the twist, both counts and the window
     trans = BundleTransition.line_class(1, 4)
+    assert h0_twist(trans, -2) == 3
+    window = trans.z_spread() + 2 + 1
+    real = bundles._section_count
+
+    def one_more_when_doubled(t, twist, w):
+        return real(t, twist, w) + (w == 2 * window + 1)
+
+    monkeypatch.setattr(bundles, "_section_count", one_more_when_doubled)
     with pytest.raises(BoundTooSmall) as caught:
-        h0_twist(trans, 0, window=1)
+        h0_twist(trans, -2)
     assert str(caught.value) == (
-        "section count at twist 0 moved from 0 to 3 when the degree window grew past 1"
+        "section count at twist -2 moved from 3 to 4 when the degree window grew past 7"
     )
-    with pytest.raises(BoundTooSmall, match="^section count at twist -2 moved from 1 to 3 "):
-        h0_twist(trans, -2, window=1)
 
 
 def test_h0_rejects_negative_fiber_powers():
@@ -355,17 +369,18 @@ _SHEARED_N2 = json.loads(
 
 
 @settings(max_examples=80, deadline=None)
-@given(section_transitions(), st.integers(-4, 4), st.one_of(st.none(), st.integers(0, 6)))
+@given(section_transitions(), st.integers(-4, 4), st.integers(0, 6))
 @example(
     BundleTransition.from_rows(
         _SHEARED_N2["n"], [[LP.from_json_dict(p) for p in row] for row in _SHEARED_N2["matrix"]]
     ),
     -2,
-    None,
+    1,
 )
 def test_section_count_rows_match_the_column_by_column_oracle(trans, twist, window):
-    # h0_twist counts at its window and at the doubled one; each count hands
-    # the kernel the rows the oracle builds with one monomial per column
+    # each count hands the kernel the rows the oracle builds with one
+    # monomial per column: _section_count at a drawn window, and h0_twist at
+    # its own window and at the doubled one
     seen = []
 
     def recording_echelon(rows):
@@ -373,12 +388,14 @@ def test_section_count_rows_match_the_column_by_column_oracle(trans, twist, wind
         return echelon(rows)
 
     with mock.patch.object(bundles, "echelon", recording_echelon):
+        bundles._section_count(trans, twist, window)
         try:
-            h0_twist(trans, twist, window)
+            h0_twist(trans, twist)
         except BoundTooSmall:
             pass
-    first = trans.z_spread() + abs(twist) + 1 if window is None else window
-    expected = [oracles.product_section_rows(trans, twist, w) for w in (first, 2 * first + 1)]
+    first = trans.z_spread() + abs(twist) + 1
+    expected = [oracles.product_section_rows(trans, twist, w)
+                for w in (window, first, 2 * first + 1)]
     assert [sorted(rows) for rows in seen] == [sorted(rows) for rows in expected]
     for rows, oracle_rows in zip(seen, expected):
         for key in oracle_rows:
@@ -594,6 +611,29 @@ def test_certificate_identity_case():
     assert cert is not None
     assert cert.v_frame == ((LP.const(1), LP.zero()), (LP.zero(), LP.const(1)))
     assert cert.verify(trans, trans)
+
+
+def _equal_inputs():
+    for n in range(1, 7):
+        for j in range(-6, 7):
+            yield BundleTransition.line_class(n, j)
+    corners = [None] + [LP.monomial({"z": a, "u": b}, Fraction(-3, 2))
+                        for a in range(-3, 4) for b in range(3)]
+    for n in range(1, 4):
+        for j in range(4):
+            for off in corners:
+                yield BundleTransition.canonical(n, j, off=off)
+
+
+def test_equal_inputs_get_identity_frames():
+    # no shortcut for equal inputs: the rank-1 closed form and the normal
+    # form both reach the identity
+    for trans in _equal_inputs():
+        cert = collar_iso_certificate(trans, trans)
+        assert cert is not None, trans
+        identity = poly_mat_identity(trans.rank)
+        assert (cert.v_frame, cert.u_frame) == (identity, identity), trans
+        assert cert.verify(trans, trans)
 
 
 def test_certificate_for_one_period_shift():

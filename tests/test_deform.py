@@ -179,7 +179,7 @@ def test_negative_index_monomial_is_its_own_nonzero_class():
             cls = ext_class(n, j, mono(-j))
             assert not cls.is_zero, (n, j)
             assert cls.representative == mono(-j) == basis_terms(n, j, mono(-j)), (n, j)
-            assert index_step_family(n, j).entry == cls.representative, (n, j)
+            assert index_step_family(n, j, 1).entry == cls.representative, (n, j)
 
 
 def test_class_input_validation():
@@ -292,7 +292,7 @@ def test_family_validation():
 
 
 def test_index_step_family_positive_index():
-    fam = index_step_family(2, 1)
+    fam = index_step_family(2, 1, 1)
     assert fam.s == 1
     assert fam.entry == mono(-1)
     assert fam.endpoints == (2, 1)
@@ -313,7 +313,7 @@ def test_index_step_validation():
     with pytest.raises(ValueError):
         index_step_family(2, 1, 0)
     with pytest.raises(ValueError):
-        index_step_family(2, -1)
+        index_step_family(2, -1, 1)
 
 
 def test_induction_chain_over_basis_elements():
@@ -345,7 +345,7 @@ def test_builders_record_checked_endpoints():
     # must agree with a fresh computation of the same profile
     for n in range(2, 8):
         for j in range(n - 1):
-            fam = index_step_family(n, j)
+            fam = index_step_family(n, j, 1)
             assert fam.endpoints == (j + 1, j)
             assert fam.endpoints == family_splitting_profile(fam, (0, 1))
     fam = deformation_family(ext_class(2, 1, LP.zero()), 1)
@@ -353,7 +353,7 @@ def test_builders_record_checked_endpoints():
 
 
 def test_family_record_shape():
-    fam = index_step_family(3, 1)
+    fam = index_step_family(3, 1, 1)
     assert isinstance(fam, DeformationFamily)
     assert DeformationFamily._fields == ("n", "j", "s", "entry", "endpoints")
     assert (fam.n, fam.j, fam.s, fam.entry, fam.endpoints) == (3, 1, 1, mono(-1), (2, 1))

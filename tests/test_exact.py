@@ -327,7 +327,7 @@ def checked_canonical(monkeypatch):
 
 
 def test_trusted_construction_in_duality_report(checked_canonical):
-    report = duality_report(4)
+    report = duality_report(4, 40, 1)
     assert report.all_ok
     assert checked_canonical
 
@@ -551,8 +551,12 @@ def test_poly_mat_det():
     z = LP.var("z")
     m = ((z**2, z), (LP.zero(), z**-2))
     assert poly_mat_det(m) == LP.const(1)
+    assert poly_mat_det(((z**3,),)) == z**3
+    # the package builds transitions and frames of sizes 1 and 2 only
     m3 = tuple(tuple(map(LP.const, row)) for row in ((1, 2, 3), (0, 1, 4), (5, 6, 0)))
-    assert poly_mat_det(m3) == LP.const(1)
+    for other in (m3, ()):
+        with pytest.raises(ValueError, match="only sizes 1 and 2"):
+            poly_mat_det(other)
 
 
 def test_poly_mat_substitute():
@@ -568,7 +572,7 @@ def test_poly_mat_substitute():
 
 class _Interval(Record):
     lo: int
-    hi: int = 10
+    hi: int
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -584,22 +588,23 @@ def test_records_of_different_types_are_unequal():
 
 
 def test_record_hash_agrees_with_equality():
-    a = Verdict(True, 3, 0)
+    a = Verdict(True, 3, 0, ())
     b = Verdict(passed=True, checked=3, skipped=0, failures=())
     assert a == b and hash(a) == hash(b)
-    assert a != Verdict(True, 3, 1)
-    assert _Interval(3) == _Interval(3, 10) and hash(_Interval(3)) == hash(_Interval(lo=3, hi=10))
+    assert a != Verdict(True, 3, 1, ())
+    assert _Interval(3, 10) == _Interval(3, hi=10)
+    assert hash(_Interval(3, 10)) == hash(_Interval(lo=3, hi=10))
 
 
 def test_record_refuses_assignment_and_deletion():
-    v = Verdict(True, 3, 0)
+    v = Verdict(True, 3, 0, ())
     with pytest.raises(AttributeError):
         v.checked = 4
     with pytest.raises(AttributeError):
         del v.checked
     with pytest.raises(AttributeError):
         v.extra = 1
-    assert v == Verdict(True, 3, 0)
+    assert v == Verdict(True, 3, 0, ())
 
 
 @pytest.mark.parametrize(
@@ -618,15 +623,24 @@ def test_record_argument_errors_raise_type_error(args, kwargs):
         Verdict(*args, **kwargs)
 
 
-def test_record_defaults_apply():
-    assert Verdict(True, 3, 0).failures == ()
-    assert Verdict(True, 3, skipped=0) == Verdict(True, 3, 0, ())
+class _WithClassAttribute(Record):
+    lo: int
+    hi: int = 10
+
+
+def test_a_missing_field_raises_naming_the_fields():
+    # every field is required: a class attribute is not a default
+    names = r"\('passed', 'checked', 'skipped', 'failures'\)"
+    for call in (lambda: Verdict(True, 3, 0), lambda: Verdict(True, 3, skipped=0)):
+        with pytest.raises(TypeError, match=f"^Verdict{names} got"):
+            call()
+    with pytest.raises(TypeError, match=r"^_WithClassAttribute\('lo', 'hi'\) got 1 and \[\]$"):
+        _WithClassAttribute(3)
     assert Verdict(True, 3, 0, failures=((1, 2),)).failures == ((1, 2),)
-    assert _Interval(3).hi == 10
 
 
 def test_record_post_init_runs_after_the_fields_are_set():
-    interval = _Interval(3)
+    interval = _Interval(3, 10)
     assert (interval.lo, interval.hi, interval.width) == (3, 10, 7)
     assert _Interval(3, hi=5).width == 2
     with pytest.raises(ValueError, match="empty interval"):
@@ -636,6 +650,6 @@ def test_record_post_init_runs_after_the_fields_are_set():
 
 
 def test_record_repr_lists_the_fields_only():
-    assert repr(Verdict(True, 3, 0)) == "Verdict(passed=True, checked=3, skipped=0, failures=())"
+    assert repr(Verdict(True, 3, 0, ())) == "Verdict(passed=True, checked=3, skipped=0, failures=())"
     assert repr(TwistedBundle(1, 2, (0, -1))) == "TwistedBundle(base_dim=1, rank=2, twists=(0, -1))"
-    assert repr(_Interval(3)) == "_Interval(lo=3, hi=10)"
+    assert repr(_Interval(3, 10)) == "_Interval(lo=3, hi=10)"

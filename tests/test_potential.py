@@ -65,7 +65,7 @@ def test_solve_potential_standard_weights():
 
 
 def test_solve_potential_zero_field_is_constant():
-    pot = solve_potential((0, 0))
+    pot = solve_potential((0, 0), 2)
     assert pot.h == v("c")
 
 
@@ -77,7 +77,7 @@ def test_solve_potential_kappa_one():
 
 
 def test_solve_potential_takes_fraction_weights():
-    pot = solve_potential([Fraction(1, 2), -3])
+    pot = solve_potential([Fraction(1, 2), -3], 2)
     assert pot.h == v("c") - v("x1") * v("y1") + 6 * v("x2") * v("y2")
 
 
@@ -85,7 +85,7 @@ def test_residual_vanishes_symbolically():
     for n in (1, 2, 3):
         x = action_vector_field(tuple(range(1, n + 1)))
         omega = SymplecticStructure(n)
-        pot = solve_potential(tuple(range(1, n + 1)))
+        pot = solve_potential(tuple(range(1, n + 1)), 2)
         z = symbolic_test_field(n)
         assert hamiltonian_residual(pot, x, omega, z).is_zero
 
@@ -95,7 +95,7 @@ def test_residual_vanishes_for_all_small_weight_vectors():
     z = symbolic_test_field(2)
     for w1, w2 in itertools.product(range(-10, 11), repeat=2):
         x = action_vector_field((w1, w2))
-        pot = solve_potential((w1, w2))
+        pot = solve_potential((w1, w2), 2)
         assert hamiltonian_residual(pot, x, omega, z).is_zero
 
 
@@ -107,7 +107,7 @@ def test_residual_vanishes_for_sampled_weights_up_to_dimension_six():
         for _ in range(5):
             w = tuple(rng.randint(-10, 10) for _ in range(n))
             x = action_vector_field(w)
-            pot = solve_potential(w)
+            pot = solve_potential(w, 2)
             assert hamiltonian_residual(pot, x, omega, z).is_zero
 
 
@@ -122,7 +122,7 @@ def test_perturbed_coefficient_leaves_residual():
     n = 2
     x = action_vector_field(tuple(range(1, n + 1)))
     omega = SymplecticStructure(n)
-    pot = solve_potential(tuple(range(1, n + 1)))
+    pot = solve_potential(tuple(range(1, n + 1)), 2)
     perturbed = Potential(pot.h + v("x1") * v("y1"), "c", pot.kappa)
     res = hamiltonian_residual(perturbed, x, omega, symbolic_test_field(n))
     assert not res.is_zero
@@ -142,7 +142,7 @@ def test_symplectic_gradient_recovers_scaled_field():
 def test_critical_points_are_isolated_at_origin():
     # the linear system dh = 0 in the 2n coordinates has full rank
     for n in (1, 2, 3):
-        pot = solve_potential(tuple(range(1, n + 1)))
+        pot = solve_potential(tuple(range(1, n + 1)), 2)
         names = [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)]
         rows = {}
         for i, var in enumerate(names):

@@ -72,7 +72,7 @@ def test_trusted_constructor_is_private_to_exact():
 
 # a ratchet: settable values may be removed, and the cap lowered with them,
 # but a new one needs the cap raised on purpose
-SETTABLE_VALUES_CAP = 19
+SETTABLE_VALUES_CAP = 5
 
 
 def _name(node):
@@ -138,10 +138,52 @@ def test_settable_value_count_reads_defaults_and_dataclass_fields():
     ]
 
 
+def _flag_dests(tree):
+    """The ``dest`` of every ``add_argument`` in ``build_parser``: the
+    ``dest=`` keyword, else the long option with dashes as underscores."""
+    (parser,) = (node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "build_parser")
+    dests = set()
+    for node in ast.walk(parser):
+        if isinstance(node, ast.Call) and _name(node.func) == "add_argument":
+            given = [k.value.value for k in node.keywords if k.arg == "dest"]
+            flag = next(a.value for a in node.args if a.value.startswith("--"))
+            dests.add(given[0] if given else flag[2:].replace("-", "_"))
+    return dests
+
+
+def _defaulted_parameters(tree):
+    """(name, line) of every function parameter that declares a default."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_defaults = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            yield from ((arg.arg, arg.lineno) for arg in with_defaults)
+
+
+def test_library_parameters_named_like_flags_have_no_default():
+    # a run default is declared once, by its flag in build_parser; the
+    # library takes the value as a required argument
+    cli = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    dests = _flag_dests(cli)
+    assert {"samples", "seed", "s", "kappa", "weights", "taus"} <= dests
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.name}:{line}: {name}"
+                     for name, line in _defaulted_parameters(tree) if name in dests)
+    assert found == []
+
+
 # a ratchet on net source lines, as `wc -l src/skelcollar/*.py` counts them:
 # lines may be removed, and the cap lowered with them, but growth needs the
 # cap raised on purpose, with the reason given in CHANGES.md
-SOURCE_LINES_CAP = 3507
+SOURCE_LINES_CAP = 3466
 
 
 def test_source_lines_do_not_grow():

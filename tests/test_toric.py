@@ -188,7 +188,7 @@ def test_resolution_subdivision_properties():
     for n in range(2, 13):
         for a in valid_weights(n):
             r = minimal_resolution(QS(n, a))
-            assert is_unimodular_subdivision(r)
+            assert is_unimodular_subdivision(r, QS(n, a))
             assert all(c <= -2 for c in r.self_intersections)
             assert r.self_intersections == tuple(-c for c in hj_expansion(n, a))
             cone = r.cone
