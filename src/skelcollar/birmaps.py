@@ -350,10 +350,13 @@ def point_text(point: Point) -> str:
 
 
 class Verdict(Record):
-    passed: bool
     checked: int
     skipped: int
     failures: tuple[tuple[Point, Point], ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def _integral_point(point: Point) -> Point:
@@ -404,4 +407,4 @@ def verify_birational(pair: MapPair, samples: int, seed: int) -> Verdict:
         raise DegenerateSampler(
             f"all {samples} samples hit indeterminacy loci (even with retries)"
         )
-    return Verdict(not failures, checked, skipped, tuple(failures))
+    return Verdict(checked, skipped, tuple(failures))

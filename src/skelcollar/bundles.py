@@ -253,7 +253,7 @@ def splitting_type(trans: BundleTransition) -> tuple[int, int]:
         raise ValueError("splitting type is computed for rank-2 transitions")
     restricted = trans.restrict_to_zero_section()
     det = restricted.det()
-    if not det.is_monomial() or det.max_exponent(U_BASE) != 0:
+    if det.max_exponent(U_BASE) != 0:
         raise ValueError("splitting profile needs determinant 1 over the zero section")
     cap = restricted.z_spread() + 1
     cache: dict[int, int] = {}
@@ -555,8 +555,8 @@ def collar_iso_certificate(
 ) -> Optional[CollarIsoCertificate]:
     """Search for frame changes identifying two transitions over the collar.
 
-    Unless ``exhaustive`` asks for the full kernel search, single-term
-    rank-1 inputs are resolved by exponent bookkeeping, and two canonical
+    Unless ``exhaustive`` asks for the full kernel search, rank-1 inputs
+    (one term each) are resolved by exponent bookkeeping, and two canonical
     rank-2 shapes by ``_normal_form_certificate``; that closed form has no
     bound, and a shape it leaves open falls through to the search.  Equal
     inputs take the same routes: both closed forms give them identity
@@ -573,7 +573,7 @@ def collar_iso_certificate(
     if bound is None:
         bound = max(m1.n, m1.z_spread() + m2.z_spread()) + 1
     if not exhaustive:
-        if m1.rank == 1 and m1.entries[0][0].is_monomial() and m2.entries[0][0].is_monomial():
+        if m1.rank == 1:
             return _monomial_line_certificate(m1, m2, bound)
         cert = _normal_form_certificate(m1, m2)
         if cert is not None:
@@ -587,8 +587,11 @@ class LineBundleComparison(Record):
 
     residue1: int
     residue2: int
-    isomorphic: bool
     certificate: Optional[CollarIsoCertificate]
+
+    @property
+    def isomorphic(self) -> bool:
+        return self.residue1 == self.residue2
 
 
 def compare_line_bundles(n: int, j1: int, j2: int) -> LineBundleComparison:
@@ -598,7 +601,7 @@ def compare_line_bundles(n: int, j1: int, j2: int) -> LineBundleComparison:
     _check_n(n)
     r1, r2 = j1 % n, j2 % n
     if r1 != r2:
-        return LineBundleComparison(r1, r2, False, None)
+        return LineBundleComparison(r1, r2, None)
     cert = collar_iso_certificate(
         BundleTransition.line_class(n, j1), BundleTransition.line_class(n, j2)
     )
@@ -610,7 +613,7 @@ def compare_line_bundles(n: int, j1: int, j2: int) -> LineBundleComparison:
             f"classes {j1} and {j2} share residue {r1} mod {n}, but the monomial "
             f"frames v side {v_frame}, u side {u_frame} fail the certificate check"
         )
-    return LineBundleComparison(r1, r2, True, cert)
+    return LineBundleComparison(r1, r2, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -211,22 +211,6 @@ def _config_json(args: argparse.Namespace) -> dict:
     return out
 
 
-def _classification_json(c: object) -> dict:
-    from .skeleton import AffineFiber, TwistedBundle, ZeroSection
-    if isinstance(c, AffineFiber):
-        return {"kind": "affine_fiber", "dim": c.dim}
-    if isinstance(c, ZeroSection):
-        return {"kind": "zero_section", "dim": c.dim}
-    if isinstance(c, TwistedBundle):
-        return {
-            "kind": "twisted_bundle",
-            "base_dim": c.base_dim,
-            "rank": c.rank,
-            "twists": list(c.twists),
-        }
-    return {"kind": str(c)}
-
-
 def _var_key(name: str) -> tuple[str, int]:
     return (name[0], int(name[1:]))
 
@@ -317,7 +301,7 @@ SKELETON_MAX_TRANSITION_CELLS = 10_000
 
 
 def _run_skeleton(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
-    from .skeleton import describe_classification, skeleton
+    from .skeleton import skeleton
     n = args.n
     _check_cap((n + 1) * n * n, SKELETON_MAX_TRANSITION_CELLS,
                f"--n {n} needs {n + 1} fiber transitions of {n} x {n}")
@@ -325,13 +309,12 @@ def _run_skeleton(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     lines = []
     payload = []
     for comp in components:
-        desc = describe_classification(comp.classification)
-        lines.append(f"L_{comp.j}: {desc} | {_zero_set(comp.forced)}")
+        lines.append(f"L_{comp.j}: {comp.description} | {_zero_set(comp.forced)}")
         payload.append(
             {
                 "j": comp.j,
-                "classification": _classification_json(comp.classification),
-                "description": desc,
+                "classification": comp.shape_json(),
+                "description": comp.description,
                 "forced": sorted(comp.forced, key=_var_key),
                 "free_base": list(comp.free_base),
                 "free_fiber": list(comp.free_fiber),
@@ -545,13 +528,19 @@ SPLITTING_MAX_Z_SPREAD = 64
 def _read_matrix_file(path: str) -> tuple[int, list[list[LaurentPoly]]]:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    if not isinstance(data, dict) or "n" not in data or "matrix" not in data:
-        raise ValueError('matrix file must be a JSON object {"n": ..., "matrix": [[...]]}')
+    if (type(data) is not dict or "n" not in data or type(data.get("matrix")) is not list
+            or not all(type(row) is list for row in data["matrix"])):
+        raise ValueError('matrix file must be a JSON object {"n": ..., "matrix": [[...], ...]}')
     if type(data["n"]) is not int:
         raise ValueError(f'"n" must be a JSON integer, got {data["n"]!r}')
-    rows = [
-        [LaurentPoly.from_json_dict(entry) for entry in row] for row in data["matrix"]
-    ]
+    rows = []
+    for i, row in enumerate(data["matrix"]):
+        rows.append([])
+        for k, entry in enumerate(row):
+            try:
+                rows[-1].append(LaurentPoly.from_json_dict(entry))
+            except ValueError as exc:
+                raise ValueError(f"matrix entry [{i}][{k}], {exc}") from None
     return data["n"], rows
 
 

@@ -7,9 +7,10 @@ projective (n-1)-space with its n components, and the collar side is the
 set of n residue classes of line-bundle pairs (j mod n, -j mod n).  Each
 square couples the step map from component j to j+1 with the index-step
 family on the collar side, whose certified endpoints must step the
-splitting from j+1 down to j, so both reach row j+1.  Every report first
-checks the toric duality between the quotients 1/n(1,1) and 1/n(1,n-1)
-that the correspondence is built from.
+splitting from j+1 down to j, so both reach row j+1.  A square keeps what
+its check decided; the report derives each row's shape and residue pairs
+from (n, j).  Every report first checks the toric duality between the
+quotients 1/n(1,1) and 1/n(1,n-1) that the correspondence is built from.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 from .birmaps import IndexOutOfRange, Verdict, bir_step, point_text, verify_birational
 from .deform import index_step_family
 from .exact import Record
-from .skeleton import SkeletonComponent, describe_classification, skeleton
+from .skeleton import SkeletonComponent, skeleton
 from .toric import (
     QuotientSingularity,
     dynkin_dual_graph,
@@ -46,34 +47,28 @@ class DualityEntry(Record):
     """One row of the correspondence: a skeleton component and the residue
     pair of its split collar partner."""
 
-    j: int
     component: SkeletonComponent
     collar_pair: tuple[int, int]
 
 
 class SquareReport(Record):
     """Certificates for one square: the step map between components j and
-    j+1, the residue pairs of both rows, and the family whose endpoints
-    step the collar splitting by the same amount."""
+    j+1, and the family whose endpoints step the collar splitting by the
+    same amount; the report derives the residue pairs of both rows."""
 
     j: int
     bir_verdict: Verdict
-    lower_pair: tuple[int, int]
-    upper_pair: tuple[int, int]
     def_endpoints: tuple[int, int]
-    def_pair: tuple[int, int]
-    verdict: bool
     failure: Optional[str]
 
-    def __post_init__(self) -> None:
-        if self.verdict != (self.failure is None):
-            raise AssertionError("verdict must match the failure record")
+    @property
+    def verdict(self) -> bool:
+        return self.failure is None
 
 
 def square_check(n: int, j: int, samples: int, seed: int) -> SquareReport:
     """Verify one square: the sampled round trip of the step map, and the
-    family endpoints, which must step the collar splitting from j+1 to j.
-    ``def_pair`` is the residue pair of the certified top endpoint."""
+    family endpoints, which must step the collar splitting from j+1 to j."""
     _check_collar(n)
     if not 0 <= j <= n - 2:
         raise IndexOutOfRange(f"no square at index {j} for collar parameter {n}")
@@ -93,16 +88,7 @@ def square_check(n: int, j: int, samples: int, seed: int) -> SquareReport:
             f"family endpoints {def_endpoints} do not step the splitting "
             f"from {j + 1} to {j}"
         )
-    return SquareReport(
-        j=j,
-        bir_verdict=bir_verdict,
-        lower_pair=dual_of_lagrangian(n, j),
-        upper_pair=dual_of_lagrangian(n, j + 1),
-        def_endpoints=def_endpoints,
-        def_pair=(def_endpoints[0] % n, -def_endpoints[0] % n),
-        verdict=failure is None,
-        failure=failure,
-    )
+    return SquareReport(j, bir_verdict, def_endpoints, failure)
 
 
 class DualityReport(Record):
@@ -122,8 +108,8 @@ class DualityReport(Record):
             "n": self.n,
             "entries": [
                 {
-                    "j": e.j,
-                    "skeleton": describe_classification(e.component.classification),
+                    "j": e.component.j,
+                    "skeleton": e.component.description,
                     "collar_pair": list(e.collar_pair),
                 }
                 for e in self.entries
@@ -135,10 +121,10 @@ class DualityReport(Record):
                     "bir_checked": s.bir_verdict.checked,
                     "bir_skipped": s.bir_verdict.skipped,
                     "bir_passed": s.bir_verdict.passed,
-                    "lower_pair": list(s.lower_pair),
-                    "upper_pair": list(s.upper_pair),
+                    "lower_pair": list(dual_of_lagrangian(self.n, s.j)),
+                    "upper_pair": list(dual_of_lagrangian(self.n, s.j + 1)),
                     "def_endpoints": list(s.def_endpoints),
-                    "def_pair": list(s.def_pair),
+                    "def_pair": [s.def_endpoints[0] % self.n, -s.def_endpoints[0] % self.n],
                     "verdict": s.verdict,
                     "failure": s.failure,
                 }
@@ -151,14 +137,14 @@ class DualityReport(Record):
         lines = [f"collar parameter n = {self.n}"]
         lines.append("index | skeleton component | collar pair")
         for e in self.entries:
-            desc = describe_classification(e.component.classification)
-            lines.append(f"{e.j:5d} | {desc} | {e.collar_pair}")
+            lines.append(f"{e.component.j:5d} | {e.component.description} | {e.collar_pair}")
         for s in self.squares:
             status = "ok" if s.verdict else f"FAIL: {s.failure}"
+            lower, upper = dual_of_lagrangian(self.n, s.j), dual_of_lagrangian(self.n, s.j + 1)
             lines.append(
                 f"square {s.j} -> {s.j + 1}: round trip checked={s.bir_verdict.checked} "
                 f"skipped={s.bir_verdict.skipped}, family endpoints {s.def_endpoints}, "
-                f"pairs {s.lower_pair} -> {s.upper_pair}: {status}"
+                f"pairs {lower} -> {upper}: {status}"
             )
         lines.append(f"all squares verified: {'yes' if self.all_ok else 'no'}")
         return "\n".join(lines)
@@ -197,7 +183,7 @@ def duality_report(n: int, samples: int, seed: int) -> DualityReport:
     if len(components) != n:
         raise AssertionError("skeleton side must have exactly n components")
     _check_toric_leg(n, len(components))
-    entries = tuple(DualityEntry(j, components[j], dual_of_lagrangian(n, j)) for j in range(n))
+    entries = tuple(DualityEntry(c, dual_of_lagrangian(n, c.j)) for c in components)
     if sorted(e.collar_pair[0] for e in entries) != list(range(n)):
         raise AssertionError("collar side must cover every residue class once")
     squares = tuple(square_check(n, j, samples, seed) for j in range(n - 1))

@@ -128,7 +128,8 @@ class LaurentPoly:
             raise ValueError(f"duplicate variable name in {vars_in!r}")
         raw: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
+            if not set(map(type, exps)) <= {int}:
+                raise ValueError(f"exponents must be integers, got {exps!r}")
             if len(exps) != len(vars_in):
                 raise ValueError("exponent tuple length does not match variables")
             c = as_fraction(coeff)
@@ -451,23 +452,25 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
-        variables = data["vars"]
-        # a string is iterable too: "zu" must not read as the names z and u;
-        # the constructor checks each name
-        if type(variables) is not list:
-            raise ValueError(f'"vars" must be a list of variable names, got {variables!r}')
+        # a string is iterable too: "zu" must not read as the names z and u
+        if type(data) is not dict or not all(type(data.get(k)) is list for k in ("vars", "terms")):
+            raise ValueError(f'a polynomial is an object with lists "vars" and "terms": {data!r}')
         terms: dict[tuple[int, ...], Fraction] = {}
-        for item in data["terms"]:
-            exps = tuple(item["exp"])
-            if not all(type(e) is int for e in exps):
-                raise ValueError(f"exponents must be integers, got {item['exp']!r}")
+        for t, item in enumerate(data["terms"]):
+            for key in ("exp", "num", "den"):
+                if type(item) is not dict or key not in item:
+                    raise ValueError(f'term {t}: no "{key}"')
+            exps = item["exp"]
+            if type(exps) is not list or not all(type(e) is int for e in exps):
+                raise ValueError(f'term {t}: "exp" must be a list of integers, got {exps!r}')
+            exps = tuple(exps)
             if exps in terms:
                 raise ValueError(f"duplicate exponent entry {list(exps)}")
             num, den = (_json_integer(item, key) for key in ("num", "den"))
             if den == 0:
                 raise ValueError(f"zero denominator in the term at {list(exps)}")
             terms[exps] = Fraction(num, den)
-        return cls(tuple(variables), terms)
+        return cls(tuple(data["vars"]), terms)
 
 
 def _json_integer(item: Mapping, key: str) -> int:

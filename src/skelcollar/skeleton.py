@@ -18,6 +18,9 @@ Conventions, fixed once and used by every routine here:
   weights 1..n.  Pushed to chart j, every coordinate scales by a single
   power of t whose coefficient is the chart-j coordinate written as a
   chart-0 expression.
+* Component j is the affine fiber at j = 0, the zero section at j = n,
+  and otherwise the rank-(n - j) bundle over P^j with fiber twists -1:
+  `classify_component` certifies it, `SkeletonComponent` derives it.
 """
 
 from __future__ import annotations
@@ -115,10 +118,9 @@ class CotangentAtlas:
 
 class ActionChartExpr(Record):
     """The acted point of chart j, one (coefficient, t-power) pair per
-    coordinate; coefficients are chart-0 expressions, and at t = 1 they
-    reproduce the chart embedding."""
+    coordinate, base slot k at position k; coefficients are chart-0
+    expressions, and at t = 1 they reproduce the chart embedding."""
 
-    base_slots: tuple[int, ...]
     base: tuple[tuple[LaurentPoly, int], ...]
     fiber_slots: tuple[int, ...]
     fiber: tuple[tuple[LaurentPoly, int], ...]
@@ -136,38 +138,7 @@ def act(atlas: CotangentAtlas, chart: int) -> ActionChartExpr:
     fiber = tuple(
         (coeff, m - chart) for m, coeff in zip(slots, atlas.embedding_fiber(chart))
     )
-    return ActionChartExpr(tuple(range(atlas.n + 1)), base, slots, fiber)
-
-
-class AffineFiber(Record):
-    dim: int
-
-
-class ZeroSection(Record):
-    dim: int
-
-
-class TwistedBundle(Record):
-    base_dim: int
-    rank: int
-    twists: tuple[int, ...]
-
-
-Classification = AffineFiber | ZeroSection | TwistedBundle
-
-
-def describe_classification(c: object) -> str:
-    if isinstance(c, AffineFiber):
-        return f"affine fiber of dimension {c.dim}"
-    if isinstance(c, ZeroSection):
-        return f"zero section of dimension {c.dim}"
-    if isinstance(c, TwistedBundle):
-        twists = ", ".join(str(t) for t in c.twists)
-        return (
-            f"rank-{c.rank} bundle over a dimension-{c.base_dim} base, "
-            f"fiber twists ({twists})"
-        )
-    return str(c)
+    return ActionChartExpr(base, slots, fiber)
 
 
 class SkeletonComponent(Record):
@@ -178,11 +149,24 @@ class SkeletonComponent(Record):
     forced: frozenset[str]
     free_base: tuple[str, ...]
     free_fiber: tuple[str, ...]
-    classification: Classification
 
     def __post_init__(self) -> None:
         if len(self.free_base) + len(self.free_fiber) != self.n:
             raise AssertionError("component is not middle-dimensional")
+
+    def shape_json(self) -> dict:
+        j, n = self.j, self.n
+        if j in (0, n):
+            return {"kind": "affine_fiber" if j == 0 else "zero_section", "dim": n}
+        return {"kind": "twisted_bundle", "base_dim": j, "rank": n - j, "twists": [-1] * (n - j)}
+
+    @property
+    def description(self) -> str:
+        shape = self.shape_json()
+        if "dim" in shape:
+            return f"{shape['kind'].replace('_', ' ')} of dimension {self.n}"
+        rank, twists = shape["rank"], ", ".join(map(str, shape["twists"]))
+        return f"rank-{rank} bundle over a dimension-{self.j} base, fiber twists ({twists})"
 
 
 def _strip_units(p: LaurentPoly, invertible: set[str]) -> LaurentPoly:
@@ -237,13 +221,11 @@ def _reduce_constraints(
             )
 
 
-def classify_component(
-    atlas: CotangentAtlas, j: int, forced: frozenset[str]
-) -> Classification:
-    """Read the component off its forced-zero pattern, then verify the
-    surviving fiber block of each relevant transition is the gluing
-    coordinate times the identity (degree one, so each summand twists
-    by -1)."""
+def classify_component(atlas: CotangentAtlas, j: int, forced: frozenset[str]) -> None:
+    """Certify the shape `SkeletonComponent` derives from (j, n), or raise
+    UnrecognizedForm: the forced set must be the base slots above j and the
+    fiber slots up to j, and the surviving fiber block of each transition
+    the gluing coordinate times the identity (each summand twists by -1)."""
     n = atlas.n
     base_zero = {base_name(k) for k in range(j + 1, n + 1)}
     fiber_zero = {fiber_name(k) for k in range(1, j + 1)}
@@ -251,10 +233,6 @@ def classify_component(
         raise UnrecognizedForm(
             f"forced set {sorted(forced)} does not match a recognized component shape"
         )
-    if j == 0:
-        return AffineFiber(n)
-    if j == n:
-        return ZeroSection(n)
     surviving = range(j + 1, n + 1)
     for m in range(1, j + 1):
         t = atlas.transition(0, m)
@@ -271,7 +249,6 @@ def classify_component(
                         )
                 elif not entry.is_zero:
                     raise UnrecognizedForm("surviving fiber block is not diagonal")
-    return TwistedBundle(j, n - j, tuple([-1] * (n - j)))
 
 
 def stable_manifold(atlas: CotangentAtlas, j: int) -> SkeletonComponent:
@@ -283,7 +260,7 @@ def stable_manifold(atlas: CotangentAtlas, j: int) -> SkeletonComponent:
     is dropped)."""
     expr = act(atlas, j)
     constraints = []
-    for k, (coeff, weight) in zip(expr.base_slots, expr.base):
+    for k, (coeff, weight) in enumerate(expr.base):
         if k == j:
             continue
         if weight <= 0:
@@ -300,10 +277,8 @@ def stable_manifold(atlas: CotangentAtlas, j: int) -> SkeletonComponent:
     free_fiber = tuple(
         fiber_name(k) for k in range(1, n + 1) if fiber_name(k) not in forced
     )
-    classification = classify_component(atlas, j, forced)
-    return SkeletonComponent(
-        j, n, forced, free_base, free_fiber, classification
-    )
+    classify_component(atlas, j, forced)
+    return SkeletonComponent(j, n, forced, free_base, free_fiber)
 
 
 def skeleton(n: int) -> list[SkeletonComponent]:
@@ -311,7 +286,7 @@ def skeleton(n: int) -> list[SkeletonComponent]:
 
     The weights are fixed because no other choice gives another answer.
     Strictly increasing positive weights, such as (2, 5, 9), give the same
-    forced sets and classifications; any other vector leaves a forced set
+    forced sets and shapes; any other vector leaves a forced set
     that `classify_component` rejects with UnrecognizedForm.  At n = 3,
     of the 336 vectors of distinct nonzero weights in -4..4, the 4
     increasing positive ones gave this answer and the other 332 raised.

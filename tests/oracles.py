@@ -39,7 +39,6 @@ from skelcollar.birmaps import (
 )
 from skelcollar.bundles import BoundTooSmall, BundleTransition, U_BASE, h0_twist
 from skelcollar.exact import LaurentPoly, ZeroIntoNegativePower, poly_mat_mul
-from skelcollar.skeleton import AffineFiber, TwistedBundle, ZeroSection
 
 
 def int_rows(rows):
@@ -182,7 +181,7 @@ def verify_birational(pair, samples=100, seed=1, retries=10):
             skipped += 1
     if checked == 0:
         raise DegenerateSampler(f"all {samples} samples hit indeterminacy loci")
-    return Verdict(not failures, checked, skipped, tuple(failures))
+    return Verdict(checked, skipped, tuple(failures))
 
 
 def broken_pair():
@@ -462,13 +461,18 @@ def diagonal(n, e1, e2):
 
 
 def closed_form(n, j):
-    """The expected shape of skeleton component j of the cotangent bundle of
-    projective n-space, stated without any chart work."""
+    """The expected (description, JSON shape) of skeleton component j of the
+    cotangent bundle of projective n-space, stated without any chart work."""
     if j == 0:
-        return AffineFiber(n)
+        return f"affine fiber of dimension {n}", {"kind": "affine_fiber", "dim": n}
     if j == n:
-        return ZeroSection(n)
-    return TwistedBundle(j, n - j, tuple([-1] * (n - j)))
+        return f"zero section of dimension {n}", {"kind": "zero_section", "dim": n}
+    rank = n - j
+    twists = ", ".join(["-1"] * rank)
+    return (
+        f"rank-{rank} bundle over a dimension-{j} base, fiber twists ({twists})",
+        {"kind": "twisted_bundle", "base_dim": j, "rank": rank, "twists": [-1] * rank},
+    )
 
 
 def poly_mat_substitute(a, bindings):

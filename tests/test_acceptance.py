@@ -57,7 +57,7 @@ def test_chart_computation_matches_closed_form():
         components = skeleton(n)
         assert [c.j for c in components] == list(range(n + 1))
         for comp in components:
-            assert comp.classification == closed_form(n, comp.j), (n, comp.j)
+            assert (comp.description, comp.shape_json()) == closed_form(n, comp.j), (n, comp.j)
     assert time.monotonic() - start < 10.0
 
 

@@ -423,11 +423,17 @@ def test_splitting_mixing_entry_lowers_type():
 
 
 def test_splitting_requires_trivial_determinant():
+    # the determinant is a single term by construction, so only its z
+    # exponent is left to test: diag(z, z) has determinant z^2
     trans = oracles.diagonal(2, 1, 1)
-    with pytest.raises(ValueError):
+    needs_one = "^splitting profile needs determinant 1 over the zero section$"
+    with pytest.raises(ValueError, match=needs_one):
         splitting_type(trans)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank-2"):
         splitting_type(BundleTransition.line_class(2, 1))
+    # a rank-1 entry of two terms never reaches a splitting or a certificate
+    with pytest.raises(ValueError, match="^transition determinant must be a unit monomial$"):
+        BundleTransition(2, ((zp(1) + zp(-1),),))
 
 
 def test_splitting_invariant_under_frame_changes():

@@ -257,7 +257,34 @@ def test_splitting_rejects_an_empty_variable_name(capsys, tmp_path):
     path.write_text(json.dumps({"n": 2, "matrix": [[one, entry], [zero, one]]}))
     code, out, err = run(capsys, ["splitting", "--matrix", str(path)])
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == "error: variable names must be non-empty strings, got ''\n"
+    assert err == "error: matrix entry [0][1], variable names must be non-empty strings, got ''\n"
+
+
+_TERM = {"exp": [1], "num": "1", "den": "1"}
+
+
+@pytest.mark.parametrize(
+    "matrix,named",
+    [
+        ("abc", 'matrix file must be a JSON object {"n": ..., "matrix": [[...], ...]}'),
+        ([[{"vars": ["z"], "terms": [{"exp": [1], "den": "1"}]}]],
+         'matrix entry [0][0], term 0: no "num"'),
+        ([[None]],
+         'matrix entry [0][0], a polynomial is an object with lists "vars" and "terms": None'),
+        ([[{"vars": ["z"], "terms": [_TERM, {**_TERM, "exp": 1}]}]],
+         'matrix entry [0][0], term 1: "exp" must be a list of integers, got 1'),
+        ([[{"vars": ["z"], "terms": []}, {"vars": ["z"], "terms": []}],
+          [{"vars": ["z"], "terms": [_TERM]}, {"vars": ["z"], "terms": ["x"]}]],
+         'matrix entry [1][1], term 0: no "exp"'),
+    ],
+    ids=["matrix-string", "term-no-num", "entry-null", "exp-int", "term-string"],
+)
+def test_splitting_names_the_malformed_entry(capsys, tmp_path, matrix, named):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"n": 1, "matrix": matrix}))
+    code, out, err = run(capsys, ["splitting", "--matrix", str(path)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {named}\n"
 
 
 def _write_matrix(path, n, rows):

@@ -11,7 +11,6 @@ from skelcollar.birmaps import IndexOutOfRange
 from skelcollar.bundles import BundleTransition, collar_iso_certificate
 from skelcollar.duality import (
     DualityReport,
-    SquareReport,
     dual_of_lagrangian,
     duality_report,
     square_check,
@@ -92,10 +91,13 @@ def test_square_reference_case():
     assert report.failure is None
     assert report.bir_verdict.passed
     assert report.bir_verdict.checked > 0
-    assert report.lower_pair == (1, 3)
-    assert report.upper_pair == (2, 2)
     assert report.def_endpoints == (2, 1)
-    assert report.def_pair == (2, 2)
+    square = duality_report(4, 40, 1).to_json_dict()["squares"][1]
+    assert (square["j"], square["verdict"], square["failure"]) == (1, True, None)
+    assert square["lower_pair"] == [1, 3]
+    assert square["upper_pair"] == [2, 2]
+    assert square["def_endpoints"] == [2, 1]
+    assert square["def_pair"] == [2, 2]
 
 
 def test_square_smallest_case():
@@ -104,7 +106,10 @@ def test_square_smallest_case():
     assert report.verdict
     assert report.bir_verdict.checked > 0
     assert report.def_endpoints == (1, 0)
-    assert report.upper_pair == (1, 1)
+    (square,) = duality_report(2, 40, 1).to_json_dict()["squares"]
+    assert square["verdict"] is True
+    assert square["lower_pair"] == [0, 0]
+    assert square["upper_pair"] == [1, 1]
 
 
 def test_squares_all_verify_at_six():
@@ -124,9 +129,13 @@ def test_wrong_step_flips_the_verdict(monkeypatch):
     assert not report.verdict
     assert report.failure == "family endpoints (2, 0) do not step the splitting from 1 to 0"
     assert report.def_endpoints == (2, 0)
-    assert report.def_pair == (2, 4)
     doc = DualityReport(n=6, entries=(), squares=(report,)).to_json_dict()
-    assert doc["squares"][0]["verdict"] is False and doc["all_ok"] is False
+    (square,) = doc["squares"]
+    assert square["verdict"] is False and doc["all_ok"] is False
+    assert square["failure"] == report.failure
+    assert square["def_endpoints"] == [2, 0]
+    assert square["def_pair"] == [2, 4]
+    assert (square["lower_pair"], square["upper_pair"]) == ([0, 0], [1, 5])
 
 
 def test_square_checks_family_endpoints_once(monkeypatch):
@@ -152,21 +161,6 @@ def test_square_index_range():
         square_check(3, 2, 40, 1)
     with pytest.raises(IndexOutOfRange):
         square_check(3, -1, 40, 1)
-
-
-def test_square_report_consistency_guard():
-    report = square_check(2, 0, 40, 1)
-    with pytest.raises(AssertionError):
-        SquareReport(
-            j=report.j,
-            bir_verdict=report.bir_verdict,
-            lower_pair=report.lower_pair,
-            upper_pair=report.upper_pair,
-            def_endpoints=report.def_endpoints,
-            def_pair=report.def_pair,
-            verdict=False,
-            failure=None,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import random
+import re
 import signal
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +27,8 @@ from skelcollar.exact import (
     poly_mat_mul,
 )
 
-from skelcollar.skeleton import AffineFiber, TwistedBundle, ZeroSection
+from skelcollar.potential import SymplecticStructure
+from skelcollar.skeleton import ChartInfo, SkeletonComponent
 
 from oracles import dense_kernel, evaluate, laurent_product, named_terms, poly_mat_substitute
 
@@ -197,6 +199,16 @@ def test_constants_hash_like_their_value():
 def test_json_reader_rejects_malformed_terms(terms):
     with pytest.raises(ValueError):
         LP.from_json_dict({"vars": ["z"], "terms": terms})
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", True, None])
+def test_constructors_refuse_exponents_that_are_not_integers(bad):
+    # int() reads 2.5 and 2.0 as 2, "3" as 3 and True as 1
+    named = re.escape(f"exponents must be integers, got ({bad!r},)")
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        LP(("z",), {(bad,): 1})
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        LP.monomial({"z": bad})
 
 
 def test_json_reader_takes_integers_and_integer_strings():
@@ -581,41 +593,45 @@ class _Interval(Record):
 
 
 def test_records_of_different_types_are_unequal():
-    assert AffineFiber(2) == AffineFiber(dim=2)
-    assert AffineFiber(2) != ZeroSection(2)
-    assert AffineFiber(2) != 2
-    assert len({AffineFiber(2), AffineFiber(dim=2), ZeroSection(2)}) == 2
+    assert SymplecticStructure(2) == SymplecticStructure(n=2)
+    assert ChartInfo(2, 5) == ChartInfo(index=2, n=5)
+    assert ChartInfo(2, 5) != _Interval(2, 5)
+    assert SymplecticStructure(2) != 2
+    assert len({ChartInfo(2, 5), ChartInfo(index=2, n=5), _Interval(2, 5)}) == 2
 
 
 def test_record_hash_agrees_with_equality():
-    a = Verdict(True, 3, 0, ())
-    b = Verdict(passed=True, checked=3, skipped=0, failures=())
+    a = Verdict(3, 0, ())
+    b = Verdict(checked=3, skipped=0, failures=())
     assert a == b and hash(a) == hash(b)
-    assert a != Verdict(True, 3, 1, ())
+    assert a != Verdict(3, 1, ())
     assert _Interval(3, 10) == _Interval(3, hi=10)
     assert hash(_Interval(3, 10)) == hash(_Interval(lo=3, hi=10))
 
 
 def test_record_refuses_assignment_and_deletion():
-    v = Verdict(True, 3, 0, ())
+    v = Verdict(3, 0, ())
     with pytest.raises(AttributeError):
         v.checked = 4
     with pytest.raises(AttributeError):
         del v.checked
     with pytest.raises(AttributeError):
         v.extra = 1
-    assert v == Verdict(True, 3, 0, ())
+    assert v == Verdict(3, 0, ())
 
 
 @pytest.mark.parametrize(
     "args,kwargs",
     [
-        ((True, 3), {}),  # missing
-        ((), {"passed": True, "checked": 3}),  # missing, by keyword
-        ((True, 3, 0, (), 9), {}),  # one too many
-        ((True, 3, 0), {"extra": 1}),  # unexpected
-        ((True, 3), {"extra": 1}),  # unexpected in place of a missing one
-        ((True, 3, 0), {"checked": 3}),  # repeated
+        ((3, 0), {}),  # missing
+        ((), {"checked": 3, "skipped": 0}),  # missing, by keyword
+        ((3, 0, (), 9), {}),  # one too many
+        ((3, 0, ()), {"extra": 1}),  # unexpected
+        ((3, 0), {"extra": 1}),  # unexpected in place of a missing one
+        ((3, 0, ()), {"checked": 3}),  # repeated
+        # passed is read off the failures, never stored beside them
+        ((True, 3, 0, ((1, 2),)), {}),
+        ((3, 0, ((1, 2),)), {"passed": True}),
     ],
 )
 def test_record_argument_errors_raise_type_error(args, kwargs):
@@ -630,13 +646,13 @@ class _WithClassAttribute(Record):
 
 def test_a_missing_field_raises_naming_the_fields():
     # every field is required: a class attribute is not a default
-    names = r"\('passed', 'checked', 'skipped', 'failures'\)"
-    for call in (lambda: Verdict(True, 3, 0), lambda: Verdict(True, 3, skipped=0)):
+    names = r"\('checked', 'skipped', 'failures'\)"
+    for call in (lambda: Verdict(3, 0), lambda: Verdict(3, skipped=0)):
         with pytest.raises(TypeError, match=f"^Verdict{names} got"):
             call()
     with pytest.raises(TypeError, match=r"^_WithClassAttribute\('lo', 'hi'\) got 1 and \[\]$"):
         _WithClassAttribute(3)
-    assert Verdict(True, 3, 0, failures=((1, 2),)).failures == ((1, 2),)
+    assert Verdict(3, 0, failures=((1, 2),)).failures == ((1, 2),)
 
 
 def test_record_post_init_runs_after_the_fields_are_set():
@@ -650,6 +666,9 @@ def test_record_post_init_runs_after_the_fields_are_set():
 
 
 def test_record_repr_lists_the_fields_only():
-    assert repr(Verdict(True, 3, 0, ())) == "Verdict(passed=True, checked=3, skipped=0, failures=())"
-    assert repr(TwistedBundle(1, 2, (0, -1))) == "TwistedBundle(base_dim=1, rank=2, twists=(0, -1))"
+    # derived properties (passed, description) are not fields
+    assert repr(Verdict(3, 0, ())) == "Verdict(checked=3, skipped=0, failures=())"
+    assert repr(SkeletonComponent(1, 2, frozenset(), ("x1",), ("y2",))) == (
+        "SkeletonComponent(j=1, n=2, forced=frozenset(), free_base=('x1',), free_fiber=('y2',))"
+    )
     assert repr(_Interval(3, 10)) == "_Interval(lo=3, hi=10)"

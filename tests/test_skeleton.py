@@ -8,11 +8,8 @@ from oracles import closed_form, cocycle_holds
 from skelcollar.exact import LaurentPoly
 from skelcollar.skeleton import (
     ActionChartExpr,
-    AffineFiber,
     CotangentAtlas,
-    TwistedBundle,
     UnrecognizedForm,
-    ZeroSection,
     act,
     classify_component,
     skeleton,
@@ -162,10 +159,23 @@ def test_stable_manifold_forced_sets_dimension_three():
 
 def test_stable_manifold_classifications_dimension_three():
     comps = skeleton(3)
-    assert comps[0].classification == AffineFiber(3)
-    assert comps[1].classification == TwistedBundle(1, 2, (-1, -1))
-    assert comps[2].classification == TwistedBundle(2, 1, (-1,))
-    assert comps[3].classification == ZeroSection(3)
+    assert [c.shape_json()["kind"] for c in comps] == [
+        "affine_fiber", "twisted_bundle", "twisted_bundle", "zero_section"
+    ]
+    assert comps[0].shape_json() == {"kind": "affine_fiber", "dim": 3}
+    assert comps[1].shape_json() == {
+        "kind": "twisted_bundle", "base_dim": 1, "rank": 2, "twists": [-1, -1]
+    }
+    assert comps[2].shape_json() == {
+        "kind": "twisted_bundle", "base_dim": 2, "rank": 1, "twists": [-1]
+    }
+    assert comps[3].shape_json() == {"kind": "zero_section", "dim": 3}
+    assert [c.description for c in comps] == [
+        "affine fiber of dimension 3",
+        "rank-2 bundle over a dimension-1 base, fiber twists (-1, -1)",
+        "rank-1 bundle over a dimension-2 base, fiber twists (-1)",
+        "zero section of dimension 3",
+    ]
 
 
 def test_component_free_variables_dimension_three():
@@ -178,22 +188,28 @@ def test_component_free_variables_dimension_three():
 
 def test_skeleton_dimension_one():
     comps = skeleton(1)
-    assert [c.classification for c in comps] == [AffineFiber(1), ZeroSection(1)]
+    assert [c.shape_json() for c in comps] == [
+        {"kind": "affine_fiber", "dim": 1}, {"kind": "zero_section", "dim": 1}
+    ]
 
 
 def test_skeleton_matches_closed_form_dimension_five():
     for j, comp in enumerate(skeleton(5)):
-        assert comp.classification == closed_form(5, j)
+        assert (comp.description, comp.shape_json()) == closed_form(5, j)
 
 
 def test_twisted_bundle_example_dimension_four():
     comps = skeleton(4)
-    assert comps[1].classification == TwistedBundle(1, 3, (-1, -1, -1))
+    assert comps[1].shape_json() == {
+        "kind": "twisted_bundle", "base_dim": 1, "rank": 3, "twists": [-1, -1, -1]
+    }
 
 
 def test_twisted_bundle_example_dimension_two():
     comps = skeleton(2)
-    assert comps[1].classification == TwistedBundle(1, 1, (-1,))
+    assert comps[1].shape_json() == {
+        "kind": "twisted_bundle", "base_dim": 1, "rank": 1, "twists": [-1]
+    }
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
