@@ -83,11 +83,8 @@ class PicardGroup(Record):
 def picard_group(n: int) -> PicardGroup:
     _check_n(n)
     for d in range(2 * n - 1):
-        cert = collar_iso_certificate(
-            BundleTransition.line_class(n, d), BundleTransition.line_class(n, d % n)
-        )
-        if cert is None:
-            raise AssertionError(f"no certificate reduces class {d} to {d % n} mod {n}")
+        # raises VerificationFailed, naming the frames, if the check fails
+        compare_line_bundles(n, d, d % n)
     return PicardGroup(n)
 
 

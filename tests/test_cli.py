@@ -313,6 +313,41 @@ def test_splitting_at_the_spread_cap_is_answered(capsys, tmp_path):
     assert json.loads(out)["splitting"] == [1, -1]
 
 
+def _fiber_terms(count):
+    """An entry of count terms z^a u^b, |a| <= 24 and b >= 1, which vanish on
+    the zero section."""
+    return LaurentPoly(("u", "z"), {(1 + t // 49, t % 49 - 24): 1 + t % 7 for t in range(count)})
+
+
+def test_splitting_over_the_term_cap_exits_2_before_the_determinant(capsys, monkeypatch,
+                                                                    tmp_path):
+    # the determinant of these entries multiplies 1200 terms by 1200, which
+    # took seconds before the terms were counted
+    built = []
+    monkeypatch.setattr(BundleTransition, "from_rows", lambda n, rows: built.append(n))
+    z = LaurentPoly.var("z")
+    path = _write_matrix(tmp_path / "dense.json", 2,
+                         [[z**2, _fiber_terms(1200)], [_fiber_terms(1200), z**-2]])
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["splitting", "--matrix", path])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, built) == (EXIT_USAGE, "", [])
+    assert err == "error: the matrix has 2402 terms, over the cap of 512\n"
+    path = _write_matrix(tmp_path / "over.json", 1,
+                         BundleTransition.canonical(1, 24, _fiber_terms(511)).entries)
+    assert run(capsys, ["splitting", "--matrix", path])[2] == (
+        "error: the matrix has 513 terms, over the cap of 512\n"
+    )
+
+
+def test_splitting_at_the_term_cap_is_answered(capsys, tmp_path):
+    trans = BundleTransition.canonical(1, 24, _fiber_terms(cli.SPLITTING_MAX_TERMS - 2))
+    path = _write_matrix(tmp_path / "at_cap.json", 1, trans.entries)
+    code, out, err = run(capsys, ["splitting", "--matrix", path, "--format", "json"])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["splitting"] == [24, -24]
+
+
 def _skewed_counts(monkeypatch, skew):
     """Route bundles.h0_twist through skew(twist, count)."""
     real = bundles.h0_twist
@@ -949,7 +984,8 @@ def test_failed_duality_square_names_its_first_witness(capsys, monkeypatch):
         (["duality", "--n", "3"], duality, "is_negative_definite", lambda chain: False,
          "toric leg at n = 3: expected both chains are negative definite"),
         (["collar", "pic", "--n", "3"], bundles, "collar_iso_certificate",
-         lambda m1, m2: None, "no certificate reduces class 0 to 0 mod 3"),
+         lambda m1, m2: None, "classes 0 and 0 share residue 0 mod 3, but the monomial "
+         "frames v side 1, u side 1 fail the certificate check"),
     ],
     ids=["toric-leg", "picard-certificate"],
 )

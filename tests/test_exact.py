@@ -27,7 +27,6 @@ from skelcollar.exact import (
     poly_mat_mul,
 )
 
-from skelcollar.potential import SymplecticStructure
 from skelcollar.skeleton import ChartInfo, SkeletonComponent
 
 from oracles import dense_kernel, evaluate, laurent_product, named_terms, poly_mat_substitute
@@ -593,10 +592,10 @@ class _Interval(Record):
 
 
 def test_records_of_different_types_are_unequal():
-    assert SymplecticStructure(2) == SymplecticStructure(n=2)
+    assert _Interval(2, 5) == _Interval(lo=2, hi=5)
     assert ChartInfo(2, 5) == ChartInfo(index=2, n=5)
     assert ChartInfo(2, 5) != _Interval(2, 5)
-    assert SymplecticStructure(2) != 2
+    assert ChartInfo(2, 5) != (2, 5)
     assert len({ChartInfo(2, 5), ChartInfo(index=2, n=5), _Interval(2, 5)}) == 2
 
 

@@ -1,36 +1,35 @@
-"""Action vector field, potential solving, Hamiltonian identity."""
+"""Potential solving and the Hamiltonian identity dh(Z) = kappa * omega(X, Z)."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelcollar.exact import LaurentPoly, echelon, null_space
-from skelcollar.potential import (
-    Potential,
-    SymplecticStructure,
-    VectorField,
-    action_vector_field,
-    hamiltonian_residual,
-    solve_potential,
-    symbolic_test_field,
-)
+from skelcollar.potential import CONSTANT_SYMBOL, Potential, hamiltonian_residual, solve_potential
 
 LP = LaurentPoly
-
-
-def zero_field(n):
-    return VectorField((LP.zero(),) * (2 * n))
 
 
 def v(name):
     return LP.var(name)
 
 
+def action_field(weights):
+    """The action field X read off the residual of the constant potential,
+    which is -omega(X, Z) = sum_i X_y_i a_i - X_x_i b_i: x components, then y."""
+    res = hamiltonian_residual(Potential(v(CONSTANT_SYMBOL), Fraction(1)), weights)
+    n = len(weights)
+    return tuple(-res.diff(f"b{i}") for i in range(1, n + 1)) + tuple(
+        res.diff(f"a{i}") for i in range(1, n + 1)
+    )
+
+
 def test_action_field_standard_weights():
-    f = action_vector_field((1, 2, 3))
-    assert f.components == (
+    assert action_field((1, 2, 3)) == (
         -v("x1"),
         -2 * v("x2"),
         -3 * v("x3"),
@@ -41,17 +40,18 @@ def test_action_field_standard_weights():
 
 
 def test_action_field_zero_weights_gives_zero_field():
-    f = action_vector_field((0, 0, 0))
-    assert f == zero_field(3)
+    assert action_field((0, 0, 0)) == (LP.zero(),) * 6
+    assert hamiltonian_residual(solve_potential((0, 0, 0), 2), (0, 0, 0)).is_zero
 
 
 def test_action_field_single_weight():
-    f = action_vector_field((1,))
-    assert f.components == (-v("x1"), v("y1"))
+    assert action_field((1,)) == (-v("x1"), v("y1"))
 
 
 def test_action_field_accepts_any_weight_sequence():
-    assert action_vector_field((4, 7)) == action_vector_field([Fraction(4), 7])
+    pot = solve_potential((4, 7), 2)
+    assert hamiltonian_residual(pot, (4, 7)) == hamiltonian_residual(pot, [Fraction(4), 7])
+    assert action_field((4, 7)) == action_field([Fraction(4), 7])
 
 
 def test_solve_potential_standard_weights():
@@ -83,60 +83,70 @@ def test_solve_potential_takes_fraction_weights():
 
 def test_residual_vanishes_symbolically():
     for n in (1, 2, 3):
-        x = action_vector_field(tuple(range(1, n + 1)))
-        omega = SymplecticStructure(n)
-        pot = solve_potential(tuple(range(1, n + 1)), 2)
-        z = symbolic_test_field(n)
-        assert hamiltonian_residual(pot, x, omega, z).is_zero
+        weights = tuple(range(1, n + 1))
+        assert hamiltonian_residual(solve_potential(weights, 2), weights).is_zero
 
 
 def test_residual_vanishes_for_all_small_weight_vectors():
-    omega = SymplecticStructure(2)
-    z = symbolic_test_field(2)
-    for w1, w2 in itertools.product(range(-10, 11), repeat=2):
-        x = action_vector_field((w1, w2))
-        pot = solve_potential((w1, w2), 2)
-        assert hamiltonian_residual(pot, x, omega, z).is_zero
+    for w in itertools.product(range(-10, 11), repeat=2):
+        assert hamiltonian_residual(solve_potential(w, 2), w).is_zero
 
 
 def test_residual_vanishes_for_sampled_weights_up_to_dimension_six():
     rng = random.Random(123)
     for n in range(3, 7):
-        omega = SymplecticStructure(n)
-        z = symbolic_test_field(n)
         for _ in range(5):
             w = tuple(rng.randint(-10, 10) for _ in range(n))
-            x = action_vector_field(w)
-            pot = solve_potential(w, 2)
-            assert hamiltonian_residual(pot, x, omega, z).is_zero
+            assert hamiltonian_residual(solve_potential(w, 2), w).is_zero
 
 
 def test_residual_trivial_case():
-    omega = SymplecticStructure(1)
-    pot = Potential(v("c"), "c", Fraction(2))
-    zero = zero_field(1)
-    assert hamiltonian_residual(pot, zero, omega, symbolic_test_field(1)).is_zero
+    pot = Potential(v("c"), Fraction(2))
+    assert hamiltonian_residual(pot, (0,)).is_zero
+    assert hamiltonian_residual(pot, ()).is_zero
 
 
 def test_perturbed_coefficient_leaves_residual():
-    n = 2
-    x = action_vector_field(tuple(range(1, n + 1)))
-    omega = SymplecticStructure(n)
-    pot = solve_potential(tuple(range(1, n + 1)), 2)
-    perturbed = Potential(pot.h + v("x1") * v("y1"), "c", pot.kappa)
-    res = hamiltonian_residual(perturbed, x, omega, symbolic_test_field(n))
+    pot = solve_potential((1, 2), 2)
+    perturbed = Potential(pot.h + v("x1") * v("y1"), pot.kappa)
+    res = hamiltonian_residual(perturbed, (1, 2))
     assert not res.is_zero
     assert res == v("x1") * v("b1") + v("y1") * v("a1")
 
 
+_WEIGHTS = st.lists(st.integers(-10, 10), min_size=1, max_size=6)
+_KAPPA = st.fractions(min_value=Fraction(1, 50), max_value=100, max_denominator=50)
+
+
+@settings(deadline=None)
+@given(weights=_WEIGHTS, kappa=_KAPPA)
+def test_residual_of_the_solved_potential_is_zero(weights, kappa):
+    pot = solve_potential(weights, kappa)
+    assert pot.kappa == kappa
+    assert hamiltonian_residual(pot, weights).is_zero
+
+
+@settings(deadline=None)
+@given(weights=_WEIGHTS, kappa=_KAPPA, data=st.data())
+def test_an_added_bilinear_term_leaves_the_residual_it_predicts(weights, kappa, data):
+    # d(q x_i y_k)(Z) = q (y_k a_i + x_i b_k), and the solved part cancels
+    n = len(weights)
+    i, k = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+    q = data.draw(st.fractions(max_denominator=20).filter(bool))
+    term = q * v(f"x{i}") * v(f"y{k}")
+    pot = Potential(solve_potential(weights, kappa).h + term, kappa)
+    predicted = q * (v(f"y{k}") * v(f"a{i}") + v(f"x{i}") * v(f"b{k}"))
+    assert hamiltonian_residual(pot, weights) == predicted
+
+
 def test_symplectic_gradient_recovers_scaled_field():
     for n in (1, 2, 4):
-        x = action_vector_field(tuple(range(1, n + 1)))
-        pot = solve_potential(tuple(range(1, n + 1)), kappa=2)
+        weights = tuple(range(1, n + 1))
+        pot = solve_potential(weights, kappa=2)
         # the field Y with dh(Z) = omega(Y, Z) is (dh/dy_i ; -dh/dx_i)
         grad = [pot.h.diff(f"y{i}") for i in range(1, n + 1)]
         grad += [-pot.h.diff(f"x{i}") for i in range(1, n + 1)]
-        assert tuple(grad) == tuple(2 * comp for comp in x.components)
+        assert tuple(grad) == tuple(2 * comp for comp in action_field(weights))
 
 
 def test_critical_points_are_isolated_at_origin():
@@ -155,13 +165,6 @@ def test_critical_points_are_isolated_at_origin():
 
 def test_potential_validates_bilinearity():
     with pytest.raises(ValueError):
-        Potential(v("c") + v("x1") ** 2, "c", Fraction(2))
-
-
-def test_pairing_is_antisymmetric():
-    omega = SymplecticStructure(2)
-    f = symbolic_test_field(2)
-    g = VectorField(
-        (v("p1"), v("p2"), v("q1"), v("q2"))
-    )
-    assert omega.pairing(f, g) == -omega.pairing(g, f)
+        Potential(v("c") + v("x1") ** 2, Fraction(2))
+    with pytest.raises(ValueError):
+        solve_potential((1, 2), 0)

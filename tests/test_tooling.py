@@ -183,7 +183,7 @@ def test_library_parameters_named_like_flags_have_no_default():
 # a ratchet on net source lines, as `wc -l src/skelcollar/*.py` counts them:
 # lines may be removed, and the cap lowered with them, but growth needs the
 # cap raised on purpose, with the reason given in CHANGES.md
-SOURCE_LINES_CAP = 3425
+SOURCE_LINES_CAP = 3360
 
 
 def test_source_lines_do_not_grow():
