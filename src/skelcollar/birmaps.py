@@ -7,8 +7,9 @@ coordinates, listed in lexicographic (i, j) order.  Forgetting every
 coordinate u_ij with both indices positive, keeping only the row u_i0 and
 the column u_0j, projects the image birationally onto a projective space
 of dimension a+b; the inverse simply reads both factors off the kept
-coordinates.  Chaining one such map forward and another one
-backward walks a projectivized skeleton component to the next one.
+coordinates.  A `MapPair` holds each direction as its tuple of stages,
+so chaining one collapse forward and another one backward, which walks a
+projectivized skeleton component to the next one, concatenates tuples.
 
 Birationality is witnessed by a seeded round trip, not proved: exact
 rational sample points are pushed forward, then back, and compared
@@ -165,51 +166,25 @@ class RationalMap(Record):
         return tuple(image)
 
 
-class ComposedMap(Record):
-    """Stage-by-stage composite of rational maps."""
-
-    stages: tuple[RationalMap, ...]
-
-    def __post_init__(self) -> None:
-        if not self.stages:
-            raise ValueError("empty composite")
-        for left, right in zip(self.stages, self.stages[1:]):
-            if left.target_dims != right.source_dims:
-                raise ValueError(
-                    f"stage mismatch: {left.target_dims} feeds {right.source_dims}"
-                )
-
-    @property
-    def source_dims(self) -> tuple[int, ...]:
-        return self.stages[0].source_dims
-
-    @property
-    def target_dims(self) -> tuple[int, ...]:
-        return self.stages[-1].target_dims
-
-    def apply(self, point: Point) -> Point:
-        for stage in self.stages:
-            point = stage.apply(point)
-        return point
-
-
-AnyMap = RationalMap | ComposedMap
-
-
-def _stages(m: AnyMap) -> tuple[RationalMap, ...]:
-    return m.stages if isinstance(m, ComposedMap) else (m,)
-
-
 class MapPair(Record):
-    """A rational map with a declared inverse."""
+    """A rational map with a declared inverse, each a non-empty tuple of
+    stages applied in order."""
 
-    forward: AnyMap
-    inverse: AnyMap
+    forward: tuple[RationalMap, ...]
+    inverse: tuple[RationalMap, ...]
 
     def __post_init__(self) -> None:
-        if self.forward.source_dims != self.inverse.target_dims:
+        for stages in (self.forward, self.inverse):
+            if not stages:
+                raise ValueError("a map needs at least one stage")
+            for left, right in zip(stages, stages[1:]):
+                if left.target_dims != right.source_dims:
+                    raise ValueError(
+                        f"stage mismatch: {left.target_dims} feeds {right.source_dims}"
+                    )
+        if self.forward[0].source_dims != self.inverse[-1].target_dims:
             raise ValueError("inverse target does not match forward source")
-        if self.forward.target_dims != self.inverse.source_dims:
+        if self.forward[-1].target_dims != self.inverse[0].source_dims:
             raise ValueError("inverse source does not match forward target")
 
 
@@ -257,14 +232,14 @@ def _ptp_keep(a: int, b: int) -> tuple[int, ...]:
 def product_to_projective(a: int, b: int) -> MapPair:
     """Birational collapse of the (a, b) product onto projective (a+b)-space.
 
-    Forward is the Segre embedding followed by the projection keeping the
-    u_i0 row and u_0j column; the inverse reads factor one off
+    Forward is the stage pair (Segre embedding, projection keeping the
+    u_i0 row and u_0j column); the one inverse stage reads factor one off
     (w_0, w_{b+1}, ..., w_{b+a}) and factor two off (w_0, ..., w_b).
     """
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError("need a + b >= 1")
     r = (a + 1) * (b + 1) - 1
-    forward = ComposedMap((segre(a, b), linear_projection(r, _ptp_keep(a, b))))
+    forward = (segre(a, b), linear_projection(r, _ptp_keep(a, b)))
     ws = _factor_vars("w", a + b)
     first = (LaurentPoly.var(ws[0]),) + tuple(
         LaurentPoly.var(ws[b + i]) for i in range(1, a + 1)
@@ -277,7 +252,7 @@ def product_to_projective(a: int, b: int) -> MapPair:
         (first, second),
         label=f"split({a},{b})",
     )
-    return MapPair(forward, inverse)
+    return MapPair(forward, (inverse,))
 
 
 def bir_step(n: int, j: int) -> MapPair:
@@ -291,9 +266,7 @@ def bir_step(n: int, j: int) -> MapPair:
         raise IndexOutOfRange(f"no step from component {j} in dimension {n}")
     down = product_to_projective(j, n - j - 1)
     up = product_to_projective(j + 1, n - j - 2)
-    forward = ComposedMap(_stages(down.forward) + _stages(up.inverse))
-    inverse = ComposedMap(_stages(up.forward) + _stages(down.inverse))
-    return MapPair(forward, inverse)
+    return MapPair(down.forward + up.inverse, up.forward + down.inverse)
 
 
 class RationalSampler:
@@ -374,9 +347,10 @@ _RETRIES = 10
 
 
 def verify_birational(pair: MapPair, samples: int, seed: int) -> Verdict:
-    """Push exact sample points through forward then inverse and compare
-    projectively; indeterminacy hits are retried with fresh points and
-    counted as skipped only if every retry hits.
+    """Push exact sample points through the forward stages, then the
+    inverse stages, in order, and compare projectively; indeterminacy hits
+    are retried with fresh points and counted as skipped only if every
+    retry hits.
 
     Each drawn point travels as its integer homogeneous coordinates
     (``_integral_point``); a failure records the drawn point and the image
@@ -384,16 +358,18 @@ def verify_birational(pair: MapPair, samples: int, seed: int) -> Verdict:
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     sampler = RationalSampler(seed)
+    round_trip = pair.forward + pair.inverse
     checked = 0
     skipped = 0
     failures: list[tuple[Point, Point]] = []
     for _ in range(samples):
         resolved = False
         for _ in range(_RETRIES):
-            point = sampler.point(pair.forward.source_dims)
-            scaled = _integral_point(point)
+            point = sampler.point(pair.forward[0].source_dims)
+            scaled = back = _integral_point(point)
             try:
-                back = pair.inverse.apply(pair.forward.apply(scaled))
+                for stage in round_trip:
+                    back = stage.apply(back)
             except IndeterminacyHit:
                 continue
             resolved = True

@@ -325,9 +325,9 @@ def _run_skeleton(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
 
 
 # bounds the exponent table of h, n + 1 terms over 2n + 1 variables, which
-# the residual check differentiates 2n times (0.02 s in-process at n = 49
-# on 2 vCPUs)
-POTENTIAL_MAX_TERM_CELLS = 5_000
+# the residual check differentiates 2n times (0.24 s in-process at n = 149
+# on 2 vCPUs, 0.52 s at n = 200)
+POTENTIAL_MAX_TERM_CELLS = 45_000
 
 
 def _run_potential(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
@@ -521,6 +521,13 @@ SPLITTING_MAX_Z_SPREAD = 64
 # off-diagonal entries of 255 fiber terms each took 0.2 s in-process on
 # 2 vCPUs to be refused as not unit, 1200 each took 4.3 s
 SPLITTING_MAX_TERMS = 512
+# bounds the coefficient sizes both multiply, as the total bit length of every
+# numerator and denominator: four bits a term at the term cap, above 510 small
+# fiber terms (1752 bits) and every golden and benchmark matrix (at most 62).
+# At the cap, two entries of 255 fiber terms were refused as not unit in 0.37 s
+# in-process on 2 vCPUs, but section counts still grow with the bits: 12 u-free
+# terms of 84-bit numerators and denominators at z spread 24 took 25 s
+SPLITTING_MAX_COEFFICIENT_BITS = 2048
 
 
 def _read_matrix_file(path: str) -> tuple[int, list[list[LaurentPoly]]]:
@@ -548,9 +555,15 @@ def _run_splitting(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     except RecursionError:
         # parsing or printing deeply nested arrays exhausts the stack
         raise ValueError("matrix file is nested too deeply") from None
-    terms = sum(len(p.terms) for row in rows for p in row)
-    if terms > SPLITTING_MAX_TERMS:
-        raise ValueError(f"the matrix has {terms} terms, over the cap of {SPLITTING_MAX_TERMS}")
+    coefficients = [c for row in rows for p in row for c in p.terms.values()]
+    if len(coefficients) > SPLITTING_MAX_TERMS:
+        raise ValueError(
+            f"the matrix has {len(coefficients)} terms, over the cap of {SPLITTING_MAX_TERMS}"
+        )
+    bits = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in coefficients)
+    if bits > SPLITTING_MAX_COEFFICIENT_BITS:
+        raise ValueError(f"the matrix coefficients have {bits} bits, "
+                         f"over the cap of {SPLITTING_MAX_COEFFICIENT_BITS}")
     trans = BundleTransition.from_rows(n, rows)
     if trans.z_spread() > SPLITTING_MAX_Z_SPREAD:
         raise ValueError(
@@ -613,10 +626,7 @@ def _run_deform(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
                f"--n {args.n} --j {args.j} --s {args.s} needs {types} splitting types of "
                f"{side} twists over windows of {side} z-degrees")
     family = index_step_family(args.n, args.j, args.s)
-    # the builder checked tau = 0 and tau = 1 as the family endpoints
-    checked = dict(zip((0, 1), family.endpoints))
-    counted = iter(family_splitting_profile(family, [tau for tau in taus if tau not in checked]))
-    profile = [checked[tau] if tau in checked else next(counted) for tau in taus]
+    profile = family_splitting_profile(family, taus)
     lines = [f"family entry: {family.entry}"]
     for tau, value in zip(taus, profile):
         lines.append(f"tau = {tau}: splitting {value}")

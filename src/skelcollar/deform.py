@@ -1,11 +1,15 @@
 """Extension groups on the twisted surfaces by two-chart cochain algebra,
-inclusion of extension classes into wider windows, and the one-parameter
-families that trade splitting type against deformation.
+and the one-parameter families that trade splitting type against
+deformation.
 
 A class for the pair (n, j) is a Laurent polynomial in (z, u) living on the
 chart overlap, taken modulo everything that extends to the U chart and
 everything that extends to the V chart after the transition twist by
-z^(-2j).  Placing such a representative p in the off-diagonal corner of
+z^(-2j).  A class is its reduced representative, the terms z^a u^b of a
+polynomial with n*b - 2j < a < 0 (`ext_class`).  Widening (n, j) to
+(n, j+s) only lowers the cut n*b - 2j, so a reduced representative is
+already reduced in every wider window and no inclusion step is needed.
+Placing a representative p in the off-diagonal corner of
 [[z^(j+s), tau * p], [0, z^(-j-s)]] produces a family that is split at
 tau = 0 and lands at tau = 1 on splitting type
 min({-a : z^a u^0 is a term of p} | {j+s}).
@@ -53,20 +57,7 @@ def ext1_basis(n: int, j: int) -> tuple[LaurentPoly, ...]:
     )
 
 
-class ExtClass(Record):
-    """A reduced overlap representative for the pair (n, j): every term is
-    a monomial of ext1_basis(n, j), so no term lies in the coboundary span."""
-
-    n: int
-    j: int
-    representative: LaurentPoly
-
-    @property
-    def is_zero(self) -> bool:
-        return self.representative.is_zero
-
-
-def ext_class(n: int, j: int, p: LaurentPoly) -> ExtClass:
+def ext_class(n: int, j: int, p: LaurentPoly) -> LaurentPoly:
     """Reduce p modulo the coboundary span: keep exactly the terms z^a u^b
     with n*b - 2j < a < 0, the window ext1_basis(n, j) enumerates.
 
@@ -78,23 +69,8 @@ def ext_class(n: int, j: int, p: LaurentPoly) -> ExtClass:
         raise ValueError(f"representative uses variables outside (z, u): {p}")
     if p.min_exponent(U_FIBER) < 0:
         raise ValueError("representative needs nonnegative fiber powers")
-    kept = sum((LaurentPoly.monomial({U_BASE: a, U_FIBER: b}, coeff)
-                for a, b, coeff in zu_terms(p) if n * b - 2 * j < a < 0), LaurentPoly.zero())
-    return ExtClass(n=n, j=j, representative=kept)
-
-
-def include_class(cls: ExtClass, s: int) -> ExtClass:
-    """Reinterpret the same representative inside the wider (n, j+s) window.
-
-    Widening only loosens the coboundary cuts, so every reduced term
-    survives and a nonzero class stays nonzero.
-    """
-    if not isinstance(s, int) or s < 1:
-        raise ValueError("inclusion step must be a positive integer")
-    wider = ext_class(cls.n, cls.j + s, cls.representative)
-    if not cls.is_zero and wider.is_zero:
-        raise AssertionError("inclusion must not kill a nonzero class")
-    return wider
+    return sum((LaurentPoly.monomial({U_BASE: a, U_FIBER: b}, coeff)
+               for a, b, coeff in zu_terms(p) if n * b - 2 * j < a < 0), LaurentPoly.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +86,6 @@ class DeformationFamily(Record):
     s: int
     entry: LaurentPoly
     endpoints: tuple[int, int]
-
-    @property
-    def top_exponent(self) -> int:
-        return self.j + self.s
-
-    def matrix_at(self, tau: Scalar) -> BundleTransition:
-        value = as_fraction(tau)
-        return BundleTransition.canonical(self.n, self.top_exponent, off=self.entry * value)
-
-    def splitting_at(self, tau: Scalar) -> tuple[int, int]:
-        return splitting_type(self.matrix_at(tau))
 
 
 def _family(n: int, j: int, s: int, entry: LaurentPoly, lands: int) -> DeformationFamily:
@@ -148,17 +113,20 @@ def _family(n: int, j: int, s: int, entry: LaurentPoly, lands: int) -> Deformati
     return DeformationFamily(n, j, s, entry, (top, lands))
 
 
-def deformation_family(source: ExtClass, s: int) -> DeformationFamily:
-    """Build the family for a class, checking both endpoints.
+def deformation_family(n: int, j: int, p: LaurentPoly, s: int) -> DeformationFamily:
+    """Build the family whose corner is the class of p in the (n, j) group,
+    checking both endpoints.
 
-    At tau = 0 the matrix is split of type j+s.  At tau = 1 the family
-    lands on min({-a : z^a u^0 is a term of the class} | {j+s}); a nonzero
-    class must land on j, and any other value raises ClassNotGeneric
-    (reported, not repaired).  The zero class gives the split family.
+    The corner is ``ext_class(n, j, p)``, the reduced representative; the
+    wider (n, j+s) window keeps every one of its terms, so it is also the
+    class there.  At tau = 0 the matrix is split of type j+s.  At tau = 1
+    the family lands on min({-a : z^a u^0 is a term of the class} | {j+s});
+    a nonzero class must land on j, and any other value raises
+    ClassNotGeneric (reported, not repaired).  The zero class must land on
+    j+s, the split family.
     """
-    included = include_class(source, s)
-    lands = source.j + s if source.is_zero else source.j
-    return _family(source.n, source.j, s, included.representative, lands)
+    entry = ext_class(n, j, p)
+    return _family(n, j, s, entry, j + s if entry.is_zero else j)
 
 
 def index_step_family(n: int, j: int, s: int) -> DeformationFamily:
@@ -177,5 +145,13 @@ def index_step_family(n: int, j: int, s: int) -> DeformationFamily:
 def family_splitting_profile(
     family: DeformationFamily, taus: Sequence[Scalar]
 ) -> tuple[int, ...]:
-    """Splitting types along the sampled parameter values."""
-    return tuple(family.splitting_at(t)[0] for t in taus)
+    """Splitting types at the sampled parameter values.  tau = 0 and tau = 1
+    are read from the ``endpoints`` the builder checked; every other value
+    counts the sections of its member [[z^(j+s), tau * p], [0, z^(-j-s)]]."""
+    checked = dict(zip((0, 1), family.endpoints))
+    top = family.j + family.s
+    return tuple(
+        checked[tau] if tau in checked
+        else splitting_type(BundleTransition.canonical(family.n, top, off=family.entry * tau))[0]
+        for tau in map(as_fraction, taus)
+    )

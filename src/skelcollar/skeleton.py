@@ -4,8 +4,9 @@ torus action on it, and the stable-manifold components it cuts out.
 Conventions, fixed once and used by every routine here:
 
 * Chart i covers the locus where homogeneous coordinate i is nonzero.  Its
-  base slots are the indices 0..n other than i, its coordinate for slot m
-  is the ratio of homogeneous coordinates m over i, and its fiber slots
+  base slots, `CotangentAtlas.slots(i)`, are the indices 0..n other than
+  i; that tuple is all the atlas keeps of a chart.  Its coordinate for slot
+  m is the ratio of homogeneous coordinates m over i, and its fiber slots
   mirror the base slots.  Inside chart i these coordinates are named
   "x<m>" and "y<m>"; chart 0's names x1..xn, y1..yn double as the global
   coordinates in which actions and components are expressed.
@@ -41,15 +42,6 @@ def fiber_name(k: int) -> str:
     return f"y{k}"
 
 
-class ChartInfo(Record):
-    index: int
-    n: int
-
-    @property
-    def slots(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.n + 1) if k != self.index)
-
-
 class CotangentAtlas:
     """Charts and transition matrices of the cotangent bundle of P^n."""
 
@@ -57,8 +49,11 @@ class CotangentAtlas:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         self.n = n
-        self.charts = tuple(ChartInfo(i, n) for i in range(n + 1))
         self._transitions: dict[tuple[int, int], PolyMatrix] = {}
+
+    def slots(self, i: int) -> tuple[int, ...]:
+        """Base and fiber slots of chart i: the indices 0..n other than i."""
+        return tuple(k for k in range(self.n + 1) if k != i)
 
     def _chart_coord(self, chart: int, slot: int) -> LaurentPoly:
         if slot == chart:
@@ -75,8 +70,8 @@ class CotangentAtlas:
         if i == j:
             mat = poly_mat_identity(self.n)
         else:
-            rows_idx = self.charts[j].slots
-            cols_idx = self.charts[i].slots
+            rows_idx = self.slots(j)
+            cols_idx = self.slots(i)
             glue = self._chart_coord(i, j)
             zero = LaurentPoly.zero()
             rows = []
@@ -106,7 +101,7 @@ class CotangentAtlas:
         """Chart-j fiber coordinates, in chart-0 coordinates, ordered by
         chart-j slots."""
         t = self.transition(0, j)
-        ys = [LaurentPoly.var(fiber_name(k)) for k in self.charts[0].slots]
+        ys = [LaurentPoly.var(fiber_name(k)) for k in self.slots(0)]
         out = []
         for row in t:
             acc = LaurentPoly.zero()
@@ -118,11 +113,11 @@ class CotangentAtlas:
 
 class ActionChartExpr(Record):
     """The acted point of chart j, one (coefficient, t-power) pair per
-    coordinate, base slot k at position k; coefficients are chart-0
-    expressions, and at t = 1 they reproduce the chart embedding."""
+    coordinate, base slot k at position k and the fiber in the order of
+    ``atlas.slots(j)``; coefficients are chart-0 expressions, and at t = 1
+    they reproduce the chart embedding."""
 
     base: tuple[tuple[LaurentPoly, int], ...]
-    fiber_slots: tuple[int, ...]
     fiber: tuple[tuple[LaurentPoly, int], ...]
 
 
@@ -134,11 +129,10 @@ def act(atlas: CotangentAtlas, chart: int) -> ActionChartExpr:
     base = tuple(
         (coeff, chart - k) for k, coeff in enumerate(atlas.embedding_base(chart))
     )
-    slots = atlas.charts[chart].slots
     fiber = tuple(
-        (coeff, m - chart) for m, coeff in zip(slots, atlas.embedding_fiber(chart))
+        (coeff, m - chart) for m, coeff in zip(atlas.slots(chart), atlas.embedding_fiber(chart))
     )
-    return ActionChartExpr(base, slots, fiber)
+    return ActionChartExpr(base, fiber)
 
 
 class SkeletonComponent(Record):
@@ -236,11 +230,11 @@ def classify_component(atlas: CotangentAtlas, j: int, forced: frozenset[str]) ->
     surviving = range(j + 1, n + 1)
     for m in range(1, j + 1):
         t = atlas.transition(0, m)
-        rows_idx = atlas.charts[m].slots
+        rows_idx = atlas.slots(m)
         glue = LaurentPoly.var(base_name(m))
         for k in surviving:
             row = t[rows_idx.index(k)]
-            for col_pos, col_slot in enumerate(atlas.charts[0].slots):
+            for col_pos, col_slot in enumerate(atlas.slots(0)):
                 entry = row[col_pos]
                 if col_slot == k:
                     if entry != glue:
@@ -265,7 +259,7 @@ def stable_manifold(atlas: CotangentAtlas, j: int) -> SkeletonComponent:
             continue
         if weight <= 0:
             constraints.append(coeff)
-    for _, (coeff, weight) in zip(expr.fiber_slots, expr.fiber):
+    for coeff, weight in expr.fiber:
         if weight <= 0:
             constraints.append(coeff)
     invertible = {base_name(j)} if j > 0 else set()

@@ -149,7 +149,7 @@ def test_product_collapse_round_trips_and_keep_sets():
             assert backward.passed and backward.checked >= 100, (a, b)
     assert _ptp_keep(1, 1) == (0, 1, 2)
     assert _ptp_keep(2, 1) == (0, 1, 2, 4)
-    assert product_to_projective(2, 1).forward.stages[1].label == "project(keep=0,1,2,4)"
+    assert product_to_projective(2, 1).forward[1].label == "project(keep=0,1,2,4)"
     assert time.monotonic() - start < 10.0
 
 

@@ -32,6 +32,12 @@ LP = LaurentPoly
 F = Fraction
 
 
+def push(stages, point):
+    for stage in stages:
+        point = stage.apply(point)
+    return point
+
+
 def mono(*names):
     out = LP.const(1)
     for n in names:
@@ -94,22 +100,22 @@ def test_linear_projection_indeterminacy():
 def test_product_to_projective_keep_sets():
     assert _ptp_keep(1, 1) == (0, 1, 2)
     assert _ptp_keep(2, 1) == (0, 1, 2, 4)
-    assert product_to_projective(2, 1).forward.stages[1].label == "project(keep=0,1,2,4)"
+    assert product_to_projective(2, 1).forward[1].label == "project(keep=0,1,2,4)"
 
 
 def test_product_to_projective_one_one_forward():
     pair = product_to_projective(1, 1)
     p = ((F(2), F(3)), (F(5), F(7)))
     # kept coordinates are y0z0, y0z1, y1z0
-    assert pair.forward.apply(p) == ((F(10), F(14), F(15)),)
+    assert push(pair.forward, p) == ((F(10), F(14), F(15)),)
 
 
 def test_product_to_projective_trivial():
     pair = product_to_projective(0, 1)
     p = ((F(4),), (F(3), F(5)))
-    image = pair.forward.apply(p)
+    image = push(pair.forward, p)
     assert projectively_equal(image, ((F(3), F(5)),))
-    back = pair.inverse.apply(image)
+    back = push(pair.inverse, image)
     assert projectively_equal(back, p)
 
 
@@ -135,8 +141,8 @@ def test_rescaling_a_factor_does_not_move_the_image():
             scale = sampler.fraction()
         q = (tuple(scale * c for c in p[0]), p[1])
         try:
-            img_p = pair.forward.apply(p)
-            img_q = pair.forward.apply(q)
+            img_p = push(pair.forward, p)
+            img_q = push(pair.forward, q)
         except IndeterminacyHit:
             continue
         assert projectively_equal(img_p, img_q)
@@ -144,13 +150,13 @@ def test_rescaling_a_factor_does_not_move_the_image():
 
 def test_bir_step_dimensions():
     pair = bir_step(4, 1)
-    assert pair.forward.source_dims == (1, 2)
-    assert pair.forward.target_dims == (2, 1)
+    assert pair.forward[0].source_dims == (1, 2)
+    assert pair.forward[-1].target_dims == (2, 1)
     for n in range(2, 7):
         for j in range(0, n - 1):
             p = bir_step(n, j)
-            assert sum(p.forward.source_dims) + 0 == n - 1
-            assert sum(p.forward.target_dims) == n - 1
+            assert sum(p.forward[0].source_dims) == n - 1
+            assert sum(p.forward[-1].target_dims) == n - 1
 
 
 def test_bir_step_out_of_range():
@@ -163,7 +169,7 @@ def test_bir_step_out_of_range():
 def test_bir_step_identity_case():
     pair = bir_step(2, 0)
     p = ((F(1),), (F(3), F(11)))
-    image = pair.forward.apply(p)
+    image = push(pair.forward, p)
     assert projectively_equal((image[0],), ((F(3), F(11)),))
     assert verify_birational(pair, samples=50, seed=1).passed
 
@@ -173,6 +179,22 @@ def test_bir_step_round_trips():
         pair = bir_step(n, j)
         assert verify_birational(pair, samples=100, seed=1).passed
         assert verify_birational(MapPair(pair.inverse, pair.forward), samples=100, seed=3).passed
+
+
+def test_map_pair_refuses_stages_that_do_not_chain():
+    # segre(1, 1) lands in P^3, which split(1, 1) does not read
+    split = product_to_projective(1, 1).inverse
+    with pytest.raises(ValueError, match=r"^stage mismatch: \(3,\) feeds \(2,\)$"):
+        MapPair((segre(1, 1),) + split, split)
+    with pytest.raises(ValueError, match=r"^stage mismatch: \(1, 1\) feeds \(3,\)$"):
+        MapPair(product_to_projective(1, 1).forward, split + (linear_projection(3, (0, 1)),))
+
+
+def test_map_pair_refuses_an_empty_stage_tuple():
+    pair = product_to_projective(1, 1)
+    for forward, inverse in [((), pair.inverse), (pair.forward, ()), ((), ())]:
+        with pytest.raises(ValueError, match="at least one stage"):
+            MapPair(forward, inverse)
 
 
 def test_verify_detects_non_invertible_map():
@@ -195,7 +217,7 @@ def test_degenerate_sampler():
     fwd = RationalMap((1,), (2,), (("y0", "y1"),), ((y0, y1, LP.zero()),), "into u2 = 0")
     inv = RationalMap((2,), (1,), (("u0", "u1", "u2"),), ((u2, u2),), "undefined on u2 = 0")
     with pytest.raises(DegenerateSampler):
-        verify_birational(MapPair(fwd, inv), samples=10, seed=1)
+        verify_birational(MapPair((fwd,), (inv,)), samples=10, seed=1)
 
 
 def test_sampler_is_deterministic():
@@ -298,13 +320,13 @@ def test_apply_matches_oracle_on_fraction_and_integer_points():
         pair = bir_step(n, j)
         for m in (pair.forward, pair.inverse):
             for _ in range(10):
-                point = sampler.point(m.source_dims)
+                point = sampler.point(m[0].source_dims)
                 try:
                     expected = oracles.apply_map(m, point)
                 except IndeterminacyHit:
                     continue
-                assert m.apply(point) == expected
-                assert projectively_equal(m.apply(_integral_point(point)), expected)
+                assert push(m, point) == expected
+                assert projectively_equal(push(m, _integral_point(point)), expected)
 
 
 def test_integral_point_scales_each_factor_by_its_denominators():
@@ -325,7 +347,7 @@ def test_name_shared_by_two_factors_takes_the_later_value():
     x1 = LP.var("x1")
     m = RationalMap((1, 1), (1,), (("x0", "x1"), ("x1", "x2")), ((x1, 2 * x1),), "shared")
     point = ((F(2), F(3)), (F(5), F(7)))
-    assert m.apply(point) == oracles.apply_map(m, point) == ((F(5), F(10)),)
+    assert m.apply(point) == oracles.apply_map((m,), point) == ((F(5), F(10)),)
 
 
 @pytest.mark.parametrize(

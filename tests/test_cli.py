@@ -348,6 +348,39 @@ def test_splitting_at_the_term_cap_is_answered(capsys, tmp_path):
     assert json.loads(out)["splitting"] == [24, -24]
 
 
+def test_splitting_over_the_coefficient_cap_exits_2_before_the_determinant(
+        capsys, monkeypatch, tmp_path):
+    # 255 fiber terms of 4000-digit numerators in each off-diagonal entry, a
+    # 2 MB file, took seconds to be refused as not unit before the bits were
+    # counted
+    built = []
+    monkeypatch.setattr(BundleTransition, "from_rows", lambda n, rows: built.append(n))
+    z = LaurentPoly.var("z")
+    huge = _fiber_terms(255) * 10**3999
+    path = _write_matrix(tmp_path / "huge.json", 2, [[z**2, huge], [huge, z**-2]])
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["splitting", "--matrix", path])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, built) == (EXIT_USAGE, "", [])
+    assert err == "error: the matrix coefficients have 6776660 bits, over the cap of 2048\n"
+
+
+def test_splitting_at_the_coefficient_cap_is_answered(capsys, tmp_path):
+    # the diagonal's two unit coefficients take 4 bits and the two fiber
+    # terms (1021 + 1) bits each; the fiber terms vanish on the zero section
+    num = 1 << 1020
+    for last, code, report in [
+        (num + 1, EXIT_OK, "splitting type: (24, -24)\n"),
+        (2 * num, EXIT_USAGE, ""),
+    ]:
+        off = LaurentPoly(("u", "z"), {(1, 0): num, (1, 1): last})
+        path = _write_matrix(tmp_path / "at_cap.json", 1,
+                             BundleTransition.canonical(1, 24, off).entries)
+        result = run(capsys, ["splitting", "--matrix", path])
+        assert (result[0], result[1].partition("\n")[2]) == (code, report)
+    assert result[2] == "error: the matrix coefficients have 2049 bits, over the cap of 2048\n"
+
+
 def _skewed_counts(monkeypatch, skew):
     """Route bundles.h0_twist through skew(twist, count)."""
     real = bundles.h0_twist
@@ -796,9 +829,9 @@ def test_resolve_at_the_matrix_cap_is_answered(capsys):
     [
         (["skeleton", "--n", "22"],
          "--n 22 needs 23 fiber transitions of 22 x 22, 11132 cells, over the cap of 10000"),
-        (["potential", "--n", "50"],
-         "--n 50 needs a potential of 51 terms over 101 variables, 5151 cells, "
-         "over the cap of 5000"),
+        (["potential", "--n", "150"],
+         "--n 150 needs a potential of 151 terms over 301 variables, 45451 cells, "
+         "over the cap of 45000"),
         (["birmap", "--a", "9", "--b", "9", "--samples", "481"],
          "--a 9 --b 9 --samples 481 needs 100 Segre components times 501 variables and "
          "samples, 50100 cells, over the cap of 50000"),
@@ -826,7 +859,7 @@ def test_work_over_the_cap_exits_2(capsys, argv, error, fmt):
     "argv,cells,cap",
     [
         (["skeleton", "--n", "21"], 22 * 21 * 21, cli.SKELETON_MAX_TRANSITION_CELLS),
-        (["potential", "--n", "49"], 50 * 99, cli.POTENTIAL_MAX_TERM_CELLS),
+        (["potential", "--n", "149"], 150 * 299, cli.POTENTIAL_MAX_TERM_CELLS),
         (["birmap", "--a", "9", "--b", "9", "--samples", "480"], 100 * 500,
          cli.BIRMAP_MAX_SEGRE_CELLS),
         (["duality", "--n", "2", "--samples", "9992"], 1 * (8 + 9992) * 2,

@@ -1,13 +1,13 @@
-"""Extension-group bases, class inclusion, and splitting-type families."""
+"""Extension-group bases, reduced classes, and splitting-type families."""
 
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skelcollar.bundles import zu_terms
+from skelcollar.bundles import BundleTransition, splitting_type, zu_terms
 from skelcollar.deform import (
     ClassNotGeneric,
     DeformationFamily,
@@ -15,7 +15,6 @@ from skelcollar.deform import (
     ext1_basis,
     ext_class,
     family_splitting_profile,
-    include_class,
     index_step_family,
 )
 from skelcollar.exact import LaurentPoly as LP
@@ -138,15 +137,14 @@ def test_basis_input_validation():
 def test_reduction_drops_both_coboundary_sides():
     # z^3 extends over U, z^-4 is the twisted image of a V-side monomial
     p = mono(3) + mono(-4) + mono(-1, coeff=Fraction(5, 2)) + mono(-1, 1, coeff=7)
-    cls = ext_class(2, 2, p)
-    assert cls.representative == mono(-1, coeff=Fraction(5, 2)) + mono(-1, 1, coeff=7)
+    assert ext_class(2, 2, p) == mono(-1, coeff=Fraction(5, 2)) + mono(-1, 1, coeff=7)
     assert ext1_basis(2, 2)[2:] == (mono(-1), mono(-1, 1))
 
 
 def test_zero_class():
     cls = ext_class(3, 1, LP.zero())
     assert cls.is_zero
-    assert cls.representative == LP.zero()
+    assert cls == LP.zero()
 
 
 def basis_terms(n, j, p):
@@ -168,7 +166,7 @@ def basis_terms(n, j, p):
 def test_reduction_keeps_exactly_the_basis_terms(n, j, terms):
     p = sum((mono(a, b, c) for (a, b), c in terms.items()), LP.zero())
     cls = ext_class(n, j, p)
-    assert cls.representative == basis_terms(n, j, p)
+    assert cls == basis_terms(n, j, p)
     assert cls.is_zero == (not any(mono(a, b) in ext1_basis(n, j) for a, b in terms))
 
 
@@ -178,8 +176,8 @@ def test_negative_index_monomial_is_its_own_nonzero_class():
         for j in range(1, 9):
             cls = ext_class(n, j, mono(-j))
             assert not cls.is_zero, (n, j)
-            assert cls.representative == mono(-j) == basis_terms(n, j, mono(-j)), (n, j)
-            assert index_step_family(n, j, 1).entry == cls.representative, (n, j)
+            assert cls == mono(-j) == basis_terms(n, j, mono(-j)), (n, j)
+            assert index_step_family(n, j, 1).entry == cls, (n, j)
 
 
 def test_class_input_validation():
@@ -189,11 +187,32 @@ def test_class_input_validation():
         ext_class(2, 1, LP.var("w"))
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    j=st.integers(min_value=0, max_value=5),
+    s=st.integers(min_value=1, max_value=3),
+    terms=st.dictionaries(
+        st.tuples(st.integers(min_value=-14, max_value=3), st.integers(min_value=0, max_value=4)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+        max_size=8,
+    ),
+)
+# z^3 and z^-4 fall outside the (2, 2) window, z^-1 and z^-1 u inside it
+@example(n=2, j=2, s=1, terms={(3, 0): 1, (-4, 0): 2, (-1, 0): Fraction(5, 2), (-1, 1): 7})
+def test_widening_the_window_keeps_a_reduced_class(n, j, s, terms):
+    # the (n, j + s) window keeps every term with n*b - 2j < a < 0, so a
+    # reduced representative is its own class in every wider window (a
+    # nonzero class stays nonzero) and every basis monomial stays one
+    p = sum((mono(a, b, c) for (a, b), c in terms.items()), LP.zero())
+    cls = ext_class(n, j, p)
+    assert ext_class(n, j + s, cls) == cls
+    assert set(ext1_basis(n, j)) <= set(ext1_basis(n, j + s))
+
+
 def test_inclusion_keeps_representative():
     cls = ext_class(1, 1, mono(-1, coeff=3))
-    wider = include_class(cls, 1)
-    assert wider.j == 2
-    assert wider.representative == cls.representative == mono(-1, coeff=3)
+    assert ext_class(1, 2, cls) == cls == mono(-1, coeff=3)
     assert ext1_basis(1, 2)[2] == mono(-1)
 
 
@@ -203,39 +222,49 @@ def test_inclusion_is_injective_on_basis():
             for s in (1, 2):
                 wider = ext1_basis(n, j + s)
                 for m in ext1_basis(n, j):
-                    image = include_class(ext_class(n, j, m), s)
+                    image = ext_class(n, j + s, ext_class(n, j, m))
                     assert not image.is_zero
-                    assert image.representative == m
+                    assert image == m
                     assert m in wider
 
 
 def test_inclusion_composes():
     cls = ext_class(2, 2, mono(-2) + mono(-1, 1, coeff=Fraction(1, 3)))
-    once_twice = include_class(include_class(cls, 1), 1)
-    straight = include_class(cls, 2)
-    assert once_twice == straight
-    assert straight.representative == cls.representative
+    assert ext_class(2, 4, ext_class(2, 3, cls)) == ext_class(2, 4, cls) == cls
 
 
 def test_inclusion_validation():
+    # inclusion is the reduction in the wider window, so that window is
+    # checked like any other; a step of 0 is the identity there and is
+    # refused only where a family is built on it
     cls = ext_class(1, 1, mono(-1))
-    with pytest.raises(ValueError):
-        include_class(cls, 0)
+    assert ext_class(1, 1 + 0, cls) == cls
+    with pytest.raises(ValueError, match="splitting index must be a nonnegative integer"):
+        ext_class(1, -1, cls)
+    with pytest.raises(ValueError, match="twist parameter must be a positive integer"):
+        ext_class(0, 2, cls)
+    with pytest.raises(ValueError, match="deformation step must be a positive integer"):
+        index_step_family(1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
 # families
 
 
+def member_splitting(fam, tau):
+    # reference route: count the sections of [[z^(j+s), tau * p], [0, z^(-j-s)]]
+    return splitting_type(BundleTransition.canonical(fam.n, fam.j + fam.s, off=fam.entry * tau))
+
+
 def test_family_endpoints_basic():
-    fam = deformation_family(ext_class(1, 1, mono(-1)), 1)
-    assert fam.splitting_at(0) == (2, -2)
-    assert fam.splitting_at(1) == (1, -1)
-    assert fam.top_exponent == 2
+    fam = deformation_family(1, 1, mono(-1), 1)
+    assert fam.endpoints == (2, 1)
+    assert member_splitting(fam, 0) == (2, -2)
+    assert member_splitting(fam, 1) == (1, -1)
 
 
 def test_family_profile_constant_off_zero():
-    fam = deformation_family(ext_class(1, 1, mono(-1)), 1)
+    fam = deformation_family(1, 1, mono(-1), 1)
     taus = (1, 2, Fraction(1, 3))
     assert family_splitting_profile(fam, taus) == (1, 1, 1)
     assert family_splitting_profile(fam, (0,)) == (2,)
@@ -243,12 +272,13 @@ def test_family_profile_constant_off_zero():
 
 
 def test_family_exact_at_tiny_parameter():
-    fam = deformation_family(ext_class(1, 1, mono(-1)), 1)
-    assert fam.splitting_at(Fraction(1, 10**9)) == (1, -1)
+    fam = deformation_family(1, 1, mono(-1), 1)
+    assert family_splitting_profile(fam, (Fraction(1, 10**9),)) == (1,)
 
 
 def test_zero_class_family_stays_split():
-    fam = deformation_family(ext_class(2, 1, LP.zero()), 1)
+    fam = deformation_family(2, 1, LP.zero(), 1)
+    assert fam.endpoints == (2, 2)
     assert family_splitting_profile(fam, (0, 1, 7)) == (2, 2, 2)
 
 
@@ -258,7 +288,7 @@ def test_shallow_class_is_rejected():
         "class for (n=2, j=2) lands on splitting type 1 at tau = 1, not 2: "
         "its u-free term z^-1 sets the type to 1"
     )):
-        deformation_family(ext_class(2, 2, mono(-1)), 1)
+        deformation_family(2, 2, mono(-1), 1)
 
 
 def test_deep_class_is_rejected():
@@ -267,13 +297,13 @@ def test_deep_class_is_rejected():
         "class for (n=1, j=2) lands on splitting type 3 at tau = 1, not 2: "
         "its u-free term z^-3 sets the type to 3"
     )):
-        deformation_family(ext_class(1, 2, mono(-3)), 1)
+        deformation_family(1, 2, mono(-3), 1)
     # z^-5 lies below z^-(j+s), so the family keeps its top exponent 4
     with pytest.raises(ClassNotGeneric, match=re.escape(
         "class for (n=1, j=3) lands on splitting type 4 at tau = 1, not 3: "
         "its u-free terms z^a all have -a > j + s, so it stays at j + s = 4"
     )):
-        deformation_family(ext_class(1, 3, mono(-5)), 1)
+        deformation_family(1, 3, mono(-5), 1)
 
 
 def test_fiber_class_is_rejected():
@@ -282,13 +312,12 @@ def test_fiber_class_is_rejected():
         "class for (n=2, j=2) lands on splitting type 3 at tau = 1, not 2: "
         "it has no u-free term, so it stays at j + s = 3"
     )):
-        deformation_family(ext_class(2, 2, mono(-1, 1)), 1)
+        deformation_family(2, 2, mono(-1, 1), 1)
 
 
 def test_family_validation():
-    cls = ext_class(1, 1, mono(-1))
-    with pytest.raises(ValueError):
-        deformation_family(cls, 0)
+    with pytest.raises(ValueError, match="deformation step must be a positive integer"):
+        deformation_family(1, 1, mono(-1), 0)
 
 
 def test_index_step_family_positive_index():
@@ -329,27 +358,27 @@ def test_induction_chain_over_basis_elements():
                     a = m.max_exponent("z")
                     b = m.max_exponent("u")
                     predicted = j + s if b > 0 else min(-a, j + s)
-                    cls = ext_class(n, j, m)
                     if predicted == j:
-                        fam = deformation_family(cls, s)
+                        fam = deformation_family(n, j, m, s)
                         assert family_splitting_profile(fam, (0, 1)) == (j + s, j)
                         generic_seen += 1
                     else:
                         with pytest.raises(ClassNotGeneric):
-                            deformation_family(cls, s)
+                            deformation_family(n, j, m, s)
                 assert generic_seen >= 1
 
 
 def test_builders_record_checked_endpoints():
-    # the builders keep the endpoint splittings they checked; the record
-    # must agree with a fresh computation of the same profile
+    # the builders keep the endpoint splittings they checked, which
+    # family_splitting_profile reads back; the record must agree with a
+    # fresh section count of both members
     for n in range(2, 8):
         for j in range(n - 1):
             fam = index_step_family(n, j, 1)
             assert fam.endpoints == (j + 1, j)
-            assert fam.endpoints == family_splitting_profile(fam, (0, 1))
-    fam = deformation_family(ext_class(2, 1, LP.zero()), 1)
-    assert fam.endpoints == (2, 2) == family_splitting_profile(fam, (0, 1))
+            assert fam.endpoints == (member_splitting(fam, 0)[0], member_splitting(fam, 1)[0])
+    fam = deformation_family(2, 1, LP.zero(), 1)
+    assert fam.endpoints == (2, 2) == (member_splitting(fam, 0)[0], member_splitting(fam, 1)[0])
 
 
 def test_family_record_shape():
@@ -357,4 +386,3 @@ def test_family_record_shape():
     assert isinstance(fam, DeformationFamily)
     assert DeformationFamily._fields == ("n", "j", "s", "entry", "endpoints")
     assert (fam.n, fam.j, fam.s, fam.entry, fam.endpoints) == (3, 1, 1, mono(-1), (2, 1))
-    assert fam.top_exponent == 2

@@ -27,7 +27,8 @@ from skelcollar.exact import (
     poly_mat_mul,
 )
 
-from skelcollar.skeleton import ChartInfo, SkeletonComponent
+from skelcollar.skeleton import SkeletonComponent
+from skelcollar.toric import QuotientSingularity
 
 from oracles import dense_kernel, evaluate, laurent_product, named_terms, poly_mat_substitute
 
@@ -593,10 +594,10 @@ class _Interval(Record):
 
 def test_records_of_different_types_are_unequal():
     assert _Interval(2, 5) == _Interval(lo=2, hi=5)
-    assert ChartInfo(2, 5) == ChartInfo(index=2, n=5)
-    assert ChartInfo(2, 5) != _Interval(2, 5)
-    assert ChartInfo(2, 5) != (2, 5)
-    assert len({ChartInfo(2, 5), ChartInfo(index=2, n=5), _Interval(2, 5)}) == 2
+    assert QuotientSingularity(1, 1) == QuotientSingularity(n=1, a=1)
+    assert QuotientSingularity(1, 1) != _Interval(1, 1)
+    assert QuotientSingularity(1, 1) != (1, 1)
+    assert len({QuotientSingularity(1, 1), QuotientSingularity(n=1, a=1), _Interval(1, 1)}) == 2
 
 
 def test_record_hash_agrees_with_equality():

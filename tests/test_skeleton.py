@@ -60,8 +60,8 @@ def test_transition_pattern_dimension_four():
     for j in range(1, 5):
         t = atlas.transition(0, j)
         xj = v(f"x{j}")
-        rows_idx = atlas.charts[j].slots
-        cols_idx = atlas.charts[0].slots
+        rows_idx = atlas.slots(j)
+        cols_idx = atlas.slots(0)
         for rpos, m in enumerate(rows_idx):
             for cpos, k in enumerate(cols_idx):
                 entry = t[rpos][cpos]
@@ -97,7 +97,7 @@ def test_act_on_chart_zero_matches_weight_convention():
     assert expr.base[0] == (LP.const(1), 0)
     for k in (1, 2, 3):
         assert expr.base[k] == (v(f"x{k}"), -k)
-    for pos, m in enumerate(expr.fiber_slots):
+    for pos, m in enumerate(atlas.slots(0)):
         assert expr.fiber[pos] == (v(f"y{m}"), m)
 
 
@@ -111,7 +111,7 @@ def test_act_on_chart_two_dimension_three():
     assert expr.base[1] == (x1 * inv, 1)
     assert expr.base[2] == (LP.const(1), 0)
     assert expr.base[3] == (x3 * inv, -1)
-    assert expr.fiber_slots == (0, 1, 3)
+    assert atlas.slots(2) == (0, 1, 3)
     big = -(x1 * x2 * y1 + x2**2 * y2 + x2 * x3 * y3)
     assert expr.fiber[0] == (big, -2)
     assert expr.fiber[1] == (x2 * y1, -1)

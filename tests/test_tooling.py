@@ -1,6 +1,7 @@
 """Source-level checks that hold for every module of the package."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import skelcollar
 
 PACKAGE_DIR = Path(skelcollar.__file__).parent
+REPO_DIR = Path(__file__).parent.parent
 
 
 def test_no_assert_statements_in_package():
@@ -116,6 +118,22 @@ def test_settable_values_do_not_grow():
     assert len(found) <= SETTABLE_VALUES_CAP, found
 
 
+# a ratchet on value types: a record type may be folded into another
+# representation, and the cap lowered with it, but a new one needs the cap
+# raised on purpose
+RECORD_TYPES_CAP = 19
+
+
+def test_record_types_do_not_grow():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.name}:{node.name}" for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef)
+                     and any(_name(base) == "Record" for base in node.bases))
+    assert len(found) <= RECORD_TYPES_CAP, found
+
+
 def test_settable_value_count_reads_defaults_and_dataclass_fields():
     tree = ast.parse(
         "from dataclasses import dataclass\n"
@@ -183,7 +201,7 @@ def test_library_parameters_named_like_flags_have_no_default():
 # a ratchet on net source lines, as `wc -l src/skelcollar/*.py` counts them:
 # lines may be removed, and the cap lowered with them, but growth needs the
 # cap raised on purpose, with the reason given in CHANGES.md
-SOURCE_LINES_CAP = 3360
+SOURCE_LINES_CAP = 3316
 
 
 def test_source_lines_do_not_grow():
@@ -252,6 +270,58 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, adds):
     assert (result.returncode, result.stdout, result.stderr) == (0, f"0 {expected}\n", "")
 
 
+# span sites of bench/spans.py that stopped resolving before this check
+# existed (ROADMAP item 1): `duality_report` left the cli namespace and
+# `RatMatrix` was deleted; the benchmark reports them as missing boundaries
+STALE_SPAN_SITES = {"skelcollar.cli:duality_report", "skelcollar.exact:RatMatrix.kernel"}
+
+
+def _bench_span_sites():
+    """Every "module:attribute.path" of SPAN_SITES and COUNT_SITES, read
+    from the source of bench/spans.py without importing it."""
+    tree = ast.parse((REPO_DIR / "bench" / "spans.py").read_text(encoding="utf-8"))
+    return [
+        site
+        for node in tree.body
+        if isinstance(node, ast.Assign) and _name(node.targets[0]) in ("SPAN_SITES", "COUNT_SITES")
+        for sites in ast.literal_eval(node.value).values()
+        for site in sites
+    ]
+
+
+def _site_resolves(site):
+    """Whether the tracer can patch ``site``: it looks a class attribute up
+    in the class's own namespace and a module attribute by name."""
+    module_name, _, path = site.partition(":")
+    *owners, attr = path.split(".")
+    try:
+        owner = importlib.import_module(module_name)
+        for part in owners:
+            owner = getattr(owner, part)
+    except (ImportError, AttributeError):
+        return False
+    return attr in vars(owner) if isinstance(owner, type) else hasattr(owner, attr)
+
+
+def test_every_bench_span_site_resolves():
+    # a refactor that renames or moves a traced function would make the
+    # traced run read zero for it; only the two known stale sites may be
+    # missing, and each fails this test once it resolves again
+    sites = _bench_span_sites()
+    assert "skelcollar.deform:ext_class" in sites
+    missing = {site for site in sites if not _site_resolves(site)}
+    assert missing == STALE_SPAN_SITES & set(sites)
+
+
+def test_span_site_check_tells_resolving_from_missing():
+    assert _site_resolves("skelcollar.exact:LaurentPoly.__mul__")
+    assert _site_resolves("skelcollar.duality:verify_birational")
+    assert not _site_resolves("skelcollar.exact:LaurentPoly.no_such_method")
+    assert not _site_resolves("skelcollar.no_such_module:f")
+    # inherited, not defined on the class: the tracer cannot patch it there
+    assert not _site_resolves("skelcollar.bundles:BundleTransition.__eq__")
+
+
 BENCH_KEYS = {"commit", "python", "workloads", "seeds", "medians"}
 # from record 13 on, the readings that tell the harness from the program:
 # how many workers fit into a run, the fewest speed samples in a pass, and
@@ -263,7 +333,7 @@ def test_every_bench_record_names_its_runs():
     # each performance change commits BENCH_<n>.json at the repository root:
     # the commits compared, the interpreter, the workloads and seeds run, and
     # the parent -> change medians of every metric its CHANGES.md entry cites
-    records = sorted(Path(__file__).parent.parent.glob("BENCH_*.json"))
+    records = sorted(REPO_DIR.glob("BENCH_*.json"))
     assert records
     for path in records:
         record = json.loads(path.read_text(encoding="utf-8"))
