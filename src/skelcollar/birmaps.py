@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .exact import LaurentPoly, Record, VerificationFailed, ZeroIntoNegativePower
+from .exact import LaurentPoly, Record, VerificationFailed
 
 # exact homogeneous coordinates, one tuple per factor
 Point = tuple[tuple[int | Fraction, ...], ...]
@@ -42,16 +42,8 @@ Point = tuple[tuple[int | Fraction, ...], ...]
 Term = tuple[int | Fraction, tuple[tuple[int, int], ...]]
 
 
-class IndeterminacyHit(VerificationFailed, ValueError):
-    """Raised when a point lands on the locus where a map is undefined."""
-
-
-class DegenerateSampler(VerificationFailed, ValueError):
-    """Raised when every drawn sample hit an indeterminacy locus."""
-
-
-class IndexOutOfRange(ValueError):
-    """Raised for a skeleton step index with no next component."""
+class IndeterminacyHit(ValueError):
+    """A point on the locus where a map is undefined; the sampler redraws."""
 
 
 def _factor_vars(prefix: str, dim: int) -> tuple[str, ...]:
@@ -76,15 +68,15 @@ def _run_terms(terms: tuple[Term, ...], coords: Sequence[int | Fraction]) -> int
     """Value of a compiled component at ``coords``: the polynomial's value
     at the same point, term by term.  A term stops at its first zero
     factor in variable order, so a 0 under a negative power raises
-    ZeroIntoNegativePower only if no earlier factor is 0.  It is an int
-    when every input is one and no exponent is negative."""
+    ValueError only if no earlier factor is 0.  It is an int when every
+    input is one and no exponent is negative."""
     total = 0
     for value, factors in terms:
         for pos, e in factors:
             x = coords[pos]
             if not x:
                 if e < 0:
-                    raise ZeroIntoNegativePower(
+                    raise ValueError(
                         f"0 given at position {pos} which occurs with exponent {e}"
                     )
                 break
@@ -263,7 +255,7 @@ def bir_step(n: int, j: int) -> MapPair:
     line-bundle twist, which projectivizing absorbs; nothing is rescaled.
     """
     if not 0 < j + 1 < n:
-        raise IndexOutOfRange(f"no step from component {j} in dimension {n}")
+        raise ValueError(f"no step from component {j} in dimension {n}")
     down = product_to_projective(j, n - j - 1)
     up = product_to_projective(j + 1, n - j - 2)
     return MapPair(down.forward + up.inverse, up.forward + down.inverse)
@@ -380,7 +372,7 @@ def verify_birational(pair: MapPair, samples: int, seed: int) -> Verdict:
         if not resolved:
             skipped += 1
     if checked == 0:
-        raise DegenerateSampler(
+        raise VerificationFailed(
             f"all {samples} samples hit indeterminacy loci (even with retries)"
         )
     return Verdict(checked, skipped, tuple(failures))

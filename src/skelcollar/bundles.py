@@ -39,10 +39,6 @@ U_BASE = "z"
 U_FIBER = "u"
 
 
-class BoundTooSmall(VerificationFailed, RuntimeError):
-    """A degree window was too narrow for the answer to have stabilised."""
-
-
 def _z_power(e: int) -> LaurentPoly:
     return LaurentPoly.monomial({U_BASE: e})
 
@@ -216,7 +212,7 @@ def h0_twist(trans: BundleTransition, twist: int) -> int:
     algebra over the degree window z spread + |twist| + 1, at fiber degree 0.
 
     The window is doubled once as a self-check; a changed answer raises
-    BoundTooSmall instead of returning either value.
+    VerificationFailed instead of returning either value.
     """
     for row in trans.entries:
         for p in row:
@@ -226,7 +222,7 @@ def h0_twist(trans: BundleTransition, twist: int) -> int:
     first = _section_count(trans, twist, window)
     second = _section_count(trans, twist, 2 * window + 1)
     if first != second:
-        raise BoundTooSmall(
+        raise VerificationFailed(
             f"section count at twist {twist} moved from {first} to {second} "
             f"when the degree window grew past {window}"
         )
@@ -243,8 +239,9 @@ def splitting_type(trans: BundleTransition) -> tuple[int, int]:
     H0(E(m - 1)) into H0(E(m)).  So j is the last k with sections at
     twist -k, found by walking down from twist 0 until the first twist
     without sections; every twist below that one has none either and is
-    never counted.  The walk stops with BoundTooSmall at the degree cap
-    (z spread + 1), and the counts on -j..j must match the split pair.
+    never counted.  A unit determinant splits the bundle, so no section at
+    twist 0, sections past the degree cap (z spread + 1) or counts on -j..j
+    off the split pair are the counts' fault: VerificationFailed.
     """
     if trans.rank != 2:
         raise ValueError("splitting type is computed for rank-2 transitions")
@@ -261,19 +258,19 @@ def splitting_type(trans: BundleTransition) -> tuple[int, int]:
         return cache[m]
 
     if count(0) == 0:
-        raise ValueError("no sections at twist zero: determinant bookkeeping is off")
+        raise VerificationFailed("no sections at twist zero: determinant bookkeeping is off")
     j = 0
     while count(-(j + 1)) > 0:
         j += 1
         if j == cap:
-            raise BoundTooSmall(
+            raise VerificationFailed(
                 f"sections persist beyond the degree cap {cap}: "
                 f"twist {-cap} still has {count(-cap)}"
             )
     for m in range(-j, j + 1):
         expected = max(0, m + j + 1) + max(0, m - j + 1)
         if count(m) != expected:
-            raise ValueError(
+            raise VerificationFailed(
                 f"section counts do not match any split pair at twist {m}: "
                 f"found {count(m)}, the pair ({j}, {-j}) has {expected}"
             )

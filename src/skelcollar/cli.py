@@ -11,11 +11,11 @@ effective parameters (including the seed) so a result can be reproduced
 from the report alone; JSON reports carry the same data in a "config"
 object, and both keep a fixed cutoff key, auto, for compatibility with
 earlier reports.
-Exit codes: 0 on success, 2 for usage and input errors, 3 when a
-verification step fails or cannot stabilise (an `AssertionError` or an
-`exact.VerificationFailed`).  A call costs mostly this module's import, so
-it loads only `exact` and `bundles`; every other handler imports the
-library module it runs.
+Exit codes: 0 on success, 2 for usage and input errors (a `ValueError`
+among them), 3 when a check of the program's own answer fails or cannot
+stabilise (an `exact.VerificationFailed`).  A call costs mostly this
+module's import, so it loads only `exact` and `bundles`; every other
+handler imports the library module it runs.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .bundles import (
     moduli_dimension,
     picard_group,
     splitting_type,
+    zu_terms,
 )
 from .exact import LaurentPoly, VerificationFailed
 
@@ -525,9 +526,13 @@ SPLITTING_MAX_TERMS = 512
 # numerator and denominator: four bits a term at the term cap, above 510 small
 # fiber terms (1752 bits) and every golden and benchmark matrix (at most 62).
 # At the cap, two entries of 255 fiber terms were refused as not unit in 0.37 s
-# in-process on 2 vCPUs, but section counts still grow with the bits: 12 u-free
-# terms of 84-bit numerators and denominators at z spread 24 took 25 s
+# in-process on 2 vCPUs
 SPLITTING_MAX_COEFFICIENT_BITS = 2048
+# bounds the section counts, which see only the u-free terms: s^3 * (8 * terms
+# + bits) for their z spread s, fitted to timed [[z^s, p], [0, z^-s]] with
+# u-free p.  In-process on 2 vCPUs the slowest under the cap took 0.8 s
+# (s = 32, two 2-bit terms in p); benchmark requests need at most a third
+SPLITTING_MAX_COUNT_WORK = 1_500_000
 
 
 def _read_matrix_file(path: str) -> tuple[int, list[list[LaurentPoly]]]:
@@ -570,6 +575,12 @@ def _run_splitting(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
             f"the matrix has z exponents up to {trans.z_spread()} in absolute value, "
             f"over the cap of {SPLITTING_MAX_Z_SPREAD}"
         )
+    free = [(abs(e), c) for row in rows for p in row for e, m, c in zu_terms(p) if m == 0]
+    s = max((e for e, _ in free), default=0)
+    bits = sum(c.numerator.bit_length() + c.denominator.bit_length() for _, c in free)
+    _check_cap(s**3 * (8 * len(free) + bits), SPLITTING_MAX_COUNT_WORK,
+               f"the section counts on {len(free)} u-free terms of z spread {s} need "
+               f"{s}^3 * (8 * {len(free)} + {bits} bits)")
     pair = splitting_type(trans)
     lines = [f"splitting type: {pair}"]
     payload = {"n": trans.n, "splitting": list(pair)}
@@ -611,19 +622,19 @@ def _run_ext1(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     return EXIT_OK, payload, "\n".join(lines), None
 
 
-# bounds the section counts: the two endpoint checks and each tau read a
-# splitting type of at most t = j + s, from section counts at up to 2t + 2
-# twists over windows of up to 2t + 2 z-degrees; at the cap, --n 1 --j 13
-# took 0.6 s in-process on 2 vCPUs (taus 0 and 1, read from the endpoints, count too)
+# bounds the section counts: the two endpoint checks read a splitting type of
+# at most t = j + s, from section counts at up to 2t + 2 twists over windows
+# of up to 2t + 2 z-degrees, and every tau reads its type from them; at the
+# cap, --n 1 --j 20 took 0.3-0.5 s in-process on 2 vCPUs, with or without --taus
 DEFORM_MAX_SECTION_CELLS = 4_000
 
 
 def _run_deform(args: argparse.Namespace) -> tuple[int, dict, str, Figure]:
     from .deform import family_splitting_profile, index_step_family
     taus = args.taus if args.taus is not None else (Fraction(0), Fraction(1))
-    types, side = 2 + len(taus), max(0, 2 * (args.j + args.s) + 2)
-    _check_cap(types * side * side, DEFORM_MAX_SECTION_CELLS,
-               f"--n {args.n} --j {args.j} --s {args.s} needs {types} splitting types of "
+    side = max(0, 2 * (args.j + args.s) + 2)
+    _check_cap(2 * side * side, DEFORM_MAX_SECTION_CELLS,
+               f"--n {args.n} --j {args.j} --s {args.s} needs 2 splitting types of "
                f"{side} twists over windows of {side} z-degrees")
     family = index_step_family(args.n, args.j, args.s)
     profile = family_splitting_profile(family, taus)
@@ -681,9 +692,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(rendered)
-    # an AssertionError or a VerificationFailed is a failed check of the program's
-    # own answer: the program, not the input, is at fault, and the message names it
-    except (AssertionError, VerificationFailed) as exc:
+    # a VerificationFailed is a failed check of the program's own answer: the
+    # program, not the input, is at fault, and the message names it
+    except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (ValueError, OSError, KeyError, TypeError) as exc:

@@ -15,7 +15,8 @@ tau = 0 and lands at tau = 1 on splitting type
 min({-a : z^a u^0 is a term of p} | {j+s}).
 
 Every family, from a class or from the index step with corner z^(-j), goes
-through one builder that counts both endpoint splitting types.
+through one builder that counts both endpoint splitting types; a member at
+tau != 0 is conjugate to the tau = 1 member by a constant frame.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .bundles import U_BASE, U_FIBER, BundleTransition, splitting_type, zu_terms
-from .exact import LaurentPoly, Record, Scalar, VerificationFailed, as_fraction
-
-
-class ClassNotGeneric(VerificationFailed, ValueError):
-    """The class fails to represent a bundle of the declared splitting type."""
+from .exact import LaurentPoly, Record, Scalar, VerificationFailed
 
 
 def _check_pair(n: int, j: int) -> None:
@@ -96,7 +93,7 @@ def _family(n: int, j: int, s: int, entry: LaurentPoly, lands: int) -> Deformati
     top = j + s
     at_zero = splitting_type(BundleTransition.canonical(n, top))
     if at_zero != (top, -top):
-        raise AssertionError("the tau = 0 member must be split")
+        raise VerificationFailed("the tau = 0 member must be split")
     observed = splitting_type(BundleTransition.canonical(n, top, off=entry))
     if observed != (lands, -lands):
         free = [a for a, b, _ in zu_terms(entry) if b == 0]
@@ -106,7 +103,7 @@ def _family(n: int, j: int, s: int, entry: LaurentPoly, lands: int) -> Deformati
             why = f"its u-free terms z^a all have -a > j + s, so it stays at j + s = {top}"
         else:
             why = f"it has no u-free term, so it stays at j + s = {top}"
-        raise ClassNotGeneric(
+        raise VerificationFailed(
             f"class for (n={n}, j={j}) lands on splitting type "
             f"{observed[0]} at tau = 1, not {lands}: {why}"
         )
@@ -122,7 +119,7 @@ def deformation_family(n: int, j: int, p: LaurentPoly, s: int) -> DeformationFam
     class there.  At tau = 0 the matrix is split of type j+s.  At tau = 1
     the family lands on min({-a : z^a u^0 is a term of the class} | {j+s});
     a nonzero class must land on j, and any other value raises
-    ClassNotGeneric (reported, not repaired).  The zero class must land on
+    VerificationFailed (reported, not repaired).  The zero class must land on
     j+s, the split family.
     """
     entry = ext_class(n, j, p)
@@ -145,13 +142,9 @@ def index_step_family(n: int, j: int, s: int) -> DeformationFamily:
 def family_splitting_profile(
     family: DeformationFamily, taus: Sequence[Scalar]
 ) -> tuple[int, ...]:
-    """Splitting types at the sampled parameter values.  tau = 0 and tau = 1
-    are read from the ``endpoints`` the builder checked; every other value
-    counts the sections of its member [[z^(j+s), tau * p], [0, z^(-j-s)]]."""
-    checked = dict(zip((0, 1), family.endpoints))
-    top = family.j + family.s
-    return tuple(
-        checked[tau] if tau in checked
-        else splitting_type(BundleTransition.canonical(family.n, top, off=family.entry * tau))[0]
-        for tau in map(as_fraction, taus)
-    )
+    """Splitting types at the sampled parameter values, read from the
+    ``endpoints`` the builder checked: no section is counted.  The member at
+    tau is D M_1 D^-1 for the constant frame D = diag(tau, 1), which is
+    invertible for tau != 0, so every nonzero tau has the tau = 1 type."""
+    split, landed = family.endpoints
+    return tuple(landed if tau else split for tau in taus)

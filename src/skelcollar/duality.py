@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .birmaps import IndexOutOfRange, Verdict, bir_step, point_text, verify_birational
+from .birmaps import Verdict, bir_step, point_text, verify_birational
 from .deform import index_step_family
-from .exact import Record
+from .exact import Record, VerificationFailed
 from .skeleton import SkeletonComponent, skeleton
 from .toric import (
     QuotientSingularity,
@@ -39,7 +39,7 @@ def dual_of_lagrangian(n: int, j: int) -> tuple[int, int]:
     """Collar residue pair assigned to skeleton component j."""
     _check_collar(n)
     if not 0 <= j <= n - 1:
-        raise IndexOutOfRange(f"no skeleton component {j} for collar parameter {n}")
+        raise ValueError(f"no skeleton component {j} for collar parameter {n}")
     return (j % n, (-j) % n)
 
 
@@ -71,7 +71,7 @@ def square_check(n: int, j: int, samples: int, seed: int) -> SquareReport:
     family endpoints, which must step the collar splitting from j+1 to j."""
     _check_collar(n)
     if not 0 <= j <= n - 2:
-        raise IndexOutOfRange(f"no square at index {j} for collar parameter {n}")
+        raise ValueError(f"no square at index {j} for collar parameter {n}")
     bir_verdict = verify_birational(bir_step(n, j), samples, seed)
     def_endpoints = index_step_family(n, j, 1).endpoints
 
@@ -172,7 +172,7 @@ def _check_toric_leg(n: int, components: int) -> None:
     )
     for statement, holds in legs:
         if not holds:
-            raise AssertionError(f"toric leg at n = {n}: expected {statement}")
+            raise VerificationFailed(f"toric leg at n = {n}: expected {statement}")
 
 
 def duality_report(n: int, samples: int, seed: int) -> DualityReport:
@@ -181,10 +181,10 @@ def duality_report(n: int, samples: int, seed: int) -> DualityReport:
         raise ValueError(f"the report needs a collar parameter of at least 2, got {n!r}")
     components = skeleton(n - 1)
     if len(components) != n:
-        raise AssertionError("skeleton side must have exactly n components")
+        raise VerificationFailed("skeleton side must have exactly n components")
     _check_toric_leg(n, len(components))
     entries = tuple(DualityEntry(c, dual_of_lagrangian(n, c.j)) for c in components)
     if sorted(e.collar_pair[0] for e in entries) != list(range(n)):
-        raise AssertionError("collar side must cover every residue class once")
+        raise VerificationFailed("collar side must cover every residue class once")
     squares = tuple(square_check(n, j, samples, seed) for j in range(n - 1))
     return DualityReport(n=n, entries=entries, squares=squares)

@@ -27,6 +27,9 @@ Everything downstream is built from these pieces.
   pivot rows into a reduced kernel basis, visiting only the rows that
   touch a column already solved.  Section counts and certificate
   searches are its only callers; there is no dense rational matrix.
+* Errors are of two kinds across the package: a refused input raises
+  ``ValueError``, and a failed check of the program's own answer raises
+  ``VerificationFailed``, which is not a ``ValueError``.
 
 No floating point is used anywhere.
 """
@@ -36,14 +39,6 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
-
-
-class ZeroIntoNegativePower(ValueError):
-    """Raised when 0 is substituted into a variable with a negative exponent."""
-
-
-class NotInvertible(ValueError):
-    """Raised when inverting a Laurent polynomial that is not a single term."""
 
 
 class VerificationFailed(Exception):
@@ -294,7 +289,7 @@ class LaurentPoly:
 
     def inverse(self) -> "LaurentPoly":
         if len(self.terms) != 1:
-            raise NotInvertible(f"not a unit monomial: {self}")
+            raise ValueError(f"not a unit monomial: {self}")
         ((exps, coeff),) = self.terms.items()
         return LaurentPoly._from_canonical(
             self.variables, {tuple(-e for e in exps): _ONE / coeff}
@@ -334,7 +329,7 @@ class LaurentPoly:
         """Substitute polynomials for variables, exactly.
 
         A binding raised to a negative exponent must be invertible: zero
-        raises ZeroIntoNegativePower, a non-monomial raises NotInvertible.
+        or a non-monomial raises ValueError.
         """
         bound = {v: self._coerce(p) for v, p in bindings.items()}
         total = LaurentPoly.zero()
@@ -347,7 +342,7 @@ class LaurentPoly:
                     repl = bound[v]
                     if repl.is_zero:
                         if e < 0:
-                            raise ZeroIntoNegativePower(
+                            raise ValueError(
                                 f"0 substituted for {v} which occurs with exponent {e}"
                             )
                         acc = LaurentPoly.zero()

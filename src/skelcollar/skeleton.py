@@ -26,12 +26,7 @@ Conventions, fixed once and used by every routine here:
 
 from __future__ import annotations
 
-from .exact import LaurentPoly, PolyMatrix, Record, poly_mat_identity
-
-
-class UnrecognizedForm(ValueError):
-    """Raised when a stable manifold does not reduce to coordinate vanishing
-    or its fiber transitions are not monomial-diagonal."""
+from .exact import LaurentPoly, PolyMatrix, Record, VerificationFailed, poly_mat_identity
 
 
 def base_name(k: int) -> str:
@@ -146,7 +141,7 @@ class SkeletonComponent(Record):
 
     def __post_init__(self) -> None:
         if len(self.free_base) + len(self.free_fiber) != self.n:
-            raise AssertionError("component is not middle-dimensional")
+            raise VerificationFailed("component is not middle-dimensional")
 
     def shape_json(self) -> dict:
         j, n = self.j, self.n
@@ -179,7 +174,7 @@ def _reduce_constraints(
 
     Substitute known zeros, strip invertible-monomial factors, promote
     single-variable equations; anything that cannot be resolved this way
-    raises UnrecognizedForm rather than guessing.
+    raises VerificationFailed rather than guessing.
     """
     forced: set[str] = set()
     pending = [p for p in constraints]
@@ -194,7 +189,7 @@ def _reduce_constraints(
                 progressed = True
                 continue
             if p.is_constant:
-                raise UnrecognizedForm("constraint reduced to a nonzero constant")
+                raise VerificationFailed("constraint reduced to a nonzero constant")
             if p.is_monomial():
                 ((exps, _),) = p.terms.items()
                 live = [v for v, e in zip(p.variables, exps) if e != 0]
@@ -202,7 +197,7 @@ def _reduce_constraints(
                     forced.add(live[0])
                     progressed = True
                     continue
-                raise UnrecognizedForm(
+                raise VerificationFailed(
                     f"monomial constraint {p} forces a reducible locus"
                 )
             still_pending.append(p)
@@ -210,21 +205,21 @@ def _reduce_constraints(
         if not pending:
             return frozenset(forced)
         if not progressed:
-            raise UnrecognizedForm(
+            raise VerificationFailed(
                 f"constraint reduction stalled with {len(pending)} equations left"
             )
 
 
 def classify_component(atlas: CotangentAtlas, j: int, forced: frozenset[str]) -> None:
     """Certify the shape `SkeletonComponent` derives from (j, n), or raise
-    UnrecognizedForm: the forced set must be the base slots above j and the
+    VerificationFailed: the forced set must be the base slots above j and the
     fiber slots up to j, and the surviving fiber block of each transition
     the gluing coordinate times the identity (each summand twists by -1)."""
     n = atlas.n
     base_zero = {base_name(k) for k in range(j + 1, n + 1)}
     fiber_zero = {fiber_name(k) for k in range(1, j + 1)}
     if forced != base_zero | fiber_zero:
-        raise UnrecognizedForm(
+        raise VerificationFailed(
             f"forced set {sorted(forced)} does not match a recognized component shape"
         )
     surviving = range(j + 1, n + 1)
@@ -238,11 +233,11 @@ def classify_component(atlas: CotangentAtlas, j: int, forced: frozenset[str]) ->
                 entry = row[col_pos]
                 if col_slot == k:
                     if entry != glue:
-                        raise UnrecognizedForm(
+                        raise VerificationFailed(
                             f"fiber coordinate {k} does not glue by the degree-one monomial"
                         )
                 elif not entry.is_zero:
-                    raise UnrecognizedForm("surviving fiber block is not diagonal")
+                    raise VerificationFailed("surviving fiber block is not diagonal")
 
 
 def stable_manifold(atlas: CotangentAtlas, j: int) -> SkeletonComponent:
@@ -281,7 +276,7 @@ def skeleton(n: int) -> list[SkeletonComponent]:
     The weights are fixed because no other choice gives another answer.
     Strictly increasing positive weights, such as (2, 5, 9), give the same
     forced sets and shapes; any other vector leaves a forced set
-    that `classify_component` rejects with UnrecognizedForm.  At n = 3,
+    that `classify_component` rejects with VerificationFailed.  At n = 3,
     of the 336 vectors of distinct nonzero weights in -4..4, the 4
     increasing positive ones gave this answer and the other 332 raised.
     For -1, 2, 3 the fiber component sits over [0:1:0:0], outside chart 0,

@@ -24,13 +24,9 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .exact import Record
+from .exact import Record, VerificationFailed
 
 Vec = tuple[int, int]
-
-
-class InvalidInput(ValueError):
-    """Raised when numeric input violates a stated precondition."""
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -55,7 +51,7 @@ def _cross(v: Vec, w: Vec) -> int:
 def _primitive(v: Vec) -> Vec:
     g = gcd(v[0], v[1])
     if g == 0:
-        raise InvalidInput("zero vector is not a ray")
+        raise ValueError("zero vector is not a ray")
     return (v[0] // g, v[1] // g)
 
 
@@ -67,15 +63,15 @@ class QuotientSingularity(Record):
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise InvalidInput(f"order must be positive, got {self.n}")
+            raise ValueError(f"order must be positive, got {self.n}")
         if self.n == 1:
             if self.a != 1:
-                raise InvalidInput("the trivial group has weight 1 by convention")
+                raise ValueError("the trivial group has weight 1 by convention")
             return
         if not 1 <= self.a < self.n:
-            raise InvalidInput(f"weight must satisfy 1 <= a < n, got a={self.a}, n={self.n}")
+            raise ValueError(f"weight must satisfy 1 <= a < n, got a={self.a}, n={self.n}")
         if gcd(self.a, self.n) != 1:
-            raise InvalidInput(f"weight {self.a} not coprime to order {self.n}")
+            raise ValueError(f"weight {self.a} not coprime to order {self.n}")
 
 
 class Cone2D(Record):
@@ -86,10 +82,10 @@ class Cone2D(Record):
 
     def __post_init__(self) -> None:
         if _cross(self.ray1, self.ray2) <= 0:
-            raise InvalidInput("rays must be independent and counterclockwise")
+            raise ValueError("rays must be independent and counterclockwise")
         for v in (self.ray1, self.ray2):
             if gcd(v[0], v[1]) != 1:
-                raise InvalidInput(f"ray {v} is not primitive")
+                raise ValueError(f"ray {v} is not primitive")
 
     @property
     def rays(self) -> tuple[Vec, Vec]:
@@ -153,7 +149,7 @@ def hj_expansion(n: int, q: int) -> list[int]:
     exactly.
     """
     if not (0 < q < n) or gcd(n, q) != 1:
-        raise InvalidInput(f"need 0 < q < n coprime, got n={n}, q={q}")
+        raise ValueError(f"need 0 < q < n coprime, got n={n}, q={q}")
     out: list[int] = []
     while True:
         a = -((-n) // q)  # ceil(n / q)
@@ -167,7 +163,7 @@ def hj_length(n: int, q: int) -> int:
     """len(hj_expansion(n, q)) in O(log n) steps: each odd-position term of the
     regular continued fraction of n/q counts 1, each even-position term c counts c - 1."""
     if not (0 < q < n) or gcd(n, q) != 1:
-        raise InvalidInput(f"need 0 < q < n coprime, got n={n}, q={q}")
+        raise ValueError(f"need 0 < q < n coprime, got n={n}, q={q}")
     length, odd = 0, True
     while q:
         length += 1 if odd else n // q - 1
@@ -216,7 +212,7 @@ def minimal_resolution(s: QuotientSingularity) -> ResolutionChain:
         prev, cur = chain[-2], chain[-1]
         chain.append((c * cur[0] - prev[0], c * cur[1] - prev[1]))
     if chain[-1] != (-a, n):
-        raise AssertionError("recurrence did not close up on the far ray")
+        raise VerificationFailed("recurrence did not close up on the far ray")
     interior = chain[1:-1]
     if a == n - 1 and n >= 3:
         # move from template coordinates into the stored cone ((n,1),(0,1))

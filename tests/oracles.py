@@ -26,7 +26,6 @@ from itertools import product
 from math import gcd, lcm
 
 from skelcollar.birmaps import (
-    DegenerateSampler,
     IndeterminacyHit,
     MapPair,
     RationalMap,
@@ -36,8 +35,8 @@ from skelcollar.birmaps import (
     projectively_equal,
     segre,
 )
-from skelcollar.bundles import BoundTooSmall, BundleTransition, U_BASE, h0_twist
-from skelcollar.exact import LaurentPoly, ZeroIntoNegativePower, poly_mat_mul
+from skelcollar.bundles import BundleTransition, U_BASE, h0_twist
+from skelcollar.exact import LaurentPoly, VerificationFailed, poly_mat_mul
 
 
 def int_rows(rows):
@@ -121,7 +120,7 @@ def evaluate(poly, values):
     """Value of ``poly`` at the name-to-number mapping ``values``, as a
     Fraction.  A term stops at its first zero value under a positive
     power, in the polynomial's variable order; a zero under a negative
-    power raises ZeroIntoNegativePower."""
+    power raises ValueError."""
     total = Fraction(0)
     for exps, coeff in poly.terms.items():
         term = coeff
@@ -133,7 +132,7 @@ def evaluate(poly, values):
             x = Fraction(values[v])
             if not x:
                 if e < 0:
-                    raise ZeroIntoNegativePower(f"0 given for {v} which occurs with exponent {e}")
+                    raise ValueError(f"0 given for {v} which occurs with exponent {e}")
                 term = Fraction(0)
                 break
             term *= x**e
@@ -178,7 +177,7 @@ def verify_birational(pair, samples=100, seed=1, retries=10):
         else:
             skipped += 1
     if checked == 0:
-        raise DegenerateSampler(f"all {samples} samples hit indeterminacy loci")
+        raise VerificationFailed(f"all {samples} samples hit indeterminacy loci")
     return Verdict(checked, skipped, tuple(failures))
 
 
@@ -211,13 +210,13 @@ def full_walk_splitting_type(trans, counts=None):
         return cache[m]
 
     if count(-cap) > 0:
-        raise BoundTooSmall(f"sections persist beyond the degree cap {cap}")
+        raise VerificationFailed(f"sections persist beyond the degree cap {cap}")
     if count(0) == 0:
-        raise ValueError("no sections at twist zero: determinant bookkeeping is off")
+        raise VerificationFailed("no sections at twist zero: determinant bookkeeping is off")
     j = max(m for m in range(cap + 1) if count(-m) > 0)
     for m in range(-j, j + 1):
         if count(m) != max(0, m + j + 1) + max(0, m - j + 1):
-            raise ValueError(f"section counts do not match any split pair at twist {m}")
+            raise VerificationFailed(f"section counts do not match any split pair at twist {m}")
     return (j, -j)
 
 
@@ -413,17 +412,13 @@ def picard_order(pic, a):
     return order
 
 
-class NotAPair(ValueError):
-    """Collar residues that are not mutually inverse mod n."""
-
-
 def dual_of_bundle_pair(n, residues):
     """Skeleton index recovered from a collar residue pair (r, -r mod n)."""
     r1, r2 = residues
     if not (0 <= r1 < n and 0 <= r2 < n):
         raise ValueError(f"residues must lie in 0..{n - 1}, got {tuple(residues)}")
     if (r1 + r2) % n != 0:
-        raise NotAPair(f"residues {tuple(residues)} are not negatives mod {n}")
+        raise ValueError(f"residues {tuple(residues)} are not negatives mod {n}")
     return r1
 
 

@@ -8,8 +8,10 @@ round trip between emitted JSON and the library's own readers.
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+import pkgutil
 import signal
 import time
 from fractions import Fraction
@@ -22,7 +24,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from skelcollar import birmaps, bundles, cli, deform, duality, toric
+import skelcollar
+from skelcollar import birmaps, bundles, cli, deform, duality, skeleton, toric
 from skelcollar.birmaps import point_text, projectively_equal
 from skelcollar.bundles import BundleTransition, splitting_type
 from skelcollar.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
@@ -381,6 +384,62 @@ def test_splitting_at_the_coefficient_cap_is_answered(capsys, tmp_path):
     assert result[2] == "error: the matrix coefficients have 2049 bits, over the cap of 2048\n"
 
 
+def _load_bench_workloads():
+    """bench/workloads.py, loaded from its file: it builds the benchmark's
+    requests from the standard library alone."""
+    path = Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_splitting_request_is_under_the_count_cap(capsys, monkeypatch, tmp_path):
+    # up to ten u-free terms at spread 10, one at spread 24, 7 bits a coefficient
+    counted = []
+    monkeypatch.setattr(cli, "splitting_type", lambda trans: counted.append(trans) or (0, 0))
+    workloads = _load_bench_workloads()
+    path = tmp_path / "request.json"
+    requests = [req for seed in range(1, 51) for req in workloads.build("splitting", seed)]
+    report = "# skelcollar splitting | seed=1 cutoff=auto\nsplitting type: (0, 0)\n"
+    for req in requests:
+        path.write_text(json.dumps(req["matrix"]))
+        assert run(capsys, ["splitting", "--matrix", str(path)]) == (EXIT_OK, report, "")
+    assert len(counted) == len(requests) == 500
+
+
+def test_splitting_over_the_count_cap_exits_2_before_counting(capsys, monkeypatch, tmp_path):
+    # twelve u-free terms z^-13 .. z^-24 of 31- and 32-bit numerators and
+    # denominators: their section counts took 7 s in-process on 2 vCPUs
+    counted = []
+    monkeypatch.setattr(cli, "splitting_type", lambda trans: counted.append(trans))
+    p = LaurentPoly(("z",), {(-e,): Fraction((1 << 31) + 2 * e + 1, (1 << 31) + 2 * e * e + 1)
+                             for e in range(13, 25)})
+    path = _write_matrix(tmp_path / "probe.json", 1, BundleTransition.canonical(1, 24, p).entries)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["splitting", "--matrix", path])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, counted) == (EXIT_USAGE, "", [])
+    assert err == ("error: the section counts on 14 u-free terms of z spread 24 need "
+                   "24^3 * (8 * 14 + 756 bits), 11999232 cells, over the cap of 1500000\n")
+
+
+def test_splitting_at_the_count_cap_is_answered(capsys, tmp_path):
+    # z^10, z^-10 and c z^-1 with a 1471-bit c: 10^3 * (8 * 3 + 4 + 1472) is the
+    # cap, and one more bit goes over it; fiber terms do not count
+    for c, code, report in [
+        (1 << 1470, EXIT_OK, "splitting type: (1, -1)\n"),
+        (1 << 1471, EXIT_USAGE, ""),
+    ]:
+        off = LaurentPoly(("u", "z"), {(0, -1): c, (1, 5): 3})
+        path = _write_matrix(tmp_path / "at_cap.json", 1,
+                             BundleTransition.canonical(1, 10, off).entries)
+        result = run(capsys, ["splitting", "--matrix", path])
+        assert (result[0], result[1].partition("\n")[2]) == (code, report)
+    assert result[2] == ("error: the section counts on 3 u-free terms of z spread 10 need "
+                         "10^3 * (8 * 3 + 1477 bits), 1501000 cells, over the cap of 1500000\n")
+
+
 def _skewed_counts(monkeypatch, skew):
     """Route bundles.h0_twist through skew(twist, count)."""
     real = bundles.h0_twist
@@ -390,13 +449,14 @@ def _skewed_counts(monkeypatch, skew):
 
 
 def test_splitting_profile_mismatch_names_its_witness(capsys, monkeypatch):
-    # twist3 splits as (1, -1): twist 1 has 3 + 1 = 4 sections, reported as 5
+    # twist3 splits as (1, -1): twist 1 has 3 + 1 = 4 sections, reported as 5;
+    # the unit determinant makes any transition split, so the counts are at fault
     _skewed_counts(monkeypatch, lambda twist, count: count + 1 if twist == 1 else count)
     for fmt in ("text", "json"):
         code, out, err = run(capsys, golden_argv("splitting_matrix-twist3", fmt))
-        assert (code, out) == (EXIT_USAGE, "")
+        assert (code, out) == (EXIT_VERIFY, "")
         assert err == (
-            "error: section counts do not match any split pair at twist 1: "
+            "verification failed: section counts do not match any split pair at twist 1: "
             "found 5, the pair (1, -1) has 4\n"
         )
 
@@ -455,8 +515,8 @@ def test_ext1_takes_no_cutoff(capsys):
 @pytest.mark.parametrize("n,j,entry", [(1, 3, "z^-3"), (2, 0, "1")])
 def test_default_deform_profile_reuses_the_checked_endpoints(capsys, monkeypatch, n, j, entry):
     # the builder checks tau = 0 and tau = 1 (for j = 0 the corner z^0 is 1);
-    # the report reads them from family.endpoints, default or passed in
-    # --taus, and counts only the other taus
+    # the report reads every tau from family.endpoints, default or passed in
+    # --taus, and counts no other member
     calls = []
     real = deform.splitting_type
     monkeypatch.setattr(deform, "splitting_type", lambda trans: calls.append(1) or real(trans))
@@ -470,7 +530,7 @@ def test_default_deform_profile_reuses_the_checked_endpoints(capsys, monkeypatch
     lines = [f"family entry: {entry}", f"tau = 0: splitting {j + 1}", f"tau = 1: splitting {j}"]
     third = f"tau = 1/3: splitting {j}"
     assert counted == [
-        (0, lines), (0, lines), (1, lines + [third]), (1, [lines[0], third, lines[2], lines[1], lines[2]]),
+        (0, lines), (0, lines), (0, lines + [third]), (0, [lines[0], third, lines[2], lines[1], lines[2]]),
     ]
 
 
@@ -845,8 +905,8 @@ def test_resolve_at_the_matrix_cap_is_answered(capsys):
          "--n 1 --j 300 needs a basis window of 599 fiber levels of up to 599 monomials, "
          "358801 cells, over the cap of 20000"),
         (["deform", "--n", "1", "--j", "200"],
-         "--n 1 --j 200 --s 1 needs 4 splitting types of 404 twists over windows of 404 "
-         "z-degrees, 652864 cells, over the cap of 4000"),
+         "--n 1 --j 200 --s 1 needs 2 splitting types of 404 twists over windows of 404 "
+         "z-degrees, 326432 cells, over the cap of 4000"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -870,8 +930,9 @@ def test_work_over_the_cap_exits_2(capsys, argv, error, fmt):
          cli.BIRMAP_MAX_SEGRE_CELLS),
         # fiber levels 0..140 carry 141, 140, ..., 1 basis monomials
         (["ext1", "--n", "1", "--j", "71"], 141 * 141, cli.EXT1_MAX_WINDOW_CELLS),
-        # the endpoints and 8 taus read splitting types of at most 9
-        (["deform", "--n", "1", "--j", "8", "--taus", "0,1,1/2,2,3,1/3,5,-1"], 10 * 20 * 20,
+        # the two endpoints read splitting types of at most 21, and the 8 taus
+        # read theirs from them
+        (["deform", "--n", "1", "--j", "20", "--taus", "0,1,1/2,2,3,1/3,5,-1"], 2 * 44 * 44,
          cli.DEFORM_MAX_SECTION_CELLS),
     ],
 )
@@ -889,7 +950,7 @@ def test_work_at_the_cap_is_answered(capsys, argv, cells, cap):
     elif argv[0] == "ext1":
         assert doc["dimension"] == 141 * 142 // 2
     elif argv[0] == "deform":
-        assert [p["splitting"] for p in doc["profile"]] == [9, 8, 8, 8, 8, 8, 8, 8]
+        assert [p["splitting"] for p in doc["profile"]] == [21, 20, 20, 20, 20, 20, 20, 20]
     else:
         assert (doc["passed"], doc["checked"]) == (True, int(argv[-1]))
 
@@ -1011,6 +1072,10 @@ def test_failed_duality_square_names_its_first_witness(capsys, monkeypatch):
     assert all(f"first at {drawn}, which comes back as (" in f for f in failures)
 
 
+_REDUCE_CONSTRAINTS, _SKELETON = skeleton._reduce_constraints, duality.skeleton
+_NO_SECTIONS = "no sections at twist zero: determinant bookkeeping is off"
+
+
 @pytest.mark.parametrize(
     "argv,module,name,stub,statement",
     [
@@ -1019,50 +1084,81 @@ def test_failed_duality_square_names_its_first_witness(capsys, monkeypatch):
         (["collar", "pic", "--n", "3"], bundles, "collar_iso_certificate",
          lambda m1, m2: None, "classes 0 and 0 share residue 0 mod 3, but the monomial "
          "frames v side 1, u side 1 fail the certificate check"),
+        # every stable manifold also forces x1
+        (["skeleton", "--n", "3"], skeleton, "_reduce_constraints",
+         lambda constraints, units: _REDUCE_CONSTRAINTS(constraints, units) | {"x1"},
+         "forced set ['x1', 'x2', 'x3', 'y1'] does not match a recognized component shape"),
+        (["duality", "--n", "3"], skeleton, "_reduce_constraints",
+         lambda constraints, units: _REDUCE_CONSTRAINTS(constraints, units) | {"x1"},
+         "forced set ['x1', 'x2', 'y1'] does not match a recognized component shape"),
+        # a unit determinant makes every transition split, with sections at twist 0
+        (["splitting", "--matrix", str(MATRIX_DIR / "twist3.json")], bundles, "h0_twist",
+         lambda trans, twist: 0, _NO_SECTIONS),
+        (["duality", "--n", "3"], bundles, "h0_twist", lambda trans, twist: 0, _NO_SECTIONS),
+        (["duality", "--n", "3"], duality, "skeleton", lambda n: _SKELETON(n)[:-1],
+         "skeleton side must have exactly n components"),
+        (["duality", "--n", "3"], duality, "dual_of_lagrangian", lambda n, j: (0, 0),
+         "collar side must cover every residue class once"),
+        (["deform", "--n", "2", "--j", "1"], deform, "splitting_type", lambda trans: (0, 0),
+         "the tau = 0 member must be split"),
+        (["resolve", "--n", "5", "--a", "2"], toric, "hj_expansion", lambda n, q: [2, 3],
+         "recurrence did not close up on the far ray"),
     ],
-    ids=["toric-leg", "picard-certificate"],
+    ids=["toric-leg", "picard-certificate", "skeleton-forced-set", "duality-forced-set",
+         "splitting-no-sections", "duality-no-sections", "duality-skeleton-side",
+         "duality-collar-side", "deform-split-member", "resolve-recurrence"],
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_failed_check_inside_a_report_exits_3(capsys, monkeypatch, argv, module, name, stub,
                                                  statement, fmt):
-    # the program, not the input, is at fault: exit 3 with the statement, no traceback
+    # the program, not the input, is at fault: exit 3 with the statement, no
+    # traceback; no input reaches these checks
     monkeypatch.setattr(module, name, stub)
     code, out, err = run(capsys, argv + ["--format", fmt])
     assert (code, out, err) == (EXIT_VERIFY, "", f"verification failed: {statement}\n")
 
 
-# each library check that can fail on the program's own answer, its former
-# base, and a call that raises it from the handler's own module lookup
+# each library check that can fail on the program's own answer, named by the
+# subclass and base it raised before every such check raised VerificationFailed
+# itself, and a call that raises it from the handler's own module lookup
 _VERIFICATION_FAILURES = [
-    (bundles.BoundTooSmall, RuntimeError,
+    ("BoundTooSmall", RuntimeError,
      ["splitting", "--matrix", str(MATRIX_DIR / "twist3.json")], cli, "splitting_type"),
-    (deform.ClassNotGeneric, ValueError, ["deform", "--n", "2", "--j", "1"],
+    ("ClassNotGeneric", ValueError, ["deform", "--n", "2", "--j", "1"],
      deform, "index_step_family"),
-    (birmaps.IndeterminacyHit, ValueError, ["birstep", "--n", "3", "--j", "0"],
-     birmaps, "verify_birational"),
-    (birmaps.DegenerateSampler, ValueError, ["birmap", "--a", "1", "--b", "1"],
+    ("DegenerateSampler", ValueError, ["birmap", "--a", "1", "--b", "1"],
      birmaps, "product_to_projective"),
 ]
 
 
-def test_every_verification_failure_keeps_its_former_base():
-    # an `except` or `pytest.raises` on the former base still catches each one
-    for cls, base, *_ in _VERIFICATION_FAILURES:
-        assert issubclass(cls, base), cls
-    assert set(VerificationFailed.__subclasses__()) == {f[0] for f in _VERIFICATION_FAILURES}
+def test_the_package_defines_two_exception_types():
+    # a failed check raises VerificationFailed (exit 3) and a refused input a
+    # ValueError (exit 2); IndeterminacyHit is a ValueError the sampler catches
+    found = {}
+    for info in pkgutil.iter_modules(skelcollar.__path__):
+        module = importlib.import_module(f"skelcollar.{info.name}")
+        found.update((obj.__name__, obj) for obj in vars(module).values()
+                     if isinstance(obj, type) and issubclass(obj, BaseException)
+                     and obj.__module__ == module.__name__)
+    assert found == {"VerificationFailed": VerificationFailed,
+                     "IndeterminacyHit": birmaps.IndeterminacyHit}
+    assert [cls for cls in found.values()
+            if issubclass(cls, VerificationFailed) and issubclass(cls, ValueError)] == []
 
 
-@pytest.mark.parametrize("cls,base,argv,module,name", _VERIFICATION_FAILURES,
+@pytest.mark.parametrize("former,base,argv,module,name", _VERIFICATION_FAILURES,
                          ids=lambda v: v.__name__ if isinstance(v, type) else None)
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_a_verification_failure_from_the_library_exits_3(capsys, monkeypatch, cls, base, argv,
-                                                         module, name, fmt):
+def test_a_verification_failure_from_the_library_exits_3(capsys, monkeypatch, former, base,
+                                                         argv, module, name, fmt):
     def failing(*args, **kwargs):
-        raise cls(f"stub {cls.__name__}")
+        raise VerificationFailed(f"stub {former}")
 
     monkeypatch.setattr(module, name, failing)
     code, out, err = run(capsys, argv + ["--format", fmt])
-    assert (code, out, err) == (EXIT_VERIFY, "", f"verification failed: stub {cls.__name__}\n")
+    assert (code, out, err) == (EXIT_VERIFY, "", f"verification failed: stub {former}\n")
+    # the former base no longer catches it, so it cannot pass for a refused input
+    assert not issubclass(VerificationFailed, base)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

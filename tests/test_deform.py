@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from skelcollar.bundles import BundleTransition, splitting_type, zu_terms
 from skelcollar.deform import (
-    ClassNotGeneric,
     DeformationFamily,
     deformation_family,
     ext1_basis,
@@ -17,7 +16,7 @@ from skelcollar.deform import (
     family_splitting_profile,
     index_step_family,
 )
-from skelcollar.exact import LaurentPoly as LP
+from skelcollar.exact import LaurentPoly as LP, VerificationFailed
 
 from oracles import dense_echelon
 
@@ -274,6 +273,19 @@ def test_family_profile_constant_off_zero():
 def test_family_exact_at_tiny_parameter():
     fam = deformation_family(1, 1, mono(-1), 1)
     assert family_splitting_profile(fam, (Fraction(1, 10**9),)) == (1,)
+    assert member_splitting(fam, Fraction(1, 10**9)) == (1, -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(1, 2), st.booleans(),
+       st.fractions(-10, 10, max_denominator=10).filter(bool))
+def test_every_nonzero_tau_counts_the_tau_one_type(n, j, s, zero_class, tau):
+    # the member at tau is D M_1 D^-1 with D = diag(tau, 1): counting its
+    # sections gives the type the profile reads from the endpoints
+    fam = deformation_family(n, j, LP.zero(), s) if zero_class else index_step_family(n, j, s)
+    landed = fam.endpoints[1]
+    assert member_splitting(fam, tau) == (landed, -landed)
+    assert family_splitting_profile(fam, (tau, 0)) == (landed, j + s)
 
 
 def test_zero_class_family_stays_split():
@@ -284,7 +296,7 @@ def test_zero_class_family_stays_split():
 
 def test_shallow_class_is_rejected():
     # z^-1 deforms to splitting 1, not the declared 2
-    with pytest.raises(ClassNotGeneric, match=re.escape(
+    with pytest.raises(VerificationFailed, match=re.escape(
         "class for (n=2, j=2) lands on splitting type 1 at tau = 1, not 2: "
         "its u-free term z^-1 sets the type to 1"
     )):
@@ -293,13 +305,13 @@ def test_shallow_class_is_rejected():
 
 def test_deep_class_is_rejected():
     # z^-3 pins splitting 3 even inside the wider matrix
-    with pytest.raises(ClassNotGeneric, match=re.escape(
+    with pytest.raises(VerificationFailed, match=re.escape(
         "class for (n=1, j=2) lands on splitting type 3 at tau = 1, not 2: "
         "its u-free term z^-3 sets the type to 3"
     )):
         deformation_family(1, 2, mono(-3), 1)
     # z^-5 lies below z^-(j+s), so the family keeps its top exponent 4
-    with pytest.raises(ClassNotGeneric, match=re.escape(
+    with pytest.raises(VerificationFailed, match=re.escape(
         "class for (n=1, j=3) lands on splitting type 4 at tau = 1, not 3: "
         "its u-free terms z^a all have -a > j + s, so it stays at j + s = 4"
     )):
@@ -308,7 +320,7 @@ def test_deep_class_is_rejected():
 
 def test_fiber_class_is_rejected():
     # a representative divisible by u dies along the zero section
-    with pytest.raises(ClassNotGeneric, match=re.escape(
+    with pytest.raises(VerificationFailed, match=re.escape(
         "class for (n=2, j=2) lands on splitting type 3 at tau = 1, not 2: "
         "it has no u-free term, so it stays at j + s = 3"
     )):
@@ -363,7 +375,7 @@ def test_induction_chain_over_basis_elements():
                         assert family_splitting_profile(fam, (0, 1)) == (j + s, j)
                         generic_seen += 1
                     else:
-                        with pytest.raises(ClassNotGeneric):
+                        with pytest.raises(VerificationFailed, match="at tau = 1, not "):
                             deformation_family(n, j, m, s)
                 assert generic_seen >= 1
 

@@ -5,9 +5,8 @@ import re
 
 import pytest
 
-from oracles import NotAPair, dual_of_bundle_pair
+from oracles import dual_of_bundle_pair
 from skelcollar import deform, duality, toric
-from skelcollar.birmaps import IndexOutOfRange
 from skelcollar.bundles import BundleTransition, collar_iso_certificate
 from skelcollar.duality import (
     DualityReport,
@@ -15,6 +14,7 @@ from skelcollar.duality import (
     duality_report,
     square_check,
 )
+from skelcollar.exact import VerificationFailed
 from skelcollar.skeleton import skeleton
 from skelcollar.toric import Cone2D, DynkinGraph, ResolutionChain
 
@@ -42,9 +42,9 @@ def test_pair_matches_normal_form_residues():
 
 
 def test_pair_range():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="no skeleton component 4 for collar parameter 4"):
         dual_of_lagrangian(4, 4)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="no skeleton component -1 for collar parameter 4"):
         dual_of_lagrangian(4, -1)
     with pytest.raises(ValueError):
         dual_of_lagrangian(0, 0)
@@ -63,9 +63,9 @@ def test_round_trip_is_identity():
 
 
 def test_inverse_rejects_non_pairs():
-    with pytest.raises(NotAPair):
+    with pytest.raises(ValueError, match=re.escape("residues (1, 2) are not negatives mod 4")):
         dual_of_bundle_pair(4, (1, 2))
-    with pytest.raises(NotAPair):
+    with pytest.raises(ValueError, match=re.escape("residues (0, 3) are not negatives mod 5")):
         dual_of_bundle_pair(5, (0, 3))
     with pytest.raises(ValueError):
         dual_of_bundle_pair(4, (1, 7))
@@ -157,9 +157,9 @@ def test_square_checks_family_endpoints_once(monkeypatch):
 
 
 def test_square_index_range():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="no square at index 2 for collar parameter 3"):
         square_check(3, 2, 40, 1)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="no square at index -1 for collar parameter 3"):
         square_check(3, -1, 40, 1)
 
 
@@ -267,5 +267,5 @@ def _closed_into_a_cycle(chain):
 def test_report_raises_on_a_broken_toric_leg(monkeypatch, name, fake, statement):
     monkeypatch.setattr(duality, name, fake)
     expected = re.escape(f"toric leg at n = 4: expected {statement}")
-    with pytest.raises(AssertionError, match=expected):
+    with pytest.raises(VerificationFailed, match=expected):
         duality_report(4, 40, 1)

@@ -17,9 +17,7 @@ from skelcollar.bundles import BundleTransition, collar_iso_certificate, splitti
 from skelcollar.duality import duality_report
 from skelcollar.exact import (
     LaurentPoly,
-    NotInvertible,
     Record,
-    ZeroIntoNegativePower,
     echelon,
     null_space,
     poly_mat_det,
@@ -96,7 +94,7 @@ def test_negative_powers_are_exact():
     x = LP.var("x")
     assert x**-3 * x**3 == LP.const(1)
     assert (2 * x).inverse() == LP(("x",), {(-1,): Fraction(1, 2)})
-    with pytest.raises(NotInvertible):
+    with pytest.raises(ValueError, match=re.escape("not a unit monomial: x + 1")):
         (x + 1).inverse()
 
 
@@ -119,9 +117,9 @@ def test_substitute_composes():
 
 def test_zero_into_negative_power_raises():
     p = LP.var("x") ** -1
-    with pytest.raises(ZeroIntoNegativePower):
+    with pytest.raises(ValueError, match="0 substituted for x which occurs with exponent -1"):
         p.substitute({"x": LP.zero()})
-    with pytest.raises(ZeroIntoNegativePower):
+    with pytest.raises(ValueError, match="0 given for x which occurs with exponent -1"):
         evaluate(p, {"x": 0})
 
 

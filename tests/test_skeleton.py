@@ -1,15 +1,17 @@
 """Atlas transitions, torus action pushforward, stable manifolds."""
 
 import itertools
+import re
 
 import pytest
 
 from oracles import closed_form, cocycle_holds
-from skelcollar.exact import LaurentPoly
+from skelcollar.exact import LaurentPoly, VerificationFailed
 from skelcollar.skeleton import (
     ActionChartExpr,
     CotangentAtlas,
-    UnrecognizedForm,
+    SkeletonComponent,
+    _reduce_constraints,
     act,
     classify_component,
     skeleton,
@@ -228,10 +230,12 @@ def test_unrecognized_form_for_decreasing_weights():
     # power <= 0 and force all of them, the zero section's set, at the
     # affine fiber's fixed point; that set is off the pattern
     atlas = CotangentAtlas(3)
-    with pytest.raises(UnrecognizedForm, match="does not match"):
+    with pytest.raises(VerificationFailed, match=re.escape(
+            "forced set ['y1', 'y2', 'y3'] does not match a recognized component shape")):
         classify_component(atlas, 0, frozenset({"y1", "y2", "y3"}))
     # nor is a forced set of the right size with one variable swapped
-    with pytest.raises(UnrecognizedForm, match="does not match"):
+    with pytest.raises(VerificationFailed, match=re.escape(
+            "forced set ['x2', 'x3', 'y2'] does not match a recognized component shape")):
         classify_component(atlas, 1, frozenset({"x2", "x3", "y2"}))
 
 
@@ -242,5 +246,36 @@ def test_unrecognized_form_for_a_surviving_block_off_the_diagonal():
     t = atlas.transition(0, 1)
     x1, zero = v("x1"), LP.zero()
     atlas._transitions[(0, 1)] = (t[0], (zero, x1, x1), t[2])
-    with pytest.raises(UnrecognizedForm, match="not diagonal"):
+    with pytest.raises(VerificationFailed, match="surviving fiber block is not diagonal"):
         classify_component(atlas, 1, frozenset({"x2", "x3", "y1"}))
+
+
+@pytest.mark.parametrize(
+    "constraint,statement",
+    [
+        (LP.const(2), "constraint reduced to a nonzero constant"),
+        (v("x1") * v("x2"), "monomial constraint x1*x2 forces a reducible locus"),
+        (v("x1") + v("x2"), "constraint reduction stalled with 1 equations left"),
+    ],
+    ids=["constant", "reducible", "stalled"],
+)
+def test_a_constraint_off_the_pattern_fails_the_check(constraint, statement):
+    # the weights are fixed, so no input reaches these: the program is at fault
+    with pytest.raises(VerificationFailed, match=re.escape(statement)):
+        _reduce_constraints([constraint], set())
+
+
+def test_a_transition_off_the_gluing_monomial_fails_the_check():
+    # slot 2 of component 1 of P^3 must glue by x1 alone, not by 2 * x1
+    atlas = CotangentAtlas(3)
+    t = atlas.transition(0, 1)
+    x1, zero = v("x1"), LP.zero()
+    atlas._transitions[(0, 1)] = (t[0], (zero, 2 * x1, zero), t[2])
+    with pytest.raises(VerificationFailed,
+                       match="fiber coordinate 2 does not glue by the degree-one monomial"):
+        classify_component(atlas, 1, frozenset({"x2", "x3", "y1"}))
+
+
+def test_a_component_off_the_middle_dimension_fails_the_check():
+    with pytest.raises(VerificationFailed, match="component is not middle-dimensional"):
+        SkeletonComponent(1, 3, frozenset({"x1", "x2", "x3", "y1"}), (), ("y2", "y3"))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from oracles import cofactor_det, cone_contains, hj_evaluate, is_unimodular_subdivision
 from skelcollar.toric import (
     Cone2D,
-    InvalidInput,
     QuotientSingularity,
     dynkin_dual_graph,
     hj_expansion,
@@ -34,13 +33,13 @@ def valid_weights(n):
 def test_singularity_validation():
     QS(5, 2)
     QS(1, 1)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(ValueError, match="weight 4 not coprime to order 6"):
         QS(6, 4)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(ValueError, match="weight must satisfy 1 <= a < n, got a=0, n=5"):
         QS(5, 0)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(ValueError, match="weight must satisfy 1 <= a < n, got a=5, n=5"):
         QS(5, 5)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(ValueError, match="order must be positive, got 0"):
         QS(0, 1)
 
 
@@ -90,7 +89,7 @@ def test_biduality_random():
             v, w = w, v
         try:
             c = Cone2D(v, w)
-        except InvalidInput:
+        except ValueError:
             continue
         made += 1
         assert c.dual().dual() == c
@@ -133,11 +132,11 @@ def test_hj_known_values():
 
 def test_hj_validation():
     for expand in (hj_expansion, hj_length):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(ValueError, match="need 0 < q < n coprime, got n=4, q=2"):
             expand(4, 2)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(ValueError, match="need 0 < q < n coprime, got n=3, q=0"):
             expand(3, 0)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(ValueError, match="need 0 < q < n coprime, got n=3, q=3"):
             expand(3, 3)
 
 
